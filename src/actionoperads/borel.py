@@ -24,7 +24,7 @@ from itertools import product
 from typing import Sequence
 
 from .core import ActionOperad, OperadElement
-from .fincat import FinCat, translation_category
+from .fincat import FinCat
 from .perm import act_on_positions
 
 
@@ -208,30 +208,45 @@ class InfinityReport:
 def contractible_free_check(inst: ActionOperad, n: int) -> InfinityReport:
     """Check that the translation category on the arity-n group is
     contractible (exactly one morphism between any two objects) and that
-    right multiplication acts freely (trivial stabilizers)."""
+    right multiplication acts freely (trivial stabilizers).
+
+    The morphisms g -> h are the k with g*k = h, so one pass over the
+    |G|^2 products, made by the instance's ``mul`` and matched against the
+    enumerated elements by its ``equal``, gives every hom-set.
+    """
     els = inst.elements(n)
     if els is None:
         raise ValueError(f"instance {inst.name!r} is not finite at arity {n}")
-    names = [f"g{i}" for i in range(len(els))]
-    cat = translation_category(names, name=f"E_{inst.name}_{n}")
-    details = []
-    contractible = True
-    for a in names:
-        for b in names:
-            count = len(cat.hom(a, b))
-            if count != 1:
-                contractible = False
-                details.append(f"hom({a},{b}) has {count} morphisms")
-    free = True
+    by_key = {el.key(): i for i, el in enumerate(els)}
+
+    def resolve(prod: OperadElement) -> int | None:
+        """The index of the first enumerated element equal to ``prod``."""
+        i = by_key.get(prod.key())
+        if i is not None and inst.equal(prod, els[i]).is_equal:
+            return i
+        return next((j for j, h in enumerate(els) if inst.equal(prod, h).is_equal), None)
+
     e = inst.identity(n)
-    for h in els:
-        if inst.equal(h, e).is_equal:
-            continue
-        for g in els:
-            if inst.equal(inst.mul(g, h), g).is_equal:
-                free = False
-                details.append(f"stabilizer: g*h = g for g={inst.format(g)}, h={inst.format(h)}")
-    return InfinityReport(inst.name, n, len(els), contractible, free, tuple(details))
+    hom_sizes = [[0] * len(els) for _ in els]
+    stabilizers = []
+    for k in els:
+        is_unit = inst.equal(k, e).is_equal
+        for i, g in enumerate(els):
+            j = resolve(inst.mul(g, k))
+            if j is None:
+                continue
+            hom_sizes[i][j] += 1
+            if j == i and not is_unit:
+                stabilizers.append(f"stabilizer: g*h = g for g={inst.format(g)}, h={inst.format(k)}")
+    details = [
+        f"hom({inst.format(g)},{inst.format(h)}) has {hom_sizes[i][j]} morphisms"
+        for i, g in enumerate(els)
+        for j, h in enumerate(els)
+        if hom_sizes[i][j] != 1
+    ]
+    contractible = not details
+    details.extend(stabilizers)
+    return InfinityReport(inst.name, n, len(els), contractible, not stabilizers, tuple(details))
 
 
 @dataclass(frozen=True)

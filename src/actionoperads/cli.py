@@ -374,7 +374,10 @@ def cmd_multicat_lift(args) -> int:
     Y = load_fincat(args.category_y, name="Y")
     with open(args.functor) as fh:
         doc = json.load(fh)
-    G = mc.FinFunctor("G", X, Y, dict(doc["ob"]), dict(doc["mor"]))
+    for key in ("ob", "mor"):
+        if not isinstance(doc, dict) or not isinstance(doc.get(key), dict):
+            raise ValueError(f"functor file {args.functor}: expected a JSON object whose {key!r} entry is a map")
+    G = mc.FinFunctor("G", X, Y, doc["ob"], doc["mor"])
     try:
         bij = mc.lift_matches_plus(inst, G, max_arity=args.max_arity, bound=args.bound)
     except ValueError as exc:

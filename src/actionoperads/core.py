@@ -110,6 +110,9 @@ class ActionOperad:
     def pi(self, a: OperadElement) -> Perm:
         raise NotImplementedError
 
+    def arity(self, a: OperadElement) -> int:
+        return a.n
+
     # -- operad structure -------------------------------------------------
     def beta(self, els: Sequence[OperadElement]) -> OperadElement:
         raise NotImplementedError
@@ -382,19 +385,24 @@ class WordOperad(ActionOperad):
         return self._delta_fold(a.n, a.payload.letters, sizes)
 
     def _delta_fold(self, n: int, letters, sizes) -> OperadElement:
-        if not letters:
-            return self.identity(sum(sizes))
-        head, last = letters[:-1], letters[-1]
-        gen, sign = last
-        if sign == 1:
-            d_last = self._wrap(sum(sizes), self.delta_letters(gen, n, sizes))
-            p_last = self.letter_pi(gen, n)
-        else:
-            ksizes = tuple(sizes[self.letter_pi(gen, n).images[i] - 1] for i in range(n))
-            d_last = self.inv(self._wrap(sum(ksizes), self.delta_letters(gen, n, ksizes)))
-            p_last = inverse(self.letter_pi(gen, n))
-        head_sizes = act_on_positions(p_last, sizes)
-        return self.mul(self._delta_fold(n, head, head_sizes), d_last)
+        # The right fold of the module docstring, walked from the last
+        # letter: each letter's diagonal is taken at the widths moved
+        # through the letters after it.  The factors are concatenated and
+        # reduced once, which gives the same word as reducing each
+        # product (free reduction is confluent).
+        total = sum(sizes)
+        involutive = self.relation_system(total).involutive
+        factors = []
+        for gen, sign in reversed(letters):
+            p = self.letter_pi(gen, n)
+            if sign == 1:
+                factors.append(self.delta_letters(gen, n, sizes))
+            else:
+                ksizes = tuple(sizes[p.images[i] - 1] for i in range(n))
+                factors.append(rewrite.invert_letters(self.delta_letters(gen, n, ksizes), involutive))
+                p = inverse(p)
+            sizes = act_on_positions(p, sizes)
+        return self._wrap(total, [letter for f in reversed(factors) for letter in f])
 
     def equal(self, a, b, max_len=None, budget=None):
         self.check_element(a)
@@ -614,25 +622,13 @@ def nested_size_vectors(max_total: int) -> list[tuple[tuple[int, ...], ...]]:
 
 
 class _CaseSource:
-    """Uniform access to elements / shapes for exhaustive and sampled modes."""
+    """Shapes and elements for sampled mode, drawn from one seeded stream."""
 
     def __init__(self, inst: ActionOperad, config: AxiomCheckConfig):
         self.inst = inst
         self.config = config
-        if config.exhaustive is None:
-            self.exhaustive = inst.elements(config.max_total_arity) is not None
-        else:
-            self.exhaustive = config.exhaustive
         self.stream = DeterministicStream(config.seed)
 
-    # exhaustive helpers
-    def elements(self, n: int) -> tuple[OperadElement, ...]:
-        els = self.inst.elements(n)
-        if els is None:
-            raise ValueError(f"instance {self.inst.name!r} has no enumeration at arity {n}")
-        return els
-
-    # sampled helpers
     def sample_element(self, n: int) -> OperadElement:
         return self.inst.sample(n, self.stream, self.config.max_word_length)
 
@@ -653,228 +649,335 @@ class _CaseSource:
         return lo + self.stream.next_int(max(1, hi - lo + 1))
 
 
+_SAME = EqResult("equal", path=RewritePath((), (), ()))
+
+
+class _Kernel:
+    """An instance's finite groups with elements interned as integers.
+
+    Elements at arities ``0..max_arity`` are numbered by
+    :meth:`OperadElement.key`; ``mul``, ``inv`` and ``pi`` are per-element
+    tables and ``beta``, ``delta`` and ``mu`` are memoised on index
+    tuples.  Every entry is computed once, by the instance's own method on
+    the materialised elements, so an overridden or defective method is
+    what gets checked.  A result whose key was not enumerated (a wrong
+    arity, a word not in reduced form) gets a fresh index.
+
+    The kernel answers the same calls as an instance, on indices, so the
+    axiom cases are written once for both modes.  Equal indices are equal
+    keys and compare equal without the oracle; different indices go to
+    the instance's oracle.  A kernel lives for one ``check_axioms`` call.
+    """
+
+    def __init__(self, inst: ActionOperad, max_arity: int):
+        self.inst = inst
+        self.els: list[OperadElement] = []
+        self._index: dict[object, int] = {}
+        self._mul: list[dict[int, int]] = []  # row a: b -> a*b
+        self._inv: list[int | None] = []
+        self._pi: list[Perm | None] = []
+        self._units: dict[int, int] = {}
+        self._memo: dict[tuple, int] = {}  # beta, delta and mu, keyed by op name
+        self._enumerated = []
+        for n in range(max_arity + 1):
+            els = inst.elements(n)
+            if els is None:
+                raise ValueError(f"instance {inst.name!r} has no enumeration at arity {n}")
+            self._enumerated.append(tuple(self._intern(e) for e in els))
+
+    def _intern(self, el: OperadElement) -> int:
+        key = el.key()
+        i = self._index.get(key)
+        if i is None:
+            i = self._index[key] = len(self.els)
+            self.els.append(el)
+            self._mul.append({})
+            self._inv.append(None)
+            self._pi.append(None)
+        return i
+
+    def elements(self, n: int) -> tuple[int, ...]:
+        return self._enumerated[n]
+
+    def arity(self, a: int) -> int:
+        return self.els[a].n
+
+    def identity(self, n: int) -> int:
+        i = self._units.get(n)
+        if i is None:
+            i = self._units[n] = self._intern(self.inst.identity(n))
+        return i
+
+    def mul(self, a: int, b: int) -> int:
+        row = self._mul[a]
+        r = row.get(b)
+        if r is None:
+            r = row[b] = self._intern(self.inst.mul(self.els[a], self.els[b]))
+        return r
+
+    def inv(self, a: int) -> int:
+        r = self._inv[a]
+        if r is None:
+            r = self._inv[a] = self._intern(self.inst.inv(self.els[a]))
+        return r
+
+    def pi(self, a: int) -> Perm:
+        p = self._pi[a]
+        if p is None:
+            p = self._pi[a] = self.inst.pi(self.els[a])
+        return p
+
+    def beta(self, xs: Sequence[int]) -> int:
+        key = ("beta", tuple(xs))
+        r = self._memo.get(key)
+        if r is None:
+            r = self._memo[key] = self._intern(self.inst.beta([self.els[x] for x in xs]))
+        return r
+
+    def delta(self, a: int, sizes: Sequence[int]) -> int:
+        key = ("delta", a, tuple(sizes))
+        r = self._memo.get(key)
+        if r is None:
+            r = self._memo[key] = self._intern(self.inst.delta(self.els[a], sizes))
+        return r
+
+    def mu(self, g: int, hs: Sequence[int]) -> int:
+        key = ("mu", g, tuple(hs))
+        r = self._memo.get(key)
+        if r is None:
+            r = self._memo[key] = self._intern(self.inst.mu(self.els[g], [self.els[h] for h in hs]))
+        return r
+
+    def equal(self, a: int, b: int, max_len=None, budget=None) -> EqResult:
+        if a == b:
+            return _SAME
+        return self.inst.equal(self.els[a], self.els[b], max_len=max_len, budget=budget)
+
+    def format(self, a: int) -> str:
+        return self.inst.format(self.els[a])
+
+
 def check_axioms(inst: ActionOperad, config: AxiomCheckConfig | None = None) -> AxiomReport:
     """Verify the structural laws of an instance on many input tuples.
 
     Exhaustive when the instance enumerates its groups at the configured
-    arities (then the run is a proof by enumeration at that scale),
-    sampled deterministically otherwise.
+    arities (then the run is a proof by enumeration at that scale, on
+    interned elements), sampled deterministically otherwise.
     """
     config = config or AxiomCheckConfig()
-    source = _CaseSource(inst, config)
-    outcomes = {name: CheckOutcome() for name in AXIOM_NAMES}
-
-    def oracle_eq(name: str, lhs: OperadElement, rhs: OperadElement, inputs) -> None:
-        out = outcomes[name]
-        out.checked += 1
-        res = inst.equal(lhs, rhs, max_len=config.max_len, budget=config.budget)
-        if res.is_equal:
-            return
-        if res.is_inconclusive:
-            out.inconclusive += 1
-        else:
-            rendered = inputs() if callable(inputs) else inputs
-            out.failures.append(Failure(name, rendered, inst.format(lhs), inst.format(rhs)))
-
-    def perm_eq(name: str, lhs: Perm, rhs: Perm, inputs) -> None:
-        out = outcomes[name]
-        out.checked += 1
-        if lhs != rhs:
-            rendered = inputs() if callable(inputs) else inputs
-            out.failures.append(Failure(name, rendered, format_perm(lhs), format_perm(rhs)))
-
-    if source.exhaustive:
-        cases = _exhaustive_cases(inst, source, config)
+    exhaustive = config.exhaustive
+    if exhaustive is None:
+        exhaustive = inst.elements(config.max_total_arity) is not None
+    if exhaustive:
+        carrier = _Kernel(inst, config.max_total_arity)
+        cases = _exhaustive_cases(carrier, config)
     else:
-        cases = _sampled_cases(inst, source, config)
+        carrier = inst
+        cases = _sampled_cases(inst, _CaseSource(inst, config), config)
 
-    for kind, name, payload in cases:
+    outcomes = {name: CheckOutcome() for name in AXIOM_NAMES}
+    for kind, name, (lhs, rhs, inputs) in cases:
+        out = outcomes[name]
+        out.checked += 1
         if kind == "pair":
-            lhs, rhs, inputs = payload
-            oracle_eq(name, lhs, rhs, inputs)
+            res = carrier.equal(lhs, rhs, max_len=config.max_len, budget=config.budget)
+            if res.is_equal:
+                continue
+            if res.is_inconclusive:
+                out.inconclusive += 1
+                continue
+            shown = carrier.format(lhs), carrier.format(rhs)
+        elif lhs == rhs:
+            continue
         else:
-            lhs, rhs, inputs = payload
-            perm_eq(name, lhs, rhs, inputs)
+            shown = format_perm(lhs), format_perm(rhs)
+        rendered = inputs() if callable(inputs) else inputs
+        out.failures.append(Failure(name, rendered, *shown))
 
-    return AxiomReport(inst.name, "exhaustive" if source.exhaustive else "sampled", outcomes)
+    return AxiomReport(inst.name, "exhaustive" if exhaustive else "sampled", outcomes)
 
 
-def _case_pi_mul(inst, g, h):
-    lhs = inst.pi(inst.mul(g, h))
-    rhs = compose(inst.pi(g), inst.pi(h))
+# Each case states one law once, against a carrier: the instance itself
+# on elements (sampled mode) or its ``_Kernel`` on indices (exhaustive).
+
+
+def _case_pi_mul(C, g, h):
+    lhs = C.pi(C.mul(g, h))
+    rhs = compose(C.pi(g), C.pi(h))
     yield ("perm", "pi_homomorphism",
-           (lhs, rhs, lambda: f"mul: {inst.format(g)} * {inst.format(h)} @ {g.n}"))
+           (lhs, rhs, lambda: f"mul: {C.format(g)} * {C.format(h)} @ {C.arity(g)}"))
 
 
-def _case_pi_inv_unit(inst, g):
-    n = g.n
+def _case_pi_inv_unit(C, g):
+    n = C.arity(g)
     yield (
         "perm",
         "pi_homomorphism",
-        (inst.pi(inst.inv(g)), inverse(inst.pi(g)), lambda: f"inv: {inst.format(g)} @ {n}"),
+        (C.pi(C.inv(g)), inverse(C.pi(g)), lambda: f"inv: {C.format(g)} @ {n}"),
     )
-    yield ("perm", "pi_homomorphism", (inst.pi(inst.identity(n)), identity(n), f"unit @ {n}"))
+    yield ("perm", "pi_homomorphism", (C.pi(C.identity(n)), identity(n), f"unit @ {n}"))
 
 
-def _case_beta_homomorphism(inst, gs, hs):
-    lhs = inst.mul(inst.beta(gs), inst.beta(hs))
-    rhs = inst.beta([inst.mul(g, h) for g, h in zip(gs, hs)])
+def _case_beta_homomorphism(C, gs, hs):
+    lhs = C.mul(C.beta(gs), C.beta(hs))
+    rhs = C.beta([C.mul(g, h) for g, h in zip(gs, hs)])
 
     def inputs():
         return (
-            "beta(" + ", ".join(inst.format(g) for g in gs) + ") * beta("
-            + ", ".join(inst.format(h) for h in hs)
-            + f") at arities {tuple(g.n for g in gs)}"
+            "beta(" + ", ".join(C.format(g) for g in gs) + ") * beta("
+            + ", ".join(C.format(h) for h in hs)
+            + f") at arities {tuple(C.arity(g) for g in gs)}"
         )
 
     yield ("pair", "beta_homomorphism", (lhs, rhs, inputs))
 
 
-def _case_beta_naturality(inst, hs):
-    lhs = inst.pi(inst.beta(hs))
-    rhs = block_sum([inst.pi(h) for h in hs])
+def _case_beta_naturality(C, hs):
+    lhs = C.pi(C.beta(hs))
+    rhs = block_sum([C.pi(h) for h in hs])
 
     def inputs():
-        return "beta(" + ", ".join(inst.format(h) for h in hs) + f") at arities {tuple(h.n for h in hs)}"
+        return "beta(" + ", ".join(C.format(h) for h in hs) + f") at arities {tuple(C.arity(h) for h in hs)}"
 
     yield ("perm", "beta_naturality", (lhs, rhs, inputs))
 
 
-def _case_beta_unary(inst, g):
-    yield ("pair", "beta_unary_identity", (inst.beta([g]), g, lambda: f"{inst.format(g)} @ {g.n}"))
+def _case_beta_unary(C, g):
+    yield ("pair", "beta_unary_identity", (C.beta([g]), g, lambda: f"{C.format(g)} @ {C.arity(g)}"))
 
 
-def _case_beta_assoc(inst, groups):
+def _case_beta_assoc(C, groups):
     flat = [e for grp in groups for e in grp]
-    lhs = inst.beta(flat)
-    rhs = inst.beta([inst.beta(list(grp)) for grp in groups])
+    lhs = C.beta(flat)
+    rhs = C.beta([C.beta(list(grp)) for grp in groups])
     yield ("pair", "beta_associativity",
-           (lhs, rhs, lambda: "groups " + str(tuple(tuple(e.n for e in grp) for grp in groups))))
+           (lhs, rhs, lambda: "groups " + str(tuple(tuple(C.arity(e) for e in grp) for grp in groups))))
 
 
-def _case_delta_naturality(inst, g, sizes):
-    lhs = inst.pi(inst.delta(g, sizes))
-    rhs = block_perm(inst.pi(g), sizes)
-    yield ("perm", "delta_naturality", (lhs, rhs, lambda: f"{inst.format(g)} @ {g.n}; sizes {sizes}"))
+def _case_delta_naturality(C, g, sizes):
+    lhs = C.pi(C.delta(g, sizes))
+    rhs = block_perm(C.pi(g), sizes)
+    yield ("perm", "delta_naturality", (lhs, rhs, lambda: f"{C.format(g)} @ {C.arity(g)}; sizes {sizes}"))
 
 
-def _case_delta_units(inst, g, n_for_unit):
+def _case_delta_units(C, g, n_for_unit):
+    n = C.arity(g)
     yield (
         "pair",
         "delta_unit_sizes",
-        (inst.delta(g, (1,) * g.n), g, lambda: f"{inst.format(g)} @ {g.n}; sizes (1,)*{g.n}"),
+        (C.delta(g, (1,) * n), g, lambda: f"{C.format(g)} @ {n}; sizes (1,)*{n}"),
     )
     yield (
         "pair",
         "delta_unit_sizes",
         (
-            inst.delta(inst.identity(1), (n_for_unit,)),
-            inst.identity(n_for_unit),
+            C.delta(C.identity(1), (n_for_unit,)),
+            C.identity(n_for_unit),
             f"unit @ 1; sizes ({n_for_unit},)",
         ),
     )
 
 
-def _case_delta_product(inst, g, h, jsizes):
-    ksizes = act_on_positions(inst.pi(h), jsizes)
-    lhs = inst.mul(inst.delta(g, ksizes), inst.delta(h, jsizes))
-    rhs = inst.delta(inst.mul(g, h), jsizes)
+def _case_delta_product(C, g, h, jsizes):
+    ksizes = act_on_positions(C.pi(h), jsizes)
+    lhs = C.mul(C.delta(g, ksizes), C.delta(h, jsizes))
+    rhs = C.delta(C.mul(g, h), jsizes)
     yield ("pair", "delta_product_twist",
-           (lhs, rhs, lambda: f"{inst.format(g)} * {inst.format(h)} @ {g.n}; sizes {tuple(jsizes)}"))
+           (lhs, rhs, lambda: f"{C.format(g)} * {C.format(h)} @ {C.arity(g)}; sizes {tuple(jsizes)}"))
 
 
-def _case_delta_nesting(inst, f, msizes, plists):
+def _case_delta_nesting(C, f, msizes, plists):
     flat = tuple(p for pl in plists for p in pl)
-    inner = inst.delta(f, msizes)
-    lhs = inst.delta(inner, flat)
+    inner = C.delta(f, msizes)
+    lhs = C.delta(inner, flat)
     totals = tuple(sum(pl) for pl in plists)
-    rhs = inst.delta(f, totals)
+    rhs = C.delta(f, totals)
     yield ("pair", "delta_nesting",
-           (lhs, rhs, lambda: f"{inst.format(f)} @ {f.n}; m {tuple(msizes)}; p {tuple(plists)}"))
+           (lhs, rhs, lambda: f"{C.format(f)} @ {C.arity(f)}; m {tuple(msizes)}; p {tuple(plists)}"))
 
 
-def _case_delta_beta_twist(inst, g, hs):
-    sizes = tuple(h.n for h in hs)
-    dg = inst.delta(g, sizes)
-    lhs = inst.mul(dg, inst.beta(hs))
-    rhs = inst.mul(inst.beta(act_on_positions(inst.pi(g), hs)), dg)
+def _case_delta_beta_twist(C, g, hs):
+    sizes = tuple(C.arity(h) for h in hs)
+    dg = C.delta(g, sizes)
+    lhs = C.mul(dg, C.beta(hs))
+    rhs = C.mul(C.beta(act_on_positions(C.pi(g), hs)), dg)
 
     def inputs():
-        return f"{inst.format(g)} @ {g.n}; args " + ", ".join(
-            f"{inst.format(h)}@{h.n}" for h in hs
+        return f"{C.format(g)} @ {C.arity(g)}; args " + ", ".join(
+            f"{C.format(h)}@{C.arity(h)}" for h in hs
         )
 
     yield ("pair", "delta_beta_twist", (lhs, rhs, inputs))
 
 
-def _case_beta_delta_interchange(inst, gs, mlists):
-    lhs = inst.beta([inst.delta(g, ml) for g, ml in zip(gs, mlists)])
+def _case_beta_delta_interchange(C, gs, mlists):
+    lhs = C.beta([C.delta(g, ml) for g, ml in zip(gs, mlists)])
     flat = tuple(m for ml in mlists for m in ml)
-    rhs = inst.delta(inst.beta(gs), flat)
+    rhs = C.delta(C.beta(gs), flat)
 
     def inputs():
-        return "; ".join(f"{inst.format(g)}@{g.n} sizes {tuple(ml)}" for g, ml in zip(gs, mlists))
+        return "; ".join(f"{C.format(g)}@{C.arity(g)} sizes {tuple(ml)}" for g, ml in zip(gs, mlists))
 
     yield ("pair", "beta_delta_interchange", (lhs, rhs, inputs))
 
 
-def _case_interchange(inst, g, fs, gp, fps):
-    lhs = inst.mul(inst.mu(g, fs), inst.mu(gp, fps))
-    pgp = inst.pi(gp)
-    mid = [inst.mul(fs[pgp.images[i] - 1], fps[i]) for i in range(len(fps))]
-    rhs = inst.mu(inst.mul(g, gp), mid)
+def _case_interchange(C, g, fs, gp, fps):
+    lhs = C.mul(C.mu(g, fs), C.mu(gp, fps))
+    pgp = C.pi(gp)
+    mid = [C.mul(fs[pgp.images[i] - 1], fps[i]) for i in range(len(fps))]
+    rhs = C.mu(C.mul(g, gp), mid)
 
     def inputs():
         return (
-            f"g {inst.format(g)}, g' {inst.format(gp)} @ {g.n}; "
-            + "f " + ", ".join(f"{inst.format(x)}@{x.n}" for x in fs)
-            + "; f' " + ", ".join(f"{inst.format(x)}@{x.n}" for x in fps)
+            f"g {C.format(g)}, g' {C.format(gp)} @ {C.arity(g)}; "
+            + "f " + ", ".join(f"{C.format(x)}@{C.arity(x)}" for x in fs)
+            + "; f' " + ", ".join(f"{C.format(x)}@{C.arity(x)}" for x in fps)
         )
 
     yield ("pair", "composition_interchange", (lhs, rhs, inputs))
 
 
-def _exhaustive_cases(inst, source: _CaseSource, config: AxiomCheckConfig) -> Iterator:
+def _exhaustive_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
     A = config.max_total_arity
     vectors = size_vectors(A, config.include_zero_blocks)
     positive_vectors = [v for v in vectors if all(k >= 1 for k in v)]
-    els = source.elements
+    els = K.elements
 
     # pi homomorphism on all pairs per arity; inverses and units per element
     for n in range(0, A + 1):
         for g in els(n):
-            yield from _case_pi_inv_unit(inst, g)
+            yield from _case_pi_inv_unit(K, g)
             for h in els(n):
-                yield from _case_pi_mul(inst, g, h)
+                yield from _case_pi_mul(K, g, h)
 
     for v in vectors:
         tuple_space = [els(k) for k in v]
         for hs in itertools.product(*tuple_space):
-            yield from _case_beta_naturality(inst, hs)
+            yield from _case_beta_naturality(K, hs)
         for gs in itertools.product(*tuple_space):
             for hs in itertools.product(*tuple_space):
-                yield from _case_beta_homomorphism(inst, gs, hs)
+                yield from _case_beta_homomorphism(K, gs, hs)
 
     for n in range(0, A + 1):
         for g in els(n):
-            yield from _case_beta_unary(inst, g)
-            yield from _case_delta_units(inst, g, n)
+            yield from _case_beta_unary(K, g)
+            yield from _case_delta_units(K, g, n)
 
     for groups in nested_size_vectors(A):
         spaces = [[els(k) for k in grp] for grp in groups]
         for flat_choice in itertools.product(*(itertools.product(*sp) for sp in spaces)):
-            yield from _case_beta_assoc(inst, flat_choice)
+            yield from _case_beta_assoc(K, flat_choice)
 
     for v in vectors:
         n = len(v)
         for g in els(n):
-            yield from _case_delta_naturality(inst, g, v)
+            yield from _case_delta_naturality(K, g, v)
 
     for v in positive_vectors:
         n = len(v)
         for g in els(n):
             for h in els(n):
-                yield from _case_delta_product(inst, g, h, v)
+                yield from _case_delta_product(K, g, h, v)
 
     # nesting: m-vector then one positive width per strand, total capped
     for msizes in positive_vectors:
@@ -883,28 +986,28 @@ def _exhaustive_cases(inst, source: _CaseSource, config: AxiomCheckConfig) -> It
             for flat_p in compositions_of(ptotal, M):
                 plists = _split(flat_p, msizes)
                 for f in els(len(msizes)):
-                    yield from _case_delta_nesting(inst, f, msizes, plists)
+                    yield from _case_delta_nesting(K, f, msizes, plists)
 
     for v in positive_vectors:
         n = len(v)
         for g in els(n):
             for hs in itertools.product(*[els(k) for k in v]):
-                yield from _case_delta_beta_twist(inst, g, hs)
+                yield from _case_delta_beta_twist(K, g, hs)
 
     for groups in nested_size_vectors(A):
         ks = tuple(len(grp) for grp in groups)
         for gs in itertools.product(*[els(k) for k in ks]):
-            yield from _case_beta_delta_interchange(inst, gs, groups)
+            yield from _case_beta_delta_interchange(K, gs, groups)
 
     for v in positive_vectors:
         n = len(v)
         for gp in els(n):
-            pgp_inv = inverse(inst.pi(gp))
+            pgp_inv = inverse(K.pi(gp))
             f_arities = tuple(v[pgp_inv.images[i] - 1] for i in range(n))
             for g in els(n):
                 for fps in itertools.product(*[els(k) for k in v]):
                     for fs in itertools.product(*[els(k) for k in f_arities]):
-                        yield from _case_interchange(inst, g, fs, gp, fps)
+                        yield from _case_interchange(K, g, fs, gp, fps)
 
 
 def _split(flat: tuple[int, ...], group_lens: Sequence[int]) -> tuple[tuple[int, ...], ...]:

@@ -1,0 +1,53 @@
+"""Instances with planted defects, shared by the tests that must see a
+check fail on them."""
+
+from __future__ import annotations
+
+from actionoperads.cactus import CactusOperad
+from actionoperads.core import OperadElement, SymmetricOperad
+from actionoperads.perm import block_sum
+from actionoperads.rewrite import Word
+
+
+class ReversedBlockSum(SymmetricOperad):
+    """The block sum lays its blocks out in reverse order."""
+
+    def beta(self, els):
+        for e in els:
+            self.check_element(e)
+        return self._wrap(block_sum([e.payload for e in reversed(els)]))
+
+
+class IdentityDelta(SymmetricOperad):
+    """The block diagonal forgets its argument and returns the unit."""
+
+    def delta(self, a, sizes):
+        self.check_element(a)
+        if a.n != len(sizes):
+            raise ValueError("arity mismatch")
+        return self.identity(sum(sizes))
+
+
+class UnreducedCactus(CactusOperad):
+    """Products are concatenated without free reduction, so some are
+    words (``s(1,2) s(1,2)``) that no enumeration lists; and at arity >= 2
+    an inverse carries an extra ``s(1,2)``, so it is wrong."""
+
+    def mul(self, a, b):
+        return OperadElement(self.name, a.n, Word(a.n, a.payload.letters + b.payload.letters))
+
+    def inv(self, a):
+        out = super().inv(a)
+        if a.n < 2:
+            return out
+        return OperadElement(self.name, a.n, Word(a.n, out.payload.letters + (((1, 2), 1),)))
+
+
+class StabilizedProduct(SymmetricOperad):
+    """Multiplying by an element that swaps the first two points does
+    nothing, so that element stabilizes everything."""
+
+    def mul(self, a, b):
+        if b.payload.images[:2] == (2, 1):
+            return a
+        return super().mul(a, b)

@@ -1,0 +1,65 @@
+"""``check_axioms`` reports pinned byte for byte: the finite instances, an
+instance rebuilt from its club, and planted defects (whose failures must
+render the same counterexamples).
+
+The pinned reports live in ``tests/data/axiom_reports.json``.  Rewrite
+them, only when a report is meant to change, with
+
+    PYTHONPATH=src python tests/test_axiom_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from actionoperads.cactus import cactus_operad
+from actionoperads.club import club_from, operad_from_club
+from actionoperads.core import AxiomCheckConfig, check_axioms, symmetric_operad, trivial_operad
+from planted import IdentityDelta, ReversedBlockSum, UnreducedCactus
+
+GOLDEN = Path(__file__).parent / "data" / "axiom_reports.json"
+
+# name -> (instance factory, max_total_arity)
+CASES = {
+    "sym_4": (symmetric_operad, 4),
+    "trivial_4": (trivial_operad, 4),
+    "cactus_2": (cactus_operad, 2),
+    "club_sym_3": (lambda: operad_from_club(club_from(symmetric_operad())), 3),
+    "reversed_block_sum_3": (ReversedBlockSum, 3),
+    "identity_delta_3": (IdentityDelta, 3),
+    "unreduced_cactus_2": (UnreducedCactus, 2),
+}
+
+
+def report(name: str) -> dict:
+    make, arity = CASES[name]
+    rep = check_axioms(make(), AxiomCheckConfig(max_total_arity=arity))
+    return {"report": rep.to_dict(), "text": rep.format_text()}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(golden, name):
+    got = report(name)
+    want = golden[name]
+    assert got["text"] == want["text"]
+    assert got["report"] == want["report"]
+
+
+def test_planted_defects_fail():
+    golden = json.loads(GOLDEN.read_text())
+    for name in ("reversed_block_sum_3", "identity_delta_3", "unreduced_cactus_2"):
+        axioms = golden[name]["report"]["axioms"]
+        assert any(a["failures"] for a in axioms.values()), name
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps({name: report(name) for name in CASES}, indent=1) + "\n")

@@ -24,6 +24,7 @@ from actionoperads.cactus import cactus_operad
 from actionoperads.core import symmetric_operad, trivial_operad
 from actionoperads.fincat import arrow_category, discrete_category, z2_category
 from oracles import quotient_hom_set
+from planted import StabilizedProduct
 
 SYM = symmetric_operad()
 TRIV = trivial_operad()
@@ -244,6 +245,21 @@ class TestInfinityChecks:
     def test_infinite_arity_rejected(self):
         with pytest.raises(ValueError):
             contractible_free_check(CACT, 3)
+
+    def test_planted_stabilizer_fails_both(self):
+        # multiplying by (1 2) does nothing: e*k = e for both k, so
+        # hom(e, e) has two morphisms, hom(e, (1 2)) none, and (1 2)
+        # stabilizes every element
+        rep = contractible_free_check(StabilizedProduct(), 2)
+        assert not rep.contractible and not rep.free
+        assert rep.details == (
+            "hom([1,2],[1,2]) has 2 morphisms",
+            "hom([1,2],[2,1]) has 0 morphisms",
+            "hom([2,1],[1,2]) has 0 morphisms",
+            "hom([2,1],[2,1]) has 2 morphisms",
+            "stabilizer: g*h = g for g=[1,2], h=[2,1]",
+            "stabilizer: g*h = g for g=[2,1], h=[2,1]",
+        )
 
 
 class TestMaterializedCategory:

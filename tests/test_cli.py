@@ -227,6 +227,23 @@ class TestReports:
         )
         assert code == 0 and out.startswith("PASS")
 
+    @pytest.mark.parametrize(
+        "doc",
+        [{"mor": {"id_a": "e", "id_b": "e"}}, {"ob": {"a": "*", "b": "*"}}, {"ob": [], "mor": {}}, []],
+    )
+    def test_multicat_lift_malformed_functor(self, capsys, tmp_path, d2_file, doc):
+        fy = tmp_path / "y.json"
+        fg = tmp_path / "g.json"
+        fy.write_text(json.dumps(fincat_to_dict(z2_category())))
+        fg.write_text(json.dumps(doc))
+        code = main([
+            "multicat", "lift", "--operad", "sym",
+            "--category-x", d2_file, "--category-y", str(fy), "--functor", str(fg),
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_present_check(self, capsys, tmp_path):
         doc = {
             "generators": [{"name": "s", "arity": 2, "pi": [2, 1]}],
@@ -245,6 +262,15 @@ class TestReports:
             "present", "check", "--operad", "cactus", "--file", str(f), "--interp", "s=s(1,2)",
         )
         assert code == 0 and out.count("equal") == 2
+
+
+class TestLongWords:
+    def test_delta_of_a_long_braid_word(self, capsys):
+        # the block diagonal folds over the word without recursing per letter
+        code, out = run(
+            capsys, "delta", "--operad", "braid", "--n", "2", "--sizes", "1,1", " ".join(["b1"] * 2000)
+        )
+        assert code == 0 and out.split() == ["b1"] * 2000
 
 
 class TestDeterminism:

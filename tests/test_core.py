@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+from collections import Counter
+
 import pytest
 
 from actionoperads.core import (
@@ -9,12 +12,14 @@ from actionoperads.core import (
     DeterministicStream,
     OperadElement,
     SymmetricOperad,
+    _Kernel,
     check_axioms,
     get_operad,
     symmetric_operad,
     trivial_operad,
 )
 from actionoperads.perm import Perm, identity
+from planted import IdentityDelta, UnreducedCactus
 
 SYM = symmetric_operad()
 TRIV = trivial_operad()
@@ -111,14 +116,7 @@ class TestCheckAxioms:
         assert rep.passed(strict=True)
 
     def test_broken_delta_fails_twist_axiom(self):
-        class BrokenDelta(SymmetricOperad):
-            def delta(self, a, sizes):
-                self.check_element(a)
-                if a.n != len(sizes):
-                    raise ValueError("arity mismatch")
-                return self.identity(sum(sizes))
-
-        rep = check_axioms(BrokenDelta(), AxiomCheckConfig(max_total_arity=3))
+        rep = check_axioms(IdentityDelta(), AxiomCheckConfig(max_total_arity=3))
         assert not rep.passed()
         twist = rep.outcomes["delta_beta_twist"]
         assert twist.failures, "the twist law should expose an identity-shaped delta"
@@ -148,6 +146,40 @@ class TestCheckAxioms:
         assert "axiom report" in text and "PASS" in text
         d = rep.to_dict()
         assert set(d["axioms"]) == set(rep.outcomes)
+
+
+class TestKernel:
+    def test_results_outside_the_enumeration_get_fresh_indices(self):
+        K = _Kernel(UnreducedCactus(), 2)
+        e, s = K.elements(2)
+        ss = K.mul(s, s)
+        assert ss not in K.elements(2) and K.mul(s, s) == ss
+        assert K.format(ss) == "s(1,2) s(1,2)"
+        # different indices: the oracle decides, and finds them equal
+        assert K.equal(ss, e).is_equal and not K.equal(s, e).is_equal
+
+    def test_each_entry_is_computed_once(self):
+        class Counting(SymmetricOperad):
+            def __init__(self):
+                super().__init__()
+                self.calls = Counter()
+
+            def pi(self, a):
+                self.calls["pi", a.key()] += 1
+                return super().pi(a)
+
+            def inv(self, a):
+                self.calls["inv", a.key()] += 1
+                return super().inv(a)
+
+        inst = Counting()
+        assert check_axioms(inst, AxiomCheckConfig(max_total_arity=4)).passed(strict=True)
+        assert inst.calls and max(inst.calls.values()) == 1
+
+    def test_tables_are_freed_when_the_call_returns(self):
+        check_axioms(SYM, AxiomCheckConfig(max_total_arity=3))
+        gc.collect()
+        assert not any(isinstance(o, _Kernel) for o in gc.get_objects())
 
 
 class TestCompositeDiagonal:

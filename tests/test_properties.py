@@ -93,3 +93,35 @@ class TestBraidProperties:
         sizes = (j1, j2)
         shadow = block_perm(BRAID.pi(a), sizes)
         assert BRAID.pi(BRAID.delta(a, sizes)) == shadow
+
+
+def recursive_delta(inst, a, sizes):
+    """The block diagonal as a recursive right fold that reduces after
+    every product, the reference for the iterative fold."""
+
+    def fold(letters, sizes):
+        if not letters:
+            return inst.identity(sum(sizes))
+        gen, sign = letters[-1]
+        p = inst.letter_pi(gen, a.n)
+        if sign == 1:
+            d = inst.from_letters(sum(sizes), inst.delta_letters(gen, a.n, sizes))
+        else:
+            ksizes = tuple(sizes[p.images[i] - 1] for i in range(a.n))
+            d = inst.inv(inst.from_letters(sum(ksizes), inst.delta_letters(gen, a.n, ksizes)))
+            p = inverse(p)
+        return inst.mul(fold(letters[:-1], act_on_positions(p, sizes)), d)
+
+    return fold(a.payload.letters, tuple(sizes))
+
+
+class TestDeltaFold:
+    @settings(max_examples=60, deadline=None)
+    @given(braid_words(3, max_len=6), sizes3)
+    def test_braid_matches_recursive_fold(self, a, sizes):
+        assert BRAID.delta(a, sizes) == recursive_delta(BRAID, a, sizes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cactus_words(3, max_len=6), sizes3)
+    def test_cactus_matches_recursive_fold(self, a, sizes):
+        assert CACT.delta(a, sizes) == recursive_delta(CACT, a, sizes)
