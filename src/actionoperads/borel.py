@@ -69,14 +69,14 @@ def normalize(inst: ActionOperad, g: OperadElement, objects: Sequence[str]) -> B
 
 def check_morphism(inst: ActionOperad, X: FinCat, m: BorelMorphism) -> None:
     """Validate endpoints: component i must run x_i -> y_{pi(g)(i)}."""
-    if m.source.n != m.target.n or m.g.n != m.source.n:
+    if m.source.n != m.target.n or m.g.n != m.source.n or len(m.components) != m.source.n:
         raise ValueError("arity mismatch inside morphism")
     p = inst.pi(m.g)
     for i in range(m.source.n):
         f = m.components[i]
         want_src = m.source.objects[i]
         want_tgt = m.target.objects[p.images[i] - 1]
-        if X.src[f] != want_src or X.tgt[f] != want_tgt:
+        if X.src.get(f) != want_src or X.tgt.get(f) != want_tgt:
             raise ValueError(
                 f"component {i + 1} ({f!r}) should run {want_src} -> {want_tgt}"
             )
@@ -116,6 +116,14 @@ def group_elements(inst: ActionOperad, n: int, bound: int | None) -> tuple[tuple
                 next_frontier.extend(inst.mul(el, s) for s in signed)
         frontier = next_frontier
     return tuple(reps), False
+
+
+def finite_group(inst: ActionOperad, n: int) -> tuple[OperadElement, ...]:
+    """The full arity-n group; raises when it is not finite."""
+    els = inst.elements(n)
+    if els is None:
+        raise ValueError(f"instance {inst.name!r} is not finite at arity {n}")
+    return els
 
 
 def hom_set(
@@ -214,9 +222,7 @@ def contractible_free_check(inst: ActionOperad, n: int) -> InfinityReport:
     |G|^2 products, made by the instance's ``mul`` and matched against the
     enumerated elements by its ``equal``, gives every hom-set.
     """
-    els = inst.elements(n)
-    if els is None:
-        raise ValueError(f"instance {inst.name!r} is not finite at arity {n}")
+    els = finite_group(inst, n)
     by_key = {el.key(): i for i, el in enumerate(els)}
 
     def resolve(prod: OperadElement) -> int | None:
@@ -260,11 +266,13 @@ class BorelRealization:
     morphism_ids: dict[tuple, str]  # BorelMorphism.key() -> id
 
 
-def borel_realization(
-    inst: ActionOperad, X: FinCat, max_arity: int, bound: int | None = None
-) -> BorelRealization:
+def borel_realization(inst: ActionOperad, X: FinCat, max_arity: int) -> BorelRealization:
     """Materialize the Borel construction at arities <= max_arity as an
-    explicit finite category (objects: normalized tuples)."""
+    explicit finite category (objects: normalized tuples).  The groups at
+    those arities must be finite: a truncated group is not closed under
+    composition."""
+    for n in range(max_arity + 1):
+        finite_group(inst, n)
     objs: list[BorelObject] = []
     for n in range(max_arity + 1):
         for tup in product(X.objects, repeat=n):
@@ -277,7 +285,7 @@ def borel_realization(
         for b in objs:
             if a.n != b.n:
                 continue
-            for m in hom_set(inst, X, a, b, bound).morphisms:
+            for m in hom_set(inst, X, a, b).morphisms:
                 mid = _mor_id(inst, m)
                 morphisms[mid] = m
                 src[mid] = obj_ids[a]
@@ -310,9 +318,9 @@ def borel_realization(
     )
 
 
-def borel_fincat(inst: ActionOperad, X: FinCat, max_arity: int, bound: int | None = None) -> FinCat:
+def borel_fincat(inst: ActionOperad, X: FinCat, max_arity: int) -> FinCat:
     """The materialized category alone (see :func:`borel_realization`)."""
-    return borel_realization(inst, X, max_arity, bound).cat
+    return borel_realization(inst, X, max_arity).cat
 
 
 def _obj_id(o: BorelObject) -> str:

@@ -24,16 +24,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .core import OperadElement, WordOperad
-from .perm import Perm, adjacent_transposition, block_perm, identity
+from .perm import Perm, adjacent_transposition, block_perm
 from .rewrite import RelationSystem, Word
-
-
-def _word_pi(word: Word) -> tuple[int, ...]:
-    out = identity(word.n)
-    for i, _sign in word.letters:
-        t = adjacent_transposition(word.n, i)
-        out = Perm(tuple(out.images[v - 1] for v in t.images))
-    return out.images
 
 
 def _word_exponent_sum(word: Word) -> int:
@@ -73,7 +65,7 @@ def braid_relations(n: int) -> RelationSystem:
         generators=gens,
         relations=tuple(relations),
         involutive=frozenset(),
-        invariants=(("pi", _word_pi), ("exponent_sum", _word_exponent_sum)),
+        invariants=(("pi", braid_operad().pi_images), ("exponent_sum", _word_exponent_sum)),
     )
 
 
@@ -87,11 +79,9 @@ def block_cross_letters(p: int, a: int, b: int) -> tuple:
     """
     if a < 0 or b < 0 or p < 1:
         raise ValueError(f"block widths must be >= 0 and position >= 1, got p={p} a={a} b={b}")
-    if a == 0 or b == 0:
-        return ()
-    head = block_cross_letters(p, a - 1, b)
-    tail = tuple((idx, 1) for idx in range(p + a + b - 2, p + a - 2, -1))
-    return head + tail
+    return tuple(
+        (idx, 1) for k in range(1, a + 1) for idx in range(p + k + b - 2, p + k - 2, -1)
+    )
 
 
 class BraidOperad(WordOperad):

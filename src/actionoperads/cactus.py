@@ -31,8 +31,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from .core import OperadElement, WordOperad
-from .perm import Perm, identity
-from .rewrite import RelationSystem, Word
+from .perm import Perm
+from .rewrite import RelationSystem
 
 Interval = tuple[int, int]
 
@@ -66,14 +66,6 @@ def interval_generators(n: int) -> tuple[Interval, ...]:
     return tuple((p, q) for p in range(1, n + 1) for q in range(p + 1, n + 1))
 
 
-def _word_pi(word: Word) -> tuple[int, ...]:
-    out = identity(word.n)
-    for (p, q), _sign in word.letters:
-        rev = s_hat(p, q, word.n)
-        out = Perm(tuple(out.images[v - 1] for v in rev.images))
-    return out.images
-
-
 @lru_cache(maxsize=None)
 def cactus_relations(n: int) -> RelationSystem:
     """The full relation system at arity ``n``, with the underlying
@@ -104,7 +96,7 @@ def cactus_relations(n: int) -> RelationSystem:
         generators=gens,
         relations=tuple(relations),
         involutive=frozenset(gens),
-        invariants=(("pi", _word_pi),),
+        invariants=(("pi", cactus_operad().pi_images),),
     )
 
 

@@ -122,7 +122,8 @@ def _letters_from_doc(doc) -> tuple:
 def _path_from_doc(doc) -> RewritePath:
     def steps(items):
         return tuple(
-            Step(s["rel"], s["orient"], s["pos"], _letters_from_doc(s["result"])) for s in items
+            Step(int(s["rel"]), int(s["orient"]), int(s["pos"]), _letters_from_doc(s["result"]))
+            for s in items
         )
 
     return RewritePath(_letters_from_doc(doc["meet"]), steps(doc["forward"]), steps(doc["backward"]))
@@ -138,7 +139,10 @@ def cmd_equal(args) -> int:
             raise ValueError(f"instance {inst.name!r} has no rewrite paths to replay")
         with open(args.replay) as fh:
             doc = json.load(fh)
-        path = _path_from_doc(doc["path"])
+        try:
+            path = _path_from_doc(doc["path"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed path document: {exc}") from None
         ok = replay_path(inst.relation_system(args.n), a.payload, b.payload, path)
         _emit(args, "Valid" if ok else "Invalid", {"replay": ok})
         return OK if ok else FAIL
@@ -378,8 +382,11 @@ def cmd_multicat_lift(args) -> int:
         if not isinstance(doc, dict) or not isinstance(doc.get(key), dict):
             raise ValueError(f"functor file {args.functor}: expected a JSON object whose {key!r} entry is a map")
     G = mc.FinFunctor("G", X, Y, doc["ob"], doc["mor"])
+    # a group that is not finite is an input error, not a failed comparison
+    for n in range(args.max_arity + 1):
+        borel.finite_group(inst, n)
     try:
-        bij = mc.lift_matches_plus(inst, G, max_arity=args.max_arity, bound=args.bound)
+        bij = mc.lift_matches_plus(inst, G, max_arity=args.max_arity)
     except ValueError as exc:
         _emit(args, f"FAIL {exc}", {"passed": False, "reason": str(exc)})
         return FAIL
@@ -562,7 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--category-y", required=True, dest="category_y")
     p.add_argument("--functor", required=True)
     p.add_argument("--max-arity", type=int, default=2, dest="max_arity")
-    p.add_argument("--bound", type=int, default=None)
     p.set_defaults(func=cmd_multicat_lift)
 
     pr = sub.add_parser("present", help="presentation checking")

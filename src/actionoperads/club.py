@@ -1,165 +1,93 @@
 """
-Clubs over the permutation base, represented operationally.
+Clubs over the permutation base, represented by their instances.
 
-A club here is a category whose objects are the natural numbers, mapped
-to the one-object-per-arity permutation base, together with a
+A club here is a category whose objects are the natural numbers, over
+the one-object-per-arity permutation base, together with a
 multiplication taking a cell (head endomorphism of n; one leg per input)
-to a single morphism.  Only the groupoid, bijective-on-objects clubs are
-constructible, which is exactly the shape that corresponds to an
-action-operad instance:
-
-- from an instance, the club's hom-group at n is the arity-n group and
-  the cell multiplication is operadic composition;
-- from such a club, the block sum is the multiplication with an identity
-  head, the block diagonal is the multiplication with identity legs, and
-  operadic composition is rebuilt as their product.
+to a single morphism.  The groupoid clubs that are the identity on
+objects are exactly the action-operad instances, so the club of an
+instance is the instance itself: its hom-group at n is the arity-n
+group, its functor to the base is ``pi``, and its cell multiplication is
+operadic composition ``mu``.  Rebuilding an instance from its club reads
+the block sum as the multiplication with an identity head, the block
+diagonal as the multiplication with identity legs, and operadic
+composition as their product.
 
 Reading note: a cell's legs are typed through the underlying permutation
 of the *head morphism* (the only reading under which composition
-typechecks); the on-objects part of the functor to the base must be the
-identity, which ``operad_from_club`` checks alongside the groupoid
-condition.
+typechecks); ``operad_from_club`` checks the groupoid condition and that
+``pi`` is a functor to the base.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable
 
-from .borel import BorelObject, hom_set
-from .core import ActionOperad, OperadElement, symmetric_operad
+from .borel import BorelObject, finite_group, hom_set
+from .core import ActionOperad, size_vectors, symmetric_operad
 from .fincat import FinCat
-from .perm import Perm, compose
-
-
-@dataclass(frozen=True)
-class Club:
-    """Operational club data.  ``mult`` maps (head, legs) to a morphism;
-    ``object_map`` is the on-objects part of the functor to the base."""
-
-    name: str
-    element_operad: str
-    object_map: Callable[[int], int]
-    hom_elements: Callable[[int], tuple | None]
-    identity: Callable[[int], object]
-    compose_hom: Callable[[object, object], object]
-    invert: Callable[[object], object]
-    pi: Callable[[object], Perm]
-    arity: Callable[[object], int]
-    mult: Callable[[object, tuple], object]
-    equal: Callable[[object, object], object]
-    format: Callable[[object], str]
-
-
-@dataclass(frozen=True)
-class ClubCompositeCell:
-    """A cell of the composite: a head morphism plus one leg per input."""
-
-    head: object
-    legs: tuple
-
-
-def club_from(inst: ActionOperad) -> Club:
-    """The club packaged from an instance's operation table."""
-    return Club(
-        name=f"club_{inst.name}",
-        element_operad=inst.name,
-        object_map=lambda n: n,
-        hom_elements=inst.elements,
-        identity=inst.identity,
-        compose_hom=inst.mul,
-        invert=inst.inv,
-        pi=inst.pi,
-        arity=lambda el: el.n,
-        mult=lambda head, legs: inst.mu(head, list(legs)),
-        equal=inst.equal,
-        format=inst.format,
-    )
-
-
-def club_mult(club: Club, cell: ClubCompositeCell):
-    """Evaluate the club multiplication on one cell."""
-    head_arity = club.arity(cell.head)
-    if head_arity != len(cell.legs):
-        raise ValueError(
-            f"cell arity mismatch: head of arity {head_arity} with {len(cell.legs)} leg(s)"
-        )
-    return club.mult(cell.head, tuple(cell.legs))
+from .perm import compose
 
 
 class ClubBackedOperad(ActionOperad):
-    """An instance rebuilt from club data: block sum via identity heads,
+    """An instance rebuilt from its club: block sum via identity heads,
     block diagonal via identity legs, composition as their product."""
 
-    def __init__(self, club: Club):
+    def __init__(self, club: ActionOperad):
         self.club = club
-        self.name = club.element_operad
+        self.name = club.name
 
     def identity(self, n):
         return self.club.identity(n)
 
     def mul(self, a, b):
-        return self.club.compose_hom(a, b)
+        return self.club.mul(a, b)
 
     def inv(self, a):
-        return self.club.invert(a)
+        return self.club.inv(a)
 
     def pi(self, a):
         return self.club.pi(a)
 
     def beta(self, els):
-        return self.club.mult(self.club.identity(len(els)), tuple(els))
+        return self.club.mu(self.club.identity(len(els)), els)
 
     def delta(self, a, sizes):
-        if self.club.arity(a) != len(sizes):
-            raise ValueError(
-                f"arity mismatch: delta of arity {self.club.arity(a)} with {len(sizes)} size(s)"
-            )
-        return self.club.mult(a, tuple(self.club.identity(k) for k in sizes))
+        return self.club.mu(a, [self.club.identity(k) for k in sizes])
 
     def equal(self, a, b, max_len=None, budget=None):
         return self.club.equal(a, b)
 
     def elements(self, n):
-        return self.club.hom_elements(n)
+        return self.club.elements(n)
 
     def format(self, a):
         return self.club.format(a)
 
-    def check_element(self, a):
-        if isinstance(a, OperadElement) and a.operad != self.name:
-            raise ValueError(f"mixed instances: element of {a.operad!r} given to {self.name!r}")
 
-
-def operad_from_club(club: Club, max_arity: int = 3) -> ClubBackedOperad:
-    """Rebuild an instance from a club, checking the two shape hypotheses
-    on the tested range: the functor to the base is bijective on objects
-    (here: the identity on naturals) and every hom is a group.
+def operad_from_club(club: ActionOperad, max_arity: int = 3) -> ClubBackedOperad:
+    """Rebuild an instance from its club, checking on the tested range
+    that every hom is a group and that ``pi`` is a functor to the base.
     """
     for n in range(max_arity + 1):
-        if club.object_map(n) != n:
-            raise ValueError(
-                f"club {club.name!r} is not bijective on objects: {n} maps to {club.object_map(n)}"
-            )
-    for n in range(max_arity + 1):
-        els = club.hom_elements(n)
+        els = club.elements(n)
         if els is None:
             continue
         e = club.identity(n)
         for g in els:
-            gi = club.invert(g)
-            if not club.equal(club.compose_hom(g, gi), e).is_equal:
+            gi = club.inv(g)
+            if not club.equal(club.mul(g, gi), e).is_equal:
                 raise ValueError(
                     f"club {club.name!r} is not a groupoid: {club.format(g)} has no right inverse"
                 )
-            if not club.equal(club.compose_hom(gi, g), e).is_equal:
+            if not club.equal(club.mul(gi, g), e).is_equal:
                 raise ValueError(
                     f"club {club.name!r} is not a groupoid: {club.format(g)} has no left inverse"
                 )
         for g in els:
             for h in els:
-                if club.pi(club.compose_hom(g, h)) != compose(club.pi(g), club.pi(h)):
+                if club.pi(club.mul(g, h)) != compose(club.pi(g), club.pi(h)):
                     raise ValueError(
                         f"club {club.name!r} does not lie over the base: pi is not functorial"
                     )
@@ -183,13 +111,9 @@ def roundtrip_check(inst: ActionOperad, max_total: int = 4) -> RoundtripReport:
     """Verify that rebuilding the instance through its club returns the
     same block sum, block diagonal and composition values on every tuple
     within the arity bound (requires finite enumeration)."""
-    rebuilt = operad_from_club(club_from(inst), max_arity=max_total)
+    rebuilt = operad_from_club(inst, max_arity=max_total)
     report = RoundtripReport(inst.name)
-    vectors: list[tuple[int, ...]] = [()]
-    for total in range(1, max_total + 1):
-        for parts in range(1, total + 1):
-            vectors.extend(_compositions(total, parts))
-    for v in vectors:
+    for v in size_vectors(max_total, include_zero=False):
         pools = [inst.elements(k) for k in v]
         if any(p is None for p in pools):
             continue
@@ -207,16 +131,6 @@ def roundtrip_check(inst: ActionOperad, max_total: int = 4) -> RoundtripReport:
                 if not inst.equal(inst.mu(g, list(hs)), rebuilt.mu(g, list(hs))).is_equal:
                     report.mismatches += 1
     return report
-
-
-def _compositions(total: int, parts: int):
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 @dataclass
@@ -255,9 +169,7 @@ def check_pullback(inst: ActionOperad, n: int, X: FinCat) -> PullbackReport:
     pullback at arity ``n`` over ``X``: every pair of a group element and
     a base-construction morphism with matching underlying permutation
     lifts uniquely."""
-    els = inst.elements(n)
-    if els is None:
-        raise ValueError(f"instance {inst.name!r} is not finite at arity {n}")
+    els = finite_group(inst, n)
     sym = symmetric_operad()
 
     tuples = list(product(X.objects, repeat=n))

@@ -155,7 +155,7 @@ class ActionOperad:
         out = self.identity(n)
         for _ in range(stream.next_int(max_word_len + 1)):
             _, g = gens[stream.next_int(len(gens))]
-            if stream.next_int(2) and not isinstance(self, SymmetricOperad):
+            if stream.next_int(2):
                 g = self.inv(g)
             out = self.mul(out, g)
         return out
@@ -330,9 +330,15 @@ class WordOperad(ActionOperad):
         raise NotImplementedError
 
     # -- shared implementation ----------------------------------------------
+    @lru_cache(maxsize=None)
+    def alphabet(self, n: int) -> RelationSystem:
+        """The letters at arity ``n`` without the relations, which only the
+        equality search reads and which grow at least quadratically in ``n``."""
+        gens = self.arity_generators(n)
+        return RelationSystem(f"{self.name}_{n}", n, gens, (), frozenset(gens if self.involutive else ()))
+
     def _wrap(self, n: int, letters) -> OperadElement:
-        sys = self.relation_system(n)
-        return OperadElement(self.name, n, sys.word(letters))
+        return OperadElement(self.name, n, self.alphabet(n).word(letters))
 
     def identity(self, n):
         return self._wrap(n, ())
@@ -349,8 +355,7 @@ class WordOperad(ActionOperad):
 
     def inv(self, a):
         self.check_element(a)
-        sys = self.relation_system(a.n)
-        return self._wrap(a.n, rewrite.invert_letters(a.payload.letters, sys.involutive))
+        return self._wrap(a.n, rewrite.invert_letters(a.payload.letters, self.alphabet(a.n).involutive))
 
     def pi(self, a):
         self.check_element(a)
@@ -361,6 +366,11 @@ class WordOperad(ActionOperad):
                 p = inverse(p)
             out = compose(out, p)
         return out
+
+    def pi_images(self, word: Word) -> tuple[int, ...]:
+        """``pi`` of a bare word, as images: the relation systems'
+        refutation invariant."""
+        return self.pi(OperadElement(self.name, word.n, word)).images
 
     def beta(self, els):
         for e in els:
@@ -391,7 +401,7 @@ class WordOperad(ActionOperad):
         # reduced once, which gives the same word as reducing each
         # product (free reduction is confluent).
         total = sum(sizes)
-        involutive = self.relation_system(total).involutive
+        involutive = self.alphabet(total).involutive
         factors = []
         for gen, sign in reversed(letters):
             p = self.letter_pi(gen, n)
@@ -480,6 +490,10 @@ class AxiomCheckConfig:
     include_zero_blocks: bool = True
     max_len: int | None = None
     budget: int | None = None
+
+    def __post_init__(self):
+        if self.max_total_arity < 0:
+            raise ValueError(f"max_total_arity must be >= 0, got {self.max_total_arity}")
 
 
 @dataclass
@@ -572,14 +586,14 @@ class AxiomReport:
         }
 
 
-def compositions_of(total: int, parts: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of ``parts`` integers >= ``min_part`` summing to ``total``."""
+def compositions_of(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Ordered tuples of ``parts`` positive integers summing to ``total``."""
     if parts == 0:
         if total == 0:
             yield ()
         return
-    for first in range(min_part, total - min_part * (parts - 1) + 1):
-        for rest in compositions_of(total - first, parts - 1, min_part):
+    for first in range(1, total - parts + 2):
+        for rest in compositions_of(total - first, parts - 1):
             yield (first,) + rest
 
 
@@ -607,18 +621,17 @@ def nested_size_vectors(max_total: int) -> list[tuple[tuple[int, ...], ...]]:
     for flat in size_vectors(max_total, include_zero=False):
         if not flat:
             continue
-        m = len(flat)
         # choose cut points: each subset of positions 1..m-1
-        for cuts in itertools.product((False, True), repeat=m - 1):
-            groups: list[tuple[int, ...]] = []
-            start = 0
-            for i, cut in enumerate(cuts, start=1):
-                if cut:
-                    groups.append(flat[start:i])
-                    start = i
-            groups.append(flat[start:])
-            out.append(tuple(groups))
+        for cuts in itertools.product((False, True), repeat=len(flat) - 1):
+            out.append(_cut(flat, cuts))
     return out
+
+
+def _cut(flat: Sequence, cuts: Sequence) -> tuple:
+    """``flat`` in consecutive groups, a new group starting at each
+    position i (1-based) with ``cuts[i - 1]`` set."""
+    bounds = [0, *(i for i, cut in enumerate(cuts, start=1) if cut), len(flat)]
+    return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
 class _CaseSource:
@@ -1050,13 +1063,7 @@ def _sampled_cases(inst, source: _CaseSource, config: AxiomCheckConfig) -> Itera
     for _ in range(N):
         flat = arity_vector()
         cuts = [source.stream.next_int(2) for _ in range(len(flat) - 1)]
-        groups, start = [], 0
-        for i, cut in enumerate(cuts, start=1):
-            if cut:
-                groups.append(flat[start:i])
-                start = i
-        groups.append(flat[start:])
-        flat_els = [[source.sample_element(k) for k in grp] for grp in groups]
+        flat_els = [[source.sample_element(k) for k in grp] for grp in _cut(flat, cuts)]
         yield from _case_beta_assoc(inst, flat_els)
 
     for _ in range(N):

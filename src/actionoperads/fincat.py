@@ -101,9 +101,17 @@ class FinCat:
                         )
 
 
+def doc_name(x) -> str:
+    """A name read from a JSON document; anything but a string is a
+    ``TypeError``, which the document loaders report as malformed."""
+    if not isinstance(x, str):
+        raise TypeError(f"expected a name, got {x!r}")
+    return x
+
+
 def fincat_from_dict(doc: dict, name: str = "fincat") -> FinCat:
     try:
-        objects = tuple(doc["objects"])
+        objects = tuple(map(doc_name, doc["objects"]))
         morphisms = tuple(m["id"] for m in doc["morphisms"])
         src = {m["id"]: m["src"] for m in doc["morphisms"]}
         tgt = {m["id"]: m["tgt"] for m in doc["morphisms"]}

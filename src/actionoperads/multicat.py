@@ -32,10 +32,10 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Mapping, Sequence
 
-from .borel import BorelMorphism, BorelObject
+from .borel import BorelMorphism, BorelObject, borel_realization, finite_group
 from .core import ActionOperad, OperadElement
-from .fincat import FinCat
-from .perm import Perm, act_on_positions
+from .fincat import FinCat, doc_name
+from .perm import act_on_positions, inverse
 
 Signature = tuple[tuple[str, ...], str]
 
@@ -62,15 +62,6 @@ class FinMulticat:
         return tuple(e for e, s in self.elements.items() if s == sig)
 
 
-def _reindex(items: Sequence, p: Perm) -> tuple:
-    """Entry i of the result is ``items[p(i)]``."""
-    return tuple(items[p.images[i] - 1] for i in range(len(items)))
-
-
-def _generator_names(inst: ActionOperad, n: int) -> dict:
-    return {g.key(): name for name, g in inst.generators(n)}
-
-
 def act_by(M: FinMulticat, inst: ActionOperad, el: str, alpha: OperadElement) -> str:
     """Fold the listed generator actions along a decomposition of alpha.
 
@@ -79,7 +70,7 @@ def act_by(M: FinMulticat, inst: ActionOperad, el: str, alpha: OperadElement) ->
     n = M.arity(el)
     if alpha.n != n:
         raise ValueError(f"arity mismatch: element of arity {n} acted by arity {alpha.n}")
-    names = _generator_names(inst, n)
+    names = {g.key(): name for name, g in inst.generators(n)}
     current = el
     for gen, sign in inst.generator_word(alpha):
         name = names[gen.key()]
@@ -168,7 +159,7 @@ def validate_multicat(M: FinMulticat, inst: ActionOperad) -> ValidationReport:
             continue
         p = inst.pi(gens[name])
         inputs, output = M.elements[el]
-        if M.elements[out] != (_reindex(inputs, p), output):
+        if M.elements[out] != (act_on_positions(inverse(p), inputs), output):
             note(f"action ({name!r}, {el!r}) -> {out!r} breaks the signature permutation")
     # bijectivity per (generator, signature): injective always; when the
     # whole hom-set is listed, also onto the permuted hom-set
@@ -189,7 +180,7 @@ def validate_multicat(M: FinMulticat, inst: ActionOperad) -> ValidationReport:
         gens = gen_by_arity.setdefault(n, {nm: g for nm, g in inst.generators(n)})
         if name not in gens:
             continue
-        target_sig = (_reindex(sig[0], inst.pi(gens[name])), sig[1])
+        target_sig = (act_on_positions(inverse(inst.pi(gens[name])), sig[0]), sig[1])
         if set(outs) != set(M.hom(*target_sig)):
             note(f"action of {name!r} on signature {sig} is not onto the permuted hom-set")
 
@@ -201,7 +192,7 @@ def validate_multicat(M: FinMulticat, inst: ActionOperad) -> ValidationReport:
                 note(f"left unit law fails: {g!r}({fs[0]!r}) = {r!r}")
         if g in M.elements:
             inputs, _ = M.elements[g]
-            if fs == tuple(M.identities[x] for x in inputs):
+            if fs == tuple(M.identities.get(x) for x in inputs):
                 rep.checked += 1
                 if r != g:
                     note(f"right unit law fails: {g!r}(identities) = {r!r}")
@@ -389,6 +380,16 @@ def validate_multifunctor(
 # ---------------------------------------------------------------------------
 
 
+def _arity_vectors(max_arity: int) -> list[tuple[int, ...]]:
+    """Input arities of the composites up to ``max_arity``: every vector of
+    at most ``max_arity`` entries (zeros allowed) with sum <= ``max_arity``,
+    by length, each length in ``product`` order."""
+    vectors: list[tuple[int, ...]] = [()]
+    for parts in range(1, max_arity + 1):
+        vectors.extend(v for v in product(range(max_arity + 1), repeat=parts) if sum(v) <= max_arity)
+    return vectors
+
+
 def operad_as_multicat(inst: ActionOperad, max_arity: int) -> FinMulticat:
     """The one-object multicategory whose arity-n elements are the arity-n
     group elements, with composition the operad composition and the action
@@ -396,29 +397,23 @@ def operad_as_multicat(inst: ActionOperad, max_arity: int) -> FinMulticat:
     obj = "*"
     elements: dict[str, Signature] = {}
     ids: dict[tuple, str] = {}
-    for n in range(max_arity + 1):
-        els = inst.elements(n)
-        if els is None:
-            raise ValueError(f"instance {inst.name!r} is not finite at arity {n}")
+    groups = [finite_group(inst, n) for n in range(max_arity + 1)]
+    for n, els in enumerate(groups):
         for el in els:
             eid = f"{n}:{inst.format(el)}"
             ids[el.key()] = eid
             elements[eid] = ((obj,) * n, obj)
     identities = {obj: ids[inst.identity(1).key()]}
     composition: dict[tuple[str, tuple[str, ...]], str] = {}
-    vectors: list[tuple[int, ...]] = [()]
-    for parts in range(1, max_arity + 1):
-        vectors.extend(v for v in product(range(max_arity + 1), repeat=parts) if sum(v) <= max_arity)
-    for v in vectors:
-        n = len(v)
-        for g in inst.elements(n):
-            for hs in product(*[inst.elements(k) for k in v]):
+    for v in _arity_vectors(max_arity):
+        for g in groups[len(v)]:
+            for hs in product(*[groups[k] for k in v]):
                 key = (ids[g.key()], tuple(ids[h.key()] for h in hs))
                 composition[key] = ids[inst.mu(g, list(hs)).key()]
     actions: dict[tuple[str, str], str] = {}
     for n in range(max_arity + 1):
         for name, gen in inst.generators(n):
-            for el in inst.elements(n):
+            for el in groups[n]:
                 actions[(name, ids[el.key()])] = ids[inst.mul(el, gen).key()]
     return FinMulticat(
         f"{inst.name}_as_multicat", (obj,), elements, identities, composition, actions
@@ -431,10 +426,7 @@ def terminal_multicat(inst: ActionOperad, max_arity: int) -> FinMulticat:
     elements = {f"u{n}": (((obj,) * n), obj) for n in range(max_arity + 1)}
     identities = {obj: "u1"}
     composition: dict[tuple[str, tuple[str, ...]], str] = {}
-    vectors: list[tuple[int, ...]] = [()]
-    for parts in range(1, max_arity + 1):
-        vectors.extend(v for v in product(range(max_arity + 1), repeat=parts) if sum(v) <= max_arity)
-    for v in vectors:
+    for v in _arity_vectors(max_arity):
         composition[(f"u{len(v)}", tuple(f"u{k}" for k in v))] = f"u{sum(v)}"
     actions: dict[tuple[str, str], str] = {}
     for n in range(max_arity + 1):
@@ -449,22 +441,22 @@ def empty_multicat() -> FinMulticat:
 
 def multicat_from_dict(doc: dict, name: str = "multicat") -> FinMulticat:
     try:
-        objects = tuple(doc["objects"])
+        objects = tuple(map(doc_name, doc["objects"]))
         elements: dict[str, Signature] = {}
         for hom in doc["homs"]:
-            sig = (tuple(hom["inputs"]), hom["output"])
+            sig = (tuple(map(doc_name, hom["inputs"])), doc_name(hom["output"]))
             for el in hom["elements"]:
                 elements[el] = sig
-        identities = dict(doc["identities"])
+        identities = {x: doc_name(i) for x, i in dict(doc["identities"]).items()}
         composition = {
-            (entry["head"], tuple(entry["inputs"])): entry["result"]
+            (doc_name(entry["head"]), tuple(map(doc_name, entry["inputs"]))): doc_name(entry["result"])
             for entry in doc["compose"]
         }
         actions = {}
         for act in doc["actions"]:
             for el, out in act["mapping"].items():
-                actions[(act["generator"], el)] = out
-    except (KeyError, TypeError) as exc:
+                actions[(act["generator"], el)] = doc_name(out)
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed multicategory document: {exc}") from None
     return FinMulticat(name, objects, elements, identities, composition, actions)
 
@@ -814,7 +806,6 @@ def lift_prof(
     F: FinProf,
     inst: ActionOperad,
     max_arity: int,
-    bound: int | None = None,
     realizations: tuple | None = None,
 ) -> LiftedProf:
     """Lift a profunctor to the Borel constructions on both sides.
@@ -823,18 +814,12 @@ def lift_prof(
     disjoint sum over the arity-n group of products of F-values matched
     through the underlying permutation; across arities it is empty.
     """
-    from .borel import borel_realization
-
     if realizations is None:
-        rx = borel_realization(inst, F.source, max_arity, bound)
-        ry = borel_realization(inst, F.target, max_arity, bound)
+        rx = borel_realization(inst, F.source, max_arity)
+        ry = borel_realization(inst, F.target, max_arity)
     else:
         rx, ry = realizations
-    els_by_arity: dict[int, tuple[OperadElement, ...]] = {}
-    for n in range(max_arity + 1):
-        from .borel import group_elements
-
-        els_by_arity[n], _complete = group_elements(inst, n, bound)
+    els_by_arity = [finite_group(inst, n) for n in range(max_arity + 1)]
 
     values: dict[tuple[str, str], tuple[str, ...]] = {}
     decode: dict[str, tuple] = {}
@@ -861,7 +846,7 @@ def lift_prof(
                     encode[(yid, xid, (g.key(), comps))] = eid
             values[(yid, xid)] = tuple(cell)
 
-    els_lookup = {g.key(): g for n in els_by_arity for g in els_by_arity[n]}
+    els_lookup = {g.key(): g for els in els_by_arity for g in els}
 
     source_action: dict[tuple[str, str], str] = {}
     for mid, m in rx.morphisms.items():
@@ -902,14 +887,12 @@ def lift_prof(
     return LiftedProf(prof, decode)
 
 
-def borel_functor(inst: ActionOperad, G: FinFunctor, max_arity: int, bound: int | None = None):
+def borel_functor(inst: ActionOperad, G: FinFunctor, max_arity: int):
     """Apply the Borel construction to a functor: objects map tuple-wise,
     morphisms keep their group part and map components through G."""
-    from .borel import borel_realization
-
     G.validate()
-    rx = borel_realization(inst, G.source, max_arity, bound)
-    ry = borel_realization(inst, G.target, max_arity, bound)
+    rx = borel_realization(inst, G.source, max_arity)
+    ry = borel_realization(inst, G.target, max_arity)
     ob: dict[str, str] = {}
     for xid, xobj in rx.objects.items():
         target_obj = BorelObject(inst.name, xobj.n, tuple(G.ob[o] for o in xobj.objects))
@@ -929,15 +912,15 @@ def borel_functor(inst: ActionOperad, G: FinFunctor, max_arity: int, bound: int 
 
 
 def lift_matches_plus(
-    inst: ActionOperad, G: FinFunctor, max_arity: int, bound: int | None = None
+    inst: ActionOperad, G: FinFunctor, max_arity: int
 ) -> dict[tuple[str, str], dict[str, str]]:
     """The explicit bijection between the lift of the plus-profunctor of G
     and the plus-profunctor of the Borel image of G, cell by cell.
 
     Raises if any cell fails to biject.
     """
-    EG, rx, ry = borel_functor(inst, G, max_arity, bound)
-    lifted = lift_prof(from_functor(G), inst, max_arity, bound, realizations=(rx, ry))
+    EG, rx, ry = borel_functor(inst, G, max_arity)
+    lifted = lift_prof(from_functor(G), inst, max_arity, realizations=(rx, ry))
     plus = from_functor(EG)
 
     bijection: dict[tuple[str, str], dict[str, str]] = {}

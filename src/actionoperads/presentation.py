@@ -26,8 +26,8 @@ import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .core import ActionOperad, DeterministicStream, OperadElement
-from .perm import Perm, block_perm, block_sum, compose, inverse, parse_perm
+from .core import ActionOperad, DeterministicStream, OperadElement, symmetric_operad
+from .perm import Perm, parse_perm
 from .rewrite import EqResult
 
 
@@ -131,24 +131,11 @@ def term_arity(t: Term, gens: GeneratorCollection) -> int:
 
 
 def term_pi(t: Term, gens: GeneratorCollection) -> Perm:
-    """The underlying permutation: evaluate in the symmetric groups."""
-    if isinstance(t, Gen):
-        return gens[t.name].perm
-    if isinstance(t, IdT):
-        from .perm import identity
-
-        return identity(t.n)
-    if isinstance(t, Mul):
-        term_arity(t, gens)
-        return compose(term_pi(t.left, gens), term_pi(t.right, gens))
-    if isinstance(t, Inv):
-        return inverse(term_pi(t.body, gens))
-    if isinstance(t, BetaT):
-        return block_sum([term_pi(p, gens) for p in t.parts])
-    if isinstance(t, DeltaT):
-        term_arity(t, gens)
-        return block_perm(term_pi(t.body, gens), t.sizes)
-    raise ValueError(f"not a term: {t!r}")
+    """The underlying permutation: evaluate in the symmetric groups, each
+    generator at its assigned permutation."""
+    sym = symmetric_operad()
+    interp = {g.name: OperadElement(sym.name, g.arity, g.perm) for g in gens}
+    return eval_term(t, interp, sym, gens).payload
 
 
 def check_interpretation(
@@ -376,7 +363,7 @@ def presentation_from_dict(doc: dict, name: str = "presentation") -> Presentatio
         relations = tuple(
             (parse_term(r["lhs"]), parse_term(r["rhs"])) for r in doc["relations"]
         )
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed presentation document: {exc}") from None
     p = Presentation(name, gens, relations)
     validate_presentation(p)

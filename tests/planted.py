@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from actionoperads.cactus import CactusOperad
 from actionoperads.core import OperadElement, SymmetricOperad
-from actionoperads.perm import block_sum
+from actionoperads.perm import Perm, block_sum, identity
 from actionoperads.rewrite import Word
 
 
@@ -51,3 +51,11 @@ class StabilizedProduct(SymmetricOperad):
         if b.payload.images[:2] == (2, 1):
             return a
         return super().mul(a, b)
+
+
+class SwapPi(SymmetricOperad):
+    """``pi`` is the swap at arity 2 and the identity elsewhere, so it is
+    not a homomorphism at arity 2 (the unit maps to the swap)."""
+
+    def pi(self, a):
+        return Perm((2, 1)) if a.n == 2 else identity(a.n)

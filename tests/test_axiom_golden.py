@@ -1,6 +1,7 @@
 """``check_axioms`` reports pinned byte for byte: the finite instances, an
-instance rebuilt from its club, and planted defects (whose failures must
-render the same counterexamples).
+instance rebuilt from its club, planted defects (whose failures must
+render the same counterexamples), and sampled runs on the symmetric,
+braid and cactus instances.
 
 The pinned reports live in ``tests/data/axiom_reports.json``.  Rewrite
 them, only when a report is meant to change, with
@@ -15,28 +16,34 @@ from pathlib import Path
 
 import pytest
 
+from actionoperads.braid import braid_operad
 from actionoperads.cactus import cactus_operad
-from actionoperads.club import club_from, operad_from_club
+from actionoperads.club import operad_from_club
 from actionoperads.core import AxiomCheckConfig, check_axioms, symmetric_operad, trivial_operad
 from planted import IdentityDelta, ReversedBlockSum, UnreducedCactus
 
 GOLDEN = Path(__file__).parent / "data" / "axiom_reports.json"
 
-# name -> (instance factory, max_total_arity)
+SAMPLED_3 = AxiomCheckConfig(max_total_arity=3, exhaustive=False, samples_per_axiom=10)
+
+# name -> (instance factory, config)
 CASES = {
-    "sym_4": (symmetric_operad, 4),
-    "trivial_4": (trivial_operad, 4),
-    "cactus_2": (cactus_operad, 2),
-    "club_sym_3": (lambda: operad_from_club(club_from(symmetric_operad())), 3),
-    "reversed_block_sum_3": (ReversedBlockSum, 3),
-    "identity_delta_3": (IdentityDelta, 3),
-    "unreduced_cactus_2": (UnreducedCactus, 2),
+    "sym_4": (symmetric_operad, AxiomCheckConfig(max_total_arity=4)),
+    "trivial_4": (trivial_operad, AxiomCheckConfig(max_total_arity=4)),
+    "cactus_2": (cactus_operad, AxiomCheckConfig(max_total_arity=2)),
+    "club_sym_3": (lambda: operad_from_club(symmetric_operad()), AxiomCheckConfig(max_total_arity=3)),
+    "reversed_block_sum_3": (ReversedBlockSum, AxiomCheckConfig(max_total_arity=3)),
+    "identity_delta_3": (IdentityDelta, AxiomCheckConfig(max_total_arity=3)),
+    "unreduced_cactus_2": (UnreducedCactus, AxiomCheckConfig(max_total_arity=2)),
+    "sym_sampled_3": (symmetric_operad, SAMPLED_3),
+    "braid_sampled_3": (braid_operad, SAMPLED_3),
+    "cactus_sampled_3": (cactus_operad, SAMPLED_3),
 }
 
 
 def report(name: str) -> dict:
-    make, arity = CASES[name]
-    rep = check_axioms(make(), AxiomCheckConfig(max_total_arity=arity))
+    make, config = CASES[name]
+    rep = check_axioms(make(), config)
     return {"report": rep.to_dict(), "text": rep.format_text()}
 
 

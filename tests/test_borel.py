@@ -269,3 +269,15 @@ class TestMaterializedCategory:
         assert len(cat.objects) == 7
         cat2 = borel_fincat(TRIV, ARROW, max_arity=2)
         assert "[a,b]" in cat2.objects
+
+    def test_realization_needs_finite_groups(self):
+        # a word-length truncation is not closed under composition, so only
+        # finite groups are materialized
+        from actionoperads.braid import braid_operad
+
+        point = discrete_category(("a",), name="pt")
+        with pytest.raises(ValueError, match="'braid' is not finite at arity 2"):
+            borel_fincat(braid_operad(), point, max_arity=2)
+        with pytest.raises(ValueError, match="'cactus' is not finite at arity 3"):
+            borel_fincat(CACT, point, max_arity=3)
+        assert len(borel_fincat(CACT, point, max_arity=2).objects) == 3

@@ -244,6 +244,22 @@ class TestReports:
         assert code == 3
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_multicat_lift_infinite_instance_is_input_error(self, capsys, tmp_path):
+        pt = tmp_path / "pt.json"
+        fg = tmp_path / "g.json"
+        pt.write_text(json.dumps(fincat_to_dict(discrete_category(("a",), name="pt"))))
+        fg.write_text(json.dumps({"ob": {"a": "a"}, "mor": {"id_a": "id_a"}}))
+        argv = [
+            "multicat", "lift", "--operad", "braid", "--category-x", str(pt),
+            "--category-y", str(pt), "--functor", str(fg), "--max-arity", "2",
+        ]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: instance 'braid' is not finite at arity 2\n"
+        # no word-length bound is accepted in its place
+        assert main([*argv, "--bound", "2"]) == 3
+
     def test_present_check(self, capsys, tmp_path):
         doc = {
             "generators": [{"name": "s", "arity": 2, "pi": [2, 1]}],
@@ -271,6 +287,89 @@ class TestLongWords:
             capsys, "delta", "--operad", "braid", "--n", "2", "--sizes", "1,1", " ".join(["b1"] * 2000)
         )
         assert code == 0 and out.split() == ["b1"] * 2000
+
+    def test_delta_with_a_wide_crossing_block(self, capsys):
+        # the block crossing is built without recursing per strand
+        code, out = run(capsys, "delta", "--operad", "braid", "--n", "2", "--sizes", "1500,1", "b1")
+        assert code == 0 and out.split() == [f"b{i}" for i in range(1, 1501)]
+
+
+# Malformed documents, keyed by the placeholder the table below uses.
+MALFORMED_DOCS = {
+    "list": [1, 2],
+    "nested_objects": {"objects": [["a"]], "morphisms": [], "identities": {}, "compose": []},
+    "no_path": {"nopath": 1},
+    "untyped_path": {
+        "path": {"meet": [], "forward": [{"rel": "a", "orient": "b", "pos": "c", "result": []}], "backward": []}
+    },
+    "list_mapping": {
+        "objects": ["*"], "homs": [], "identities": {}, "compose": [],
+        "actions": [{"arity": 1, "generator": "t", "mapping": []}],
+    },
+    "list_result": {
+        "objects": ["*"], "homs": [{"inputs": ["*"], "output": "*", "elements": ["f"]}],
+        "identities": {"*": "f"}, "compose": [{"head": "f", "inputs": ["f"], "result": ["f"]}],
+        "actions": [],
+    },
+    "input_without_identity": {
+        "objects": ["*"], "homs": [{"inputs": ["x"], "output": "*", "elements": ["f"]}],
+        "identities": {}, "compose": [{"head": "f", "inputs": ["f"], "result": "f"}], "actions": [],
+    },
+    "numeric_term": {
+        "generators": [{"name": "s", "arity": 2, "pi": [2, 1]}], "relations": [{"lhs": 5, "rhs": "id(2)"}]
+    },
+}
+
+# (argv with {placeholders}, exit code): every malformed input is an input
+# error or an ordinary verdict, never a traceback
+MALFORMED_INPUTS = [
+    ([], 3),
+    (["pi", "--operad", "sym", "--n", "3", "[1,1,2]"], 3),
+    (["pi", "--operad", "cactus", "--n", "3", "s(2,1)"], 3),
+    (["pi", "--operad", "braid", "--n", "-1", "e"], 3),
+    (["mul", "--operad", "sym", "--n", "x", "[1]", "[1]"], 3),
+    (["beta", "--operad", "sym", "--n", "2,a", "[2,1]", "[1]"], 3),
+    (["delta", "--operad", "cactus", "--n", "2", "--sizes", "1", "s(1,2)"], 3),
+    (["mu", "--operad", "braid", "--n", "2", "--arities", "1,2", "b1", "e", "b2"], 3),
+    (["equal", "--operad", "cactus", "--n", "3", "--replay", "{missing}", "e", "e"], 3),
+    (["equal", "--operad", "cactus", "--n", "3", "--replay", "{notjson}", "e", "e"], 3),
+    (["equal", "--operad", "cactus", "--n", "3", "--replay", "{list}", "e", "e"], 3),
+    (["equal", "--operad", "cactus", "--n", "3", "--replay", "{no_path}", "e", "e"], 3),
+    (["equal", "--operad", "cactus", "--n", "3", "--replay", "{untyped_path}", "e", "e"], 3),
+    (["axioms", "--operad", "sym", "--max-arity", "-1"], 3),
+    (["axioms", "--operad", "cactus", "--max-arity", "3", "--block-size", "0", "--samples", "2"], 3),
+    (["cactus", "shat", "--p", "3", "--q", "1", "--n", "3"], 3),
+    (["cactus", "commutor", "--m", "0", "--n", "-1"], 3),
+    (["cactus", "coboundary", "--max-total", "0"], 0),
+    (["borel", "hom", "--operad", "sym", "--category", "{nested_objects}", "--src", "a", "--tgt", "a"], 3),
+    (["borel", "hom", "--operad", "braid", "--category", "{d2}", "--src", "a,b", "--tgt", "a,b"], 3),
+    (["borel", "compose", "--operad", "sym", "--category", "{d2}", "--src", "a,b", "--mid", "b,a",
+      "--tgt", "a,b", "[2,1]|nope,id_a", "[2,1]|id_a,id_b"], 3),
+    (["borel", "compose", "--operad", "sym", "--category", "{d2}", "--src", "a,b", "--mid", "b,a",
+      "--tgt", "a,b", "[2,1]", "[2,1]|id_a,id_b"], 3),
+    (["borel", "infinity", "--operad", "cactus", "--n", "3"], 3),
+    (["club", "pullback", "--operad", "braid", "--n", "2", "--category", "{d2}"], 3),
+    (["multicat", "validate", "--operad", "sym", "--file", "{list_mapping}"], 3),
+    (["multicat", "validate", "--operad", "sym", "--file", "{list_result}"], 3),
+    (["multicat", "validate", "--operad", "sym", "--file", "{input_without_identity}"], 1),
+    (["present", "check", "--operad", "cactus", "--file", "{numeric_term}"], 3),
+    (["present", "check", "--operad", "cactus", "--file", "{list}"], 3),
+]
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("argv, want", MALFORMED_INPUTS, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_exit_code_without_traceback(self, capsys, tmp_path, d2_file, argv, want):
+        files = {"d2": d2_file, "missing": str(tmp_path / "missing.json")}
+        (tmp_path / "notjson.json").write_text("{not json")
+        files["notjson"] = str(tmp_path / "notjson.json")
+        for name, doc in MALFORMED_DOCS.items():
+            files[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        code = main([arg.format(**files) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == want
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

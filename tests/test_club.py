@@ -1,26 +1,16 @@
-"""Clubs: cell multiplication, the operad <-> club roundtrip, shape
+"""Clubs: the instance rebuilt from its club (cell multiplication with
+identity heads and identity legs), the operad <-> club roundtrip, shape
 hypothesis checking, and the pullback comparison square."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from actionoperads.cactus import cactus_operad
-from actionoperads.club import (
-    Club,
-    ClubCompositeCell,
-    check_pullback,
-    club_from,
-    club_mult,
-    operad_from_club,
-    roundtrip_check,
-)
+from actionoperads.club import check_pullback, operad_from_club, roundtrip_check
 from actionoperads.core import AxiomCheckConfig, check_axioms, symmetric_operad, trivial_operad
 from actionoperads.fincat import discrete_category, z2_category
-from actionoperads.perm import Perm, identity
-from actionoperads.rewrite import EqResult
+from planted import SwapPi, UnreducedCactus
 
 SYM = symmetric_operad()
 TRIV = trivial_operad()
@@ -28,40 +18,36 @@ CACT = cactus_operad()
 
 
 class TestClubMult:
+    """The rebuilt block sum and block diagonal are the club's cell
+    multiplication with an identity head and with identity legs."""
+
     def test_unary_identity_head(self):
-        club = club_from(SYM)
         g = SYM.parse("[2,1]", 2)
-        cell = ClubCompositeCell(SYM.identity(1), (g,))
-        assert club_mult(club, cell) == g
+        assert operad_from_club(SYM).beta([g]) == g
 
     def test_identity_head_is_block_sum(self):
-        club = club_from(SYM)
         g = SYM.parse("[2,1]", 2)
         h = SYM.parse("[2,3,1]", 3)
-        cell = ClubCompositeCell(SYM.identity(2), (g, h))
-        assert club_mult(club, cell) == SYM.beta([g, h])
+        assert operad_from_club(SYM).beta([g, h]) == SYM.beta([g, h])
 
     def test_identity_legs_is_block_diagonal(self):
-        club = club_from(SYM)
         f = SYM.parse("[2,1]", 2)
-        cell = ClubCompositeCell(f, (SYM.identity(2), SYM.identity(1)))
-        assert club_mult(club, cell) == SYM.delta(f, (2, 1))
+        assert operad_from_club(SYM).delta(f, (2, 1)) == SYM.delta(f, (2, 1))
 
     def test_leg_count_checked(self):
-        club = club_from(SYM)
-        with pytest.raises(ValueError):
-            club_mult(club, ClubCompositeCell(SYM.identity(2), (SYM.identity(1),)))
+        with pytest.raises(ValueError, match="arity mismatch"):
+            operad_from_club(SYM).delta(SYM.identity(2), (1,))
 
 
 class TestRebuild:
     def test_rebuilt_symmetric_beta_is_block_sum(self):
-        rebuilt = operad_from_club(club_from(SYM))
+        rebuilt = operad_from_club(SYM)
         g = SYM.parse("[2,1]", 2)
         h = SYM.parse("[2,3,1]", 3)
         assert rebuilt.beta([g, h]).payload.images == (2, 1, 4, 5, 3)
 
     def test_rebuilt_trivial(self):
-        rebuilt = operad_from_club(club_from(TRIV))
+        rebuilt = operad_from_club(TRIV)
         assert rebuilt.beta([TRIV.identity(2), TRIV.identity(1)]) == TRIV.identity(3)
 
     def test_roundtrip_identity_on_sym_and_trivial(self):
@@ -71,57 +57,26 @@ class TestRebuild:
             assert rep.beta_checked > 0 and rep.delta_checked > 0 and rep.mu_checked > 0
 
     def test_rebuilt_instance_passes_axioms(self):
-        rebuilt = operad_from_club(club_from(SYM))
+        rebuilt = operad_from_club(SYM)
         rep = check_axioms(rebuilt, AxiomCheckConfig(max_total_arity=3))
         assert rep.passed(strict=True)
 
     def test_cactus_club_rebuild_matches_on_small_words(self):
-        rebuilt = operad_from_club(club_from(CACT), max_arity=2)
+        rebuilt = operad_from_club(CACT, max_arity=2)
         w = CACT.parse("s(1,2)", 2)
         assert CACT.equal(rebuilt.delta(w, (2, 1)), CACT.delta(w, (2, 1))).is_equal
         assert CACT.equal(rebuilt.beta([w, w]), CACT.beta([w, w])).is_equal
 
 
-def _bad_club_base() -> Club:
-    """A tiny one-arity 'club' over plain ints for rejection tests:
-    hom(n, n) = {0, 1} under max, which is a monoid but not a group."""
-
-    def eq(a, b):
-        return EqResult("equal" if a == b else "distinct", separating=None)
-
-    return Club(
-        name="bad",
-        element_operad="bad",
-        object_map=lambda n: n,
-        hom_elements=lambda n: (0, 1),
-        identity=lambda n: 0,
-        compose_hom=lambda a, b: max(a, b),
-        invert=lambda a: a,
-        pi=lambda a: identity(1),
-        arity=lambda a: 1,
-        mult=lambda head, legs: head,
-        equal=eq,
-        format=str,
-    )
-
-
 class TestShapeHypotheses:
     def test_non_groupoid_rejected(self):
-        with pytest.raises(ValueError, match="groupoid"):
-            operad_from_club(_bad_club_base(), max_arity=1)
-
-    def test_non_bijective_on_objects_rejected(self):
-        club = replace(club_from(SYM), object_map=lambda n: 0)
-        with pytest.raises(ValueError, match="bijective"):
-            operad_from_club(club)
+        # at arity 2 the planted inverses are wrong, so no hom there is a group
+        with pytest.raises(ValueError, match="'cactus' is not a groupoid"):
+            operad_from_club(UnreducedCactus(), max_arity=2)
 
     def test_pi_functoriality_enforced(self):
-        club = replace(
-            club_from(SYM),
-            pi=lambda el: identity(el.n) if el.n != 2 else Perm((2, 1)),
-        )
-        with pytest.raises(ValueError, match="functorial"):
-            operad_from_club(club)
+        with pytest.raises(ValueError, match="does not lie over the base"):
+            operad_from_club(SwapPi())
 
 
 class TestPullback:

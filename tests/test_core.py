@@ -233,6 +233,17 @@ class TestStream:
         s = DeterministicStream(1)
         assert all(0 <= s.next_int(7) < 7 for _ in range(100))
 
+    def test_symmetric_samples_pinned(self):
+        # every sampled letter draws its inversion bit; inverting a
+        # transposition leaves it unchanged, so these are the samples drawn
+        # when the symmetric instance skipped the inversion
+        sym = symmetric_operad()
+        s = DeterministicStream(2026)
+        assert [sym.format(sym.sample(4, s, 4)) for _ in range(8)] == [
+            "[1,2,3,4]", "[1,2,3,4]", "[1,3,2,4]", "[3,1,2,4]",
+            "[1,3,4,2]", "[1,4,3,2]", "[1,2,3,4]", "[1,2,3,4]",
+        ]
+
 
 class TestRegistry:
     def test_known_names(self):
