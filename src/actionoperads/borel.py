@@ -257,13 +257,12 @@ def contractible_free_check(inst: ActionOperad, n: int) -> InfinityReport:
 
 @dataclass(frozen=True)
 class BorelRealization:
-    """The materialized construction plus the id maps both ways."""
+    """The materialized construction, with each object and morphism id
+    decoded (the ids are ``_obj_id`` and ``_mor_id`` of what they name)."""
 
     cat: FinCat
     objects: dict[str, BorelObject]
-    object_ids: dict[BorelObject, str]
     morphisms: dict[str, BorelMorphism]
-    morphism_ids: dict[tuple, str]  # BorelMorphism.key() -> id
 
 
 def borel_realization(inst: ActionOperad, X: FinCat, max_arity: int) -> BorelRealization:
@@ -309,13 +308,7 @@ def borel_realization(inst: ActionOperad, X: FinCat, max_arity: int) -> BorelRea
         table,
     )
     cat.validate()
-    return BorelRealization(
-        cat,
-        {obj_ids[o]: o for o in objs},
-        obj_ids,
-        morphisms,
-        {m.key(): mid for mid, m in morphisms.items()},
-    )
+    return BorelRealization(cat, {obj_ids[o]: o for o in objs}, morphisms)
 
 
 def borel_fincat(inst: ActionOperad, X: FinCat, max_arity: int) -> FinCat:

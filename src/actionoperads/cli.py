@@ -382,7 +382,9 @@ def cmd_multicat_lift(args) -> int:
         if not isinstance(doc, dict) or not isinstance(doc.get(key), dict):
             raise ValueError(f"functor file {args.functor}: expected a JSON object whose {key!r} entry is a map")
     G = mc.FinFunctor("G", X, Y, doc["ob"], doc["mor"])
-    # a group that is not finite is an input error, not a failed comparison
+    # a functor file that is not a functor, or a group that is not finite,
+    # is an input error, not a failed comparison
+    G.validate()
     for n in range(args.max_arity + 1):
         borel.finite_group(inst, n)
     try:

@@ -487,7 +487,6 @@ class AxiomCheckConfig:
     max_block_size: int = 2
     max_result_arity: int = 6
     seed: int = 2026
-    include_zero_blocks: bool = True
     max_len: int | None = None
     budget: int | None = None
 
@@ -645,21 +644,21 @@ class _CaseSource:
     def sample_element(self, n: int) -> OperadElement:
         return self.inst.sample(n, self.stream, self.config.max_word_length)
 
-    def sample_sizes(self, parts: int, max_total: int | None = None) -> tuple[int, ...]:
+    def sample_sizes(self, parts: int, max_total: int) -> tuple[int, ...]:
         cap = self.config.max_block_size
-        if max_total is not None and parts > max_total:
+        if parts > max_total:
             raise ValueError(
                 f"cannot fit {parts} positive blocks under a composite-arity cap of {max_total}; "
                 "lower max_total_arity or raise max_result_arity"
             )
         while True:
             v = tuple(1 + self.stream.next_int(cap) for _ in range(parts))
-            if max_total is None or sum(v) <= max_total:
+            if sum(v) <= max_total:
                 return v
 
-    def sample_arity(self, lo: int = 1) -> int:
+    def sample_arity(self) -> int:
         hi = min(self.config.max_total_arity, self.config.max_result_arity)
-        return lo + self.stream.next_int(max(1, hi - lo + 1))
+        return 1 + self.stream.next_int(max(1, hi))
 
 
 _SAME = EqResult("equal", path=RewritePath((), (), ()))
@@ -952,7 +951,7 @@ def _case_interchange(C, g, fs, gp, fps):
 
 def _exhaustive_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
     A = config.max_total_arity
-    vectors = size_vectors(A, config.include_zero_blocks)
+    vectors = size_vectors(A, include_zero=True)
     positive_vectors = [v for v in vectors if all(k >= 1 for k in v)]
     els = K.elements
 
@@ -1023,7 +1022,7 @@ def _exhaustive_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
                         yield from _case_interchange(K, g, fs, gp, fps)
 
 
-def _split(flat: tuple[int, ...], group_lens: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+def _split(flat: Sequence, group_lens: Sequence[int]) -> tuple:
     groups = []
     idx = 0
     for ln in group_lens:

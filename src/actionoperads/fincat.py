@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 
@@ -39,7 +40,13 @@ class FinCat:
         return self.identities[x]
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
-        return self._hom_index().get((x, y), ())
+        return self._index[0].get((x, y), ())
+
+    def arrows_into(self, x: str) -> Sequence[str]:
+        return self._index[1].get(x, ())
+
+    def arrows_from(self, x: str) -> Sequence[str]:
+        return self._index[2].get(x, ())
 
     def compose(self, g: str, f: str) -> str:
         """The composite ``g`` after ``f``."""
@@ -48,15 +55,19 @@ class FinCat:
             raise ValueError(f"non-composable pair ({g!r}, {f!r}) in {self.name}")
         return self.table[key]
 
-    def _hom_index(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        index = getattr(self, "_hom_cache", None)
-        if index is None:
-            index = {}
-            for m in self.morphisms:
-                index.setdefault((self.src[m], self.tgt[m]), []).append(m)
-            index = {k: tuple(v) for k, v in index.items()}
-            object.__setattr__(self, "_hom_cache", index)
-        return index
+    @cached_property
+    def _index(self) -> tuple[dict, dict, dict]:
+        """The hom-sets, and the arrows into and out of each object, each
+        in the order of ``morphisms``."""
+        homs: dict[tuple[str, str], list[str]] = {}
+        into: dict[str, list[str]] = {}
+        out_of: dict[str, list[str]] = {}
+        for m in self.morphisms:
+            x, y = self.src[m], self.tgt[m]
+            homs.setdefault((x, y), []).append(m)
+            into.setdefault(y, []).append(m)
+            out_of.setdefault(x, []).append(m)
+        return {k: tuple(v) for k, v in homs.items()}, into, out_of
 
     def validate(self) -> None:
         """Raise ValueError naming the first failing law instance."""
@@ -80,8 +91,8 @@ class FinCat:
             if self.src[h] != self.src[f] or self.tgt[h] != self.tgt[g]:
                 raise ValueError(f"{self.name}: entry ({g}, {f}) -> {h} has wrong endpoints")
         for g in self.morphisms:
-            for f in self.morphisms:
-                if self.src[g] == self.tgt[f] and (g, f) not in self.table:
+            for f in self.arrows_into(self.src[g]):
+                if (g, f) not in self.table:
                     raise ValueError(f"{self.name}: missing composite for ({g!r}, {f!r})")
         for f in self.morphisms:
             if self.table[(f, self.identities[self.src[f]])] != f:
@@ -89,12 +100,8 @@ class FinCat:
             if self.table[(self.identities[self.tgt[f]], f)] != f:
                 raise ValueError(f"{self.name}: left unit law fails at {f!r}")
         for h in self.morphisms:
-            for g in self.morphisms:
-                if self.src[h] != self.tgt[g]:
-                    continue
-                for f in self.morphisms:
-                    if self.src[g] != self.tgt[f]:
-                        continue
+            for g in self.arrows_into(self.src[h]):
+                for f in self.arrows_into(self.src[g]):
                     if self.table[(self.table[(h, g)], f)] != self.table[(h, self.table[(g, f)])]:
                         raise ValueError(
                             f"{self.name}: associativity fails on triple ({h!r}, {g!r}, {f!r})"

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from itertools import product
 from typing import Mapping, Sequence
 
-from .borel import BorelMorphism, BorelObject, borel_realization, finite_group
-from .core import ActionOperad, OperadElement
+from .borel import BorelMorphism, BorelObject, _mor_id, _obj_id, borel_realization, finite_group
+from .core import ActionOperad, OperadElement, _split
 from .fincat import FinCat, doc_name
 from .perm import act_on_positions, inverse
 
@@ -58,8 +59,15 @@ class FinMulticat:
         return len(self.signature(el)[0])
 
     def hom(self, inputs: Sequence[str], output: str) -> tuple[str, ...]:
-        sig = (tuple(inputs), output)
-        return tuple(e for e, s in self.elements.items() if s == sig)
+        return self.homs.get((tuple(inputs), output), ())
+
+    @cached_property
+    def homs(self) -> dict[Signature, tuple[str, ...]]:
+        """The listed elements of each signature, in listing order."""
+        homs: dict[Signature, list[str]] = {}
+        for el, sig in self.elements.items():
+            homs.setdefault(sig, []).append(el)
+        return {sig: tuple(els) for sig, els in homs.items()}
 
 
 def act_by(M: FinMulticat, inst: ActionOperad, el: str, alpha: OperadElement) -> str:
@@ -132,34 +140,33 @@ def validate_multicat(M: FinMulticat, inst: ActionOperad) -> ValidationReport:
         if len(fs) != len(g_in):
             note(f"composition entry ({g!r}, {fs!r}) has the wrong leg count")
             continue
-        flat: list[str] = []
-        bad = False
         for slot, f in zip(g_in, fs):
-            f_in, f_out = M.elements[f]
+            f_out = M.elements[f][1]
             if f_out != slot:
                 note(f"composition entry ({g!r}, {fs!r}): leg {f!r} lands in {f_out!r}, needs {slot!r}")
-                bad = True
                 break
-            flat.extend(f_in)
-        if bad:
-            continue
-        if M.elements[r] != (tuple(flat), g_out):
-            note(f"composition entry ({g!r}, {fs!r}) -> {r!r} has the wrong signature")
+        else:
+            flat = tuple(x for f in fs for x in M.elements[f][0])
+            if M.elements[r] != (flat, g_out):
+                note(f"composition entry ({g!r}, {fs!r}) -> {r!r} has the wrong signature")
 
-    gen_by_arity: dict[int, dict] = {}
+    @cache
+    def gens(n: int) -> dict[str, OperadElement]:
+        """The generator table at arity ``n``, by name."""
+        return dict(inst.generators(n))
+
     for (name, el), out in M.actions.items():
         rep.checked += 1
         if el not in M.elements or out not in M.elements:
             note(f"action ({name!r}, {el!r}) uses unknown elements")
             continue
         n = M.arity(el)
-        gens = gen_by_arity.setdefault(n, {nm: g for nm, g in inst.generators(n)})
-        if name not in gens:
+        gen = gens(n).get(name)
+        if gen is None:
             note(f"action name {name!r} is not a generator at arity {n}")
             continue
-        p = inst.pi(gens[name])
         inputs, output = M.elements[el]
-        if M.elements[out] != (act_on_positions(inverse(p), inputs), output):
+        if M.elements[out] != (act_on_positions(inverse(inst.pi(gen)), inputs), output):
             note(f"action ({name!r}, {el!r}) -> {out!r} breaks the signature permutation")
     # bijectivity per (generator, signature): injective always; when the
     # whole hom-set is listed, also onto the permuted hom-set
@@ -172,21 +179,20 @@ def validate_multicat(M: FinMulticat, inst: ActionOperad) -> ValidationReport:
         if len(set(outs)) != len(outs):
             note(f"action of {name!r} on signature {sig} is not injective")
             continue
-        domain = M.hom(*sig)
-        if any((name, el) not in M.actions for el in domain):
+        if any((name, el) not in M.actions for el in M.homs[sig]):
             rep.skipped += 1
             continue
-        n = len(sig[0])
-        gens = gen_by_arity.setdefault(n, {nm: g for nm, g in inst.generators(n)})
-        if name not in gens:
+        gen = gens(len(sig[0])).get(name)
+        if gen is None:
             continue
-        target_sig = (act_on_positions(inverse(inst.pi(gens[name])), sig[0]), sig[1])
-        if set(outs) != set(M.hom(*target_sig)):
+        target_sig = (act_on_positions(inverse(inst.pi(gen)), sig[0]), sig[1])
+        if set(outs) != set(M.homs.get(target_sig, ())):
             note(f"action of {name!r} on signature {sig} is not onto the permuted hom-set")
 
     # unit laws where listed
+    identity_elements = set(M.identities.values())
     for (g, fs), r in M.composition.items():
-        if g in M.identities.values() and len(fs) == 1:
+        if g in identity_elements and len(fs) == 1:
             rep.checked += 1
             if r != fs[0]:
                 note(f"left unit law fails: {g!r}({fs[0]!r}) = {r!r}")
@@ -197,34 +203,23 @@ def validate_multicat(M: FinMulticat, inst: ActionOperad) -> ValidationReport:
                 if r != g:
                     note(f"right unit law fails: {g!r}(identities) = {r!r}")
 
-    # associativity over listed chains
+    # composition entries by head, in listing order
+    by_head: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+    for entry in M.composition:
+        by_head.setdefault(entry[0], []).append(entry)
+
+    # associativity over listed chains: f over gs gives r1, r1 over hs gives
+    # s; the legs' arities are read at the first chain, since an unknown leg
+    # raises
     for (f, gs), r1 in M.composition.items():
-        for (r1b, hs), s in M.composition.items():
-            if r1b != r1:
-                continue
-            # split hs by the input arities of the gs
-            split: list[tuple[str, ...]] = []
-            idx = 0
-            ok = True
-            for g in gs:
-                k = M.arity(g)
-                split.append(tuple(hs[idx : idx + k]))
-                idx += k
-            if idx != len(hs):
-                ok = False
-            inner = []
-            if ok:
-                for g, block in zip(gs, split):
-                    key = (g, block)
-                    if key not in M.composition:
-                        ok = False
-                        break
-                    inner.append(M.composition[key])
-            if not ok:
-                rep.skipped += 1
-                continue
-            outer = (f, tuple(inner))
-            if outer not in M.composition:
+        ks = None
+        for chain in by_head.get(r1, ()):
+            hs, s = chain[1], M.composition[chain]
+            if ks is None:
+                ks = [M.arity(g) for g in gs]
+            inner = tuple(M.composition.get(leg) for leg in zip(gs, _split(hs, ks)))
+            outer = (f, inner)
+            if sum(ks) != len(hs) or None in inner or outer not in M.composition:
                 rep.skipped += 1
                 continue
             rep.checked += 1
@@ -234,11 +229,14 @@ def validate_multicat(M: FinMulticat, inst: ActionOperad) -> ValidationReport:
                     f"gives {s!r} vs {M.composition[outer]!r}"
                 )
 
-    # action compatibility law 1: acting on one leg at a time
-    for (f, gs), r in M.composition.items():
+    # action compatibility law 1: acting on one leg at a time; the leg
+    # arities of every entry are read here once, for law 2 as well
+    leg_arities: dict[tuple[str, tuple[str, ...]], list[int]] = {}
+    for entry, r in M.composition.items():
+        f, gs = entry
+        sizes = leg_arities[entry] = [M.arity(g) for g in gs]
         for i, g in enumerate(gs):
-            k = M.arity(g)
-            for name, gen in inst.generators(k):
+            for name, gen in gens(sizes[i]).items():
                 if (name, g) not in M.actions:
                     rep.skipped += 1
                     continue
@@ -248,7 +246,6 @@ def validate_multicat(M: FinMulticat, inst: ActionOperad) -> ValidationReport:
                 if key not in M.composition:
                     rep.skipped += 1
                     continue
-                sizes = [M.arity(x) for x in gs]
                 shifted = inst.beta(
                     [gen if j == i else inst.identity(sizes[j]) for j in range(len(gs))]
                 )
@@ -266,30 +263,25 @@ def validate_multicat(M: FinMulticat, inst: ActionOperad) -> ValidationReport:
 
     # action compatibility law 2: acting on the head
     for (name, f), h in M.actions.items():
-        nf = M.arity(f) if f in M.elements else None
-        if nf is None:
+        if f not in M.elements:
             continue
-        gens = {nm: g for nm, g in inst.generators(nf)}
-        if name not in gens:
+        alpha = gens(M.arity(f)).get(name)
+        if alpha is None:
             continue
-        alpha = gens[name]
         p = inst.pi(alpha)
-        for (hb, gs), r_lhs in M.composition.items():
-            if hb != h:
-                continue
-            reordered = act_on_positions(p, gs)
-            key = (f, reordered)
+        for chain in by_head.get(h, ()):
+            gs = chain[1]
+            key = (f, act_on_positions(p, gs))
             if key not in M.composition:
                 rep.skipped += 1
                 continue
-            sizes = [M.arity(x) for x in gs]
             try:
-                want = act_by(M, inst, M.composition[key], inst.delta(alpha, sizes))
+                want = act_by(M, inst, M.composition[key], inst.delta(alpha, leg_arities[chain]))
             except ValueError:
                 rep.skipped += 1
                 continue
             rep.checked += 1
-            if r_lhs != want:
+            if M.composition[chain] != want:
                 note(
                     f"head action law fails: ({name!r} . {f!r}) applied to {gs!r}"
                 )
@@ -462,9 +454,6 @@ def multicat_from_dict(doc: dict, name: str = "multicat") -> FinMulticat:
 
 
 def multicat_to_dict(M: FinMulticat) -> dict:
-    homs: dict[Signature, list[str]] = {}
-    for el, sig in M.elements.items():
-        homs.setdefault(sig, []).append(el)
     # one action block per (arity, generator); the arity is read off the
     # elements the generator acts on
     actions: dict[tuple[int, str], dict[str, str]] = {}
@@ -474,7 +463,7 @@ def multicat_to_dict(M: FinMulticat) -> dict:
         "objects": list(M.objects),
         "homs": [
             {"inputs": list(inputs), "output": output, "elements": sorted(els)}
-            for (inputs, output), els in sorted(homs.items())
+            for (inputs, output), els in sorted(M.homs.items())
         ],
         "identities": dict(M.identities),
         "compose": [
@@ -522,6 +511,9 @@ def validate_profunctor(P: FinProf) -> ValidationReport:
     rep = ValidationReport(f"profunctor {P.name}")
     X, Y = P.source, P.target
     cell = P.cell_of()
+    # the listed cells by source object and by target object, in listing order
+    column: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
+    row: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
 
     for (y, x), els in P.values.items():
         rep.checked += 1
@@ -529,21 +521,19 @@ def validate_profunctor(P: FinProf) -> ValidationReport:
             rep.violations.append(f"cell ({y!r}, {x!r}) is not an object pair")
         if len(set(els)) != len(els):
             rep.violations.append(f"cell ({y!r}, {x!r}) lists duplicate elements")
+        column.setdefault(x, []).append((y, els))
+        row.setdefault(y, []).append((x, els))
 
     # totality and typing of the actions
     for f in X.morphisms:
-        for (y, x), els in P.values.items():
-            if x != X.src[f]:
-                continue
+        for y, els in column.get(X.src[f], ()):
             for s in els:
                 rep.checked += 1
                 out = P.source_action.get((f, s))
                 if out is None or cell.get(out) != (y, X.tgt[f]):
                     rep.violations.append(f"source action of {f!r} on {s!r} is missing or mistyped")
     for h in Y.morphisms:
-        for (y, x), els in P.values.items():
-            if y != Y.tgt[h]:
-                continue
+        for x, els in row.get(Y.tgt[h], ()):
             for s in els:
                 rep.checked += 1
                 out = P.target_action.get((h, s))
@@ -561,25 +551,17 @@ def validate_profunctor(P: FinProf) -> ValidationReport:
             if P.target_action[(Y.identities[y], s)] != s:
                 rep.violations.append(f"identity of {y!r} moves {s!r}")
     for g in X.morphisms:
-        for f in X.morphisms:
-            if X.src[g] != X.tgt[f]:
-                continue
+        for f in X.arrows_into(X.src[g]):
             gf = X.table[(g, f)]
-            for (y, x), els in P.values.items():
-                if x != X.src[f]:
-                    continue
+            for _y, els in column.get(X.src[f], ()):
                 for s in els:
                     rep.checked += 1
                     if P.source_action[(g, P.source_action[(f, s)])] != P.source_action[(gf, s)]:
                         rep.violations.append(f"source action not functorial on ({g!r}, {f!r})")
     for h in Y.morphisms:
-        for k in Y.morphisms:
-            if Y.src[k] != Y.tgt[h]:
-                continue
+        for k in Y.arrows_from(Y.tgt[h]):
             kh = Y.table[(k, h)]
-            for (y, x), els in P.values.items():
-                if y != Y.tgt[k]:
-                    continue
+            for _x, els in row.get(Y.tgt[k], ()):
                 for s in els:
                     rep.checked += 1
                     if P.target_action[(h, P.target_action[(k, s)])] != P.target_action[(kh, s)]:
@@ -587,15 +569,12 @@ def validate_profunctor(P: FinProf) -> ValidationReport:
     # the two actions commute
     for f in X.morphisms:
         for h in Y.morphisms:
-            for (y, x), els in P.values.items():
-                if x != X.src[f] or y != Y.tgt[h]:
-                    continue
-                for s in els:
-                    rep.checked += 1
-                    a = P.target_action[(h, P.source_action[(f, s)])]
-                    b = P.source_action[(f, P.target_action[(h, s)])]
-                    if a != b:
-                        rep.violations.append(f"actions do not commute on ({f!r}, {h!r}, {s!r})")
+            for s in P.values.get((Y.tgt[h], X.src[f]), ()):
+                rep.checked += 1
+                a = P.target_action[(h, P.source_action[(f, s)])]
+                b = P.source_action[(f, P.target_action[(h, s)])]
+                if a != b:
+                    rep.violations.append(f"actions do not commute on ({f!r}, {h!r}, {s!r})")
     return rep
 
 
@@ -760,29 +739,22 @@ def unit_compose_iso(composed: ComposedProf, F: FinProf, side: str) -> dict[str,
     ``side`` is "left" for id . F (identity on the target side) and
     "right" for F . id (identity on the source side).
     """
-    out: dict[str, str] = {}
-    for cid, mems in composed.members.items():
-        y, t, s = mems[0]
+
+    def image(t: str, s: str) -> str:
         if side == "left":
             # t is an identity-profunctor element "m@x'" with m in Y(z, y)
-            m = t.rsplit("@", 1)[0]
-            out[cid] = F.target_action[(m, s)]
-        elif side == "right":
-            m = s.rsplit("@", 1)[0]
-            out[cid] = F.source_action[(m, t)]
-        else:
-            raise ValueError("side must be 'left' or 'right'")
+            return F.target_action[(t.rsplit("@", 1)[0], s)]
+        if side == "right":
+            return F.source_action[(s.rsplit("@", 1)[0], t)]
+        raise ValueError("side must be 'left' or 'right'")
+
     # well-defined on every member, and bijective onto the F-cell
+    out: dict[str, str] = {}
     for cid, mems in composed.members.items():
-        for y, t, s in mems:
-            if side == "left":
-                m = t.rsplit("@", 1)[0]
-                if F.target_action[(m, s)] != out[cid]:
-                    raise ValueError(f"unit comparison not constant on class {cid!r}")
-            else:
-                m = s.rsplit("@", 1)[0]
-                if F.source_action[(m, t)] != out[cid]:
-                    raise ValueError(f"unit comparison not constant on class {cid!r}")
+        images = {image(t, s) for _y, t, s in mems}
+        if len(images) != 1:
+            raise ValueError(f"unit comparison not constant on class {cid!r}")
+        out[cid] = images.pop()
     for (pair, cids) in composed.prof.values.items():
         want = set(F.values.get(pair, ()))
         got = [out[c] for c in cids]
@@ -893,19 +865,15 @@ def borel_functor(inst: ActionOperad, G: FinFunctor, max_arity: int):
     G.validate()
     rx = borel_realization(inst, G.source, max_arity)
     ry = borel_realization(inst, G.target, max_arity)
-    ob: dict[str, str] = {}
-    for xid, xobj in rx.objects.items():
-        target_obj = BorelObject(inst.name, xobj.n, tuple(G.ob[o] for o in xobj.objects))
-        ob[xid] = ry.object_ids[target_obj]
-    mor: dict[str, str] = {}
+
+    def image(o: BorelObject) -> BorelObject:
+        return BorelObject(inst.name, o.n, tuple(G.ob[x] for x in o.objects))
+
+    ob = {xid: _obj_id(image(xobj)) for xid, xobj in rx.objects.items()}
+    mor = {}
     for mid, m in rx.morphisms.items():
-        image = BorelMorphism(
-            BorelObject(inst.name, m.source.n, tuple(G.ob[o] for o in m.source.objects)),
-            BorelObject(inst.name, m.target.n, tuple(G.ob[o] for o in m.target.objects)),
-            m.g,
-            tuple(G.mor[c] for c in m.components),
-        )
-        mor[mid] = ry.morphism_ids[image.key()]
+        comps = tuple(G.mor[c] for c in m.components)
+        mor[mid] = _mor_id(inst, BorelMorphism(image(m.source), image(m.target), m.g, comps))
     out = FinFunctor(f"borel_{G.name}", rx.cat, ry.cat, ob, mor)
     out.validate()
     return out, rx, ry

@@ -192,6 +192,19 @@ class TestReports:
         )
         assert code == 0 and out.startswith("PASS")
 
+    def test_club_check_cactus_within_its_finite_arities(self, capsys):
+        code, out = run(capsys, "club", "check", "--operad", "cactus", "--max-arity", "2")
+        assert code == 0
+        assert out == "PASS roundtrip: operad=cactus beta=5 delta=5 mu=6 mismatches=0\n"
+
+    @pytest.mark.parametrize("operad, arity", [("braid", 2), ("cactus", 3)])
+    def test_club_check_past_the_finite_arities_is_input_error(self, capsys, operad, arity):
+        # no arity whose group is not finite is skipped silently
+        code = main(["club", "check", "--operad", operad, "--max-arity", "3"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: instance {operad!r} is not finite at arity {arity}\n"
+
     def test_multicat_validate(self, capsys, tmp_path):
         M = operad_as_multicat(symmetric_operad(), 2)
         f = tmp_path / "m.json"
@@ -315,6 +328,7 @@ MALFORMED_DOCS = {
         "objects": ["*"], "homs": [{"inputs": ["x"], "output": "*", "elements": ["f"]}],
         "identities": {}, "compose": [{"head": "f", "inputs": ["f"], "result": "f"}], "actions": [],
     },
+    "not_a_functor": {"ob": {"a": "zz"}, "mor": {}},
     "numeric_term": {
         "generators": [{"name": "s", "arity": 2, "pi": [2, 1]}], "relations": [{"lhs": 5, "rhs": "id(2)"}]
     },
@@ -352,6 +366,8 @@ MALFORMED_INPUTS = [
     (["multicat", "validate", "--operad", "sym", "--file", "{list_mapping}"], 3),
     (["multicat", "validate", "--operad", "sym", "--file", "{list_result}"], 3),
     (["multicat", "validate", "--operad", "sym", "--file", "{input_without_identity}"], 1),
+    (["multicat", "lift", "--operad", "sym", "--category-x", "{d2}", "--category-y", "{d2}",
+      "--functor", "{not_a_functor}"], 3),
     (["present", "check", "--operad", "cactus", "--file", "{numeric_term}"], 3),
     (["present", "check", "--operad", "cactus", "--file", "{list}"], 3),
 ]
