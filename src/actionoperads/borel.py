@@ -311,11 +311,6 @@ def borel_realization(inst: ActionOperad, X: FinCat, max_arity: int) -> BorelRea
     return BorelRealization(cat, {obj_ids[o]: o for o in objs}, morphisms)
 
 
-def borel_fincat(inst: ActionOperad, X: FinCat, max_arity: int) -> FinCat:
-    """The materialized category alone (see :func:`borel_realization`)."""
-    return borel_realization(inst, X, max_arity).cat
-
-
 def _obj_id(o: BorelObject) -> str:
     return "[" + ",".join(o.objects) + "]"
 

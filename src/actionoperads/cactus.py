@@ -181,17 +181,6 @@ def cactus_operad() -> CactusOperad:
     return CactusOperad()
 
 
-def cactus_delta_gen(p: int, q: int, n: int, sizes: Sequence[int]) -> OperadElement:
-    """Block diagonal of the generator ``s(p,q)`` at the given widths."""
-    inst = cactus_operad()
-    return inst.from_letters(sum(sizes), inst.delta_letters((p, q), n, tuple(sizes)))
-
-
-def cactus_beta(words: Sequence[OperadElement]) -> OperadElement:
-    """Shift each word onto its own block and concatenate."""
-    return cactus_operad().beta(list(words))
-
-
 def commutor(m: int, n: int) -> OperadElement:
     """The commutor at block widths (m, n): the big reversal followed by
     the two small ones, degenerate factors dropped.

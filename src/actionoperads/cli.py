@@ -270,8 +270,10 @@ def cmd_cactus_coboundary(args) -> int:
 # -- borel subcommands --------------------------------------------------------
 
 
-def _borel_object(inst, text: str):
+def _borel_object(inst, X, text: str):
     objects = tuple(x for x in text.split(",") if x)
+    for x in objects:
+        X.identity_of(x)  # raises on an object X does not have
     return borel.BorelObject(inst.name, len(objects), objects)
 
 
@@ -287,8 +289,8 @@ def _parse_borel_morphism(inst, X, src, tgt, text: str):
 def cmd_borel_hom(args) -> int:
     inst = get_operad(args.operad)
     X = load_fincat(args.category, name="X")
-    src = _borel_object(inst, args.src)
-    tgt = _borel_object(inst, args.tgt)
+    src = _borel_object(inst, X, args.src)
+    tgt = _borel_object(inst, X, args.tgt)
     res = borel.hom_set(inst, X, src, tgt, bound=args.bound)
     lines = [f"{inst.format(m.g)} | {','.join(m.components)}" for m in res.morphisms]
     if not res.complete:
@@ -309,9 +311,9 @@ def cmd_borel_hom(args) -> int:
 def cmd_borel_compose(args) -> int:
     inst = get_operad(args.operad)
     X = load_fincat(args.category, name="X")
-    src = _borel_object(inst, args.src)
-    mid = _borel_object(inst, args.mid)
-    tgt = _borel_object(inst, args.tgt)
+    src = _borel_object(inst, X, args.src)
+    mid = _borel_object(inst, X, args.mid)
+    tgt = _borel_object(inst, X, args.tgt)
     m2 = _parse_borel_morphism(inst, X, mid, tgt, args.second)
     m1 = _parse_borel_morphism(inst, X, src, mid, args.first)
     out = borel.compose_borel(inst, X, m2, m1)

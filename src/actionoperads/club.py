@@ -112,6 +112,8 @@ def roundtrip_check(inst: ActionOperad, max_total: int = 4) -> RoundtripReport:
     same block sum, block diagonal and composition values on every tuple
     within the arity bound; raises when a group in the bound is not
     finite."""
+    if max_total < 0:
+        raise ValueError(f"max_total must be >= 0, got {max_total}")
     groups = [finite_group(inst, n) for n in range(max_total + 1)]
     rebuilt = operad_from_club(inst, max_arity=max_total)
     report = RoundtripReport(inst.name)

@@ -143,8 +143,9 @@ class ActionOperad:
         """Named group generators at arity ``n``."""
         return ()
 
-    def generator_word(self, a: OperadElement) -> tuple[tuple[OperadElement, int], ...]:
-        """Express an element as a product of signed generators."""
+    def generator_word(self, a: OperadElement) -> tuple[tuple[str, int], ...]:
+        """Express an element as a product of signed generators, named as
+        :meth:`generators` names them."""
         raise NotImplementedError
 
     def sample(self, n: int, stream: DeterministicStream, max_word_len: int) -> OperadElement:
@@ -228,9 +229,7 @@ class SymmetricOperad(ActionOperad):
 
     def generator_word(self, a):
         self.check_element(a)
-        return tuple(
-            (self._wrap(adjacent_transposition(a.n, i)), 1) for i in descent_word(a.payload)
-        )
+        return tuple((f"t{i}", 1) for i in descent_word(a.payload))
 
     def parse(self, text, n):
         p = parse_perm(text)
@@ -429,9 +428,7 @@ class WordOperad(ActionOperad):
 
     def generator_word(self, a):
         self.check_element(a)
-        return tuple(
-            (self._wrap(a.n, ((gen, 1),)), sign) for gen, sign in a.payload.letters
-        )
+        return tuple((self.format_letter(gen, 1), sign) for gen, sign in a.payload.letters)
 
     def format(self, a):
         self.check_element(a)

@@ -78,10 +78,8 @@ def act_by(M: FinMulticat, inst: ActionOperad, el: str, alpha: OperadElement) ->
     n = M.arity(el)
     if alpha.n != n:
         raise ValueError(f"arity mismatch: element of arity {n} acted by arity {alpha.n}")
-    names = {g.key(): name for name, g in inst.generators(n)}
     current = el
-    for gen, sign in inst.generator_word(alpha):
-        name = names[gen.key()]
+    for name, sign in inst.generator_word(alpha):
         if sign == 1:
             key = (name, current)
             if key not in M.actions:
@@ -115,7 +113,8 @@ class ValidationReport:
 
 def validate_multicat(M: FinMulticat, inst: ActionOperad) -> ValidationReport:
     """Check structure, unit laws, associativity, and both
-    composition-action compatibility laws over the listed data."""
+    composition-action compatibility laws over the listed data.  The laws
+    walk only the composition entries that typecheck."""
     rep = ValidationReport(f"multicat {M.name}")
 
     def note(msg: str):
@@ -131,6 +130,10 @@ def validate_multicat(M: FinMulticat, inst: ActionOperad) -> ValidationReport:
         i = M.identities.get(x)
         if i is None or i not in M.elements or M.elements[i] != ((x,), x):
             note(f"object {x!r} lacks a valid identity element")
+    # the entries that typecheck, with their legs' arities, in listing order
+    # and by head: the laws below walk only these
+    typed: list[tuple[str, tuple[str, ...], str, list[int]]] = []
+    by_head: dict[str, list[tuple[tuple[str, ...], str, list[int]]]] = {}
     for (g, fs), r in M.composition.items():
         rep.checked += 1
         if g not in M.elements or r not in M.elements or any(f not in M.elements for f in fs):
@@ -149,6 +152,10 @@ def validate_multicat(M: FinMulticat, inst: ActionOperad) -> ValidationReport:
             flat = tuple(x for f in fs for x in M.elements[f][0])
             if M.elements[r] != (flat, g_out):
                 note(f"composition entry ({g!r}, {fs!r}) -> {r!r} has the wrong signature")
+                continue
+            ks = [M.arity(f) for f in fs]
+            typed.append((g, fs, r, ks))
+            by_head.setdefault(g, []).append((fs, r, ks))
 
     @cache
     def gens(n: int) -> dict[str, OperadElement]:
@@ -191,35 +198,22 @@ def validate_multicat(M: FinMulticat, inst: ActionOperad) -> ValidationReport:
 
     # unit laws where listed
     identity_elements = set(M.identities.values())
-    for (g, fs), r in M.composition.items():
+    for g, fs, r, _ks in typed:
         if g in identity_elements and len(fs) == 1:
             rep.checked += 1
             if r != fs[0]:
                 note(f"left unit law fails: {g!r}({fs[0]!r}) = {r!r}")
-        if g in M.elements:
-            inputs, _ = M.elements[g]
-            if fs == tuple(M.identities.get(x) for x in inputs):
-                rep.checked += 1
-                if r != g:
-                    note(f"right unit law fails: {g!r}(identities) = {r!r}")
+        if fs == tuple(M.identities.get(x) for x in M.elements[g][0]):
+            rep.checked += 1
+            if r != g:
+                note(f"right unit law fails: {g!r}(identities) = {r!r}")
 
-    # composition entries by head, in listing order
-    by_head: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
-    for entry in M.composition:
-        by_head.setdefault(entry[0], []).append(entry)
-
-    # associativity over listed chains: f over gs gives r1, r1 over hs gives
-    # s; the legs' arities are read at the first chain, since an unknown leg
-    # raises
-    for (f, gs), r1 in M.composition.items():
-        ks = None
-        for chain in by_head.get(r1, ()):
-            hs, s = chain[1], M.composition[chain]
-            if ks is None:
-                ks = [M.arity(g) for g in gs]
+    # associativity over listed chains: f over gs gives r1, r1 over hs gives s
+    for f, gs, r1, ks in typed:
+        for hs, s, _ in by_head.get(r1, ()):
             inner = tuple(M.composition.get(leg) for leg in zip(gs, _split(hs, ks)))
             outer = (f, inner)
-            if sum(ks) != len(hs) or None in inner or outer not in M.composition:
+            if None in inner or outer not in M.composition:
                 rep.skipped += 1
                 continue
             rep.checked += 1
@@ -229,12 +223,8 @@ def validate_multicat(M: FinMulticat, inst: ActionOperad) -> ValidationReport:
                     f"gives {s!r} vs {M.composition[outer]!r}"
                 )
 
-    # action compatibility law 1: acting on one leg at a time; the leg
-    # arities of every entry are read here once, for law 2 as well
-    leg_arities: dict[tuple[str, tuple[str, ...]], list[int]] = {}
-    for entry, r in M.composition.items():
-        f, gs = entry
-        sizes = leg_arities[entry] = [M.arity(g) for g in gs]
+    # action compatibility law 1: acting on one leg at a time
+    for f, gs, r, sizes in typed:
         for i, g in enumerate(gs):
             for name, gen in gens(sizes[i]).items():
                 if (name, g) not in M.actions:
@@ -261,27 +251,27 @@ def validate_multicat(M: FinMulticat, inst: ActionOperad) -> ValidationReport:
                         f"generator {name!r}"
                     )
 
-    # action compatibility law 2: acting on the head
+    # action compatibility law 2: acting on the head; an action whose result
+    # is unknown or of another arity was noted above and states no law
     for (name, f), h in M.actions.items():
-        if f not in M.elements:
+        if f not in M.elements or h not in M.elements or M.arity(h) != M.arity(f):
             continue
         alpha = gens(M.arity(f)).get(name)
         if alpha is None:
             continue
         p = inst.pi(alpha)
-        for chain in by_head.get(h, ()):
-            gs = chain[1]
+        for gs, s, ks in by_head.get(h, ()):
             key = (f, act_on_positions(p, gs))
             if key not in M.composition:
                 rep.skipped += 1
                 continue
             try:
-                want = act_by(M, inst, M.composition[key], inst.delta(alpha, leg_arities[chain]))
+                want = act_by(M, inst, M.composition[key], inst.delta(alpha, ks))
             except ValueError:
                 rep.skipped += 1
                 continue
             rep.checked += 1
-            if M.composition[chain] != want:
+            if s != want:
                 note(
                     f"head action law fails: ({name!r} . {f!r}) applied to {gs!r}"
                 )
@@ -335,13 +325,17 @@ def validate_multifunctor(
         rep.checked += 1
         if F.object_map.get(x) not in N.objects:
             note(f"object {x!r} has no image")
+    # the elements with an image: the composition and action passes read
+    # only entries whose parts all have one
+    image: dict[str, str] = {}
     for el, (inputs, output) in M.elements.items():
         rep.checked += 1
         img = F.element_map.get(el)
-        if img is None or img not in N.elements:
+        if img not in N.elements:
             note(f"element {el!r} has no image")
             continue
-        want = (tuple(F.object_map[x] for x in inputs), F.object_map[output])
+        image[el] = img
+        want = (tuple(F.object_map.get(x) for x in inputs), F.object_map.get(output))
         if N.elements[img] != want:
             note(f"element {el!r} maps to {img!r} with the wrong signature")
     for x, i in M.identities.items():
@@ -349,20 +343,26 @@ def validate_multifunctor(
         if F.element_map.get(i) != N.identities.get(F.object_map.get(x)):
             note(f"identity at {x!r} is not preserved")
     for (g, fs), r in M.composition.items():
-        key = (F.element_map[g], tuple(F.element_map[f] for f in fs))
+        if any(el not in image for el in (g, r, *fs)):
+            rep.skipped += 1
+            continue
+        key = (image[g], tuple(image[f] for f in fs))
         if key not in N.composition:
             rep.skipped += 1
             continue
         rep.checked += 1
-        if N.composition[key] != F.element_map[r]:
+        if N.composition[key] != image[r]:
             note(f"composition entry ({g!r}, {fs!r}) is not preserved")
     for (name, el), out in M.actions.items():
-        key = (name, F.element_map[el])
+        if el not in image or out not in image:
+            rep.skipped += 1
+            continue
+        key = (name, image[el])
         if key not in N.actions:
             rep.skipped += 1
             continue
         rep.checked += 1
-        if N.actions[key] != F.element_map[out]:
+        if N.actions[key] != image[out]:
             note(f"equivariance fails on action ({name!r}, {el!r})")
     return rep
 

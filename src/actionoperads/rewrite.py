@@ -18,7 +18,9 @@ state budget.  The three possible outcomes are:
 - ``distinct`` -- some declared invariant separates the words (sound as
   long as every invariant is constant on each relation pair, which
   :func:`validate_invariants` checks);
-- ``inconclusive`` -- the budget ran out; never coerced to a verdict.
+- ``inconclusive`` -- the search stopped undecided, either because the
+  state budget ran out or because the frontier emptied (no rewrite within
+  the length bound reaches a new word); never coerced to a verdict.
 
 Orientations whose left side is empty are skipped during search: they
 splice a relator next to nothing and free reduction undoes them
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable, Sequence
 
 Letter = tuple[Hashable, int]
@@ -76,6 +79,12 @@ class RelationSystem:
                 raise ValueError(f"involutive generator {gen!r} cannot carry sign -1")
         return Word(self.n, free_reduce(tuple(letters), self.involutive))
 
+    @cached_property
+    def search_tables(self) -> _SearchTables:
+        """The interned form the search reads, built on the first search
+        and freed with the system."""
+        return _SearchTables(self)
+
 
 def free_reduce(letters: Letters, involutive: frozenset) -> Letters:
     """Cancel adjacent inverse pairs (and involutive squares) everywhere.
@@ -103,16 +112,6 @@ def invert_letters(letters: Letters, involutive: frozenset) -> Letters:
     for gen, sign in reversed(letters):
         out.append((gen, sign) if gen in involutive else (gen, -sign))
     return tuple(out)
-
-
-def word_mul(sys: RelationSystem, a: Word, b: Word) -> Word:
-    if a.n != b.n:
-        raise ValueError(f"arity mismatch multiplying words at {a.n} and {b.n}")
-    return Word(a.n, free_reduce(a.letters + b.letters, sys.involutive))
-
-
-def word_inv(sys: RelationSystem, a: Word) -> Word:
-    return Word(a.n, invert_letters(a.letters, sys.involutive))
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,6 @@ class _SearchTables:
     """
 
     def __init__(self, sys: RelationSystem):
-        self.sys = sys
         self.letter_to_code: dict[Letter, int] = {}
         self.code_to_letter: list[Letter] = []
         for gen in sys.generators:
@@ -214,18 +212,6 @@ class _SearchTables:
         return tuple(stack)
 
 
-_TABLE_CACHE: dict[int, _SearchTables] = {}
-
-
-def _tables(sys: RelationSystem) -> _SearchTables:
-    key = id(sys)
-    tab = _TABLE_CACHE.get(key)
-    if tab is None or tab.sys is not sys:
-        tab = _SearchTables(sys)
-        _TABLE_CACHE[key] = tab
-    return tab
-
-
 def equal(
     w1: Word,
     w2: Word,
@@ -253,7 +239,7 @@ def equal(
     if budget is None:
         budget = DEFAULT_BUDGET
 
-    tab = _tables(sys)
+    tab = sys.search_tables
     index = tab.index
     reduce_codes = tab.reduce
     start = tab.encode(start_letters)

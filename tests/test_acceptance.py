@@ -277,7 +277,9 @@ def test_criterion_11_determinism(capsys, tmp_path):
     import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import actionoperads
     import actionoperads.fincat as fincat
 
     d2 = tmp_path / "d2.json"
@@ -299,11 +301,14 @@ def test_criterion_11_determinism(capsys, tmp_path):
             assert code == 0
         if outputs[0] != outputs[1]:
             ok = False
-    # fresh processes with different hash seeds must also agree byte-for-byte
+    # fresh processes with different hash seeds must also agree byte-for-byte;
+    # they import the package from where this process found it
+    src = str(Path(actionoperads.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     for argv in (invocations[2], invocations[4]):
         outputs = []
         for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
             proc = subprocess.run(
                 [sys.executable, "-m", "actionoperads", *argv],
                 capture_output=True, text=True, env=env,

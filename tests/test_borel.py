@@ -11,8 +11,8 @@ import pytest
 from actionoperads.borel import (
     BorelObject,
     act,
-    borel_fincat,
     borel_mult,
+    borel_realization,
     borel_unit,
     compose_borel,
     contractible_free_check,
@@ -264,10 +264,10 @@ class TestInfinityChecks:
 
 class TestMaterializedCategory:
     def test_borel_fincat_validates(self):
-        cat = borel_fincat(SYM, D2, max_arity=2)
+        cat = borel_realization(SYM, D2, max_arity=2).cat
         # objects: 1 empty + 2 singletons + 4 pairs
         assert len(cat.objects) == 7
-        cat2 = borel_fincat(TRIV, ARROW, max_arity=2)
+        cat2 = borel_realization(TRIV, ARROW, max_arity=2).cat
         assert "[a,b]" in cat2.objects
 
     def test_realization_needs_finite_groups(self):
@@ -277,7 +277,7 @@ class TestMaterializedCategory:
 
         point = discrete_category(("a",), name="pt")
         with pytest.raises(ValueError, match="'braid' is not finite at arity 2"):
-            borel_fincat(braid_operad(), point, max_arity=2)
+            borel_realization(braid_operad(), point, max_arity=2)
         with pytest.raises(ValueError, match="'cactus' is not finite at arity 3"):
-            borel_fincat(CACT, point, max_arity=3)
-        assert len(borel_fincat(CACT, point, max_arity=2).objects) == 3
+            borel_realization(CACT, point, max_arity=3)
+        assert len(borel_realization(CACT, point, max_arity=2).cat.objects) == 3

@@ -8,8 +8,6 @@ import itertools
 import pytest
 
 from actionoperads.cactus import (
-    cactus_beta,
-    cactus_delta_gen,
     cactus_operad,
     cactus_relations,
     coboundary_square,
@@ -25,6 +23,11 @@ from actionoperads.core import AxiomCheckConfig, check_axioms
 from actionoperads.perm import block_perm, block_sum
 
 C = cactus_operad()
+
+
+def delta_gen(p, q, n, sizes):
+    """The block diagonal of the generator ``s(p,q)`` at arity ``n``."""
+    return C.delta(C.from_letters(n, (((p, q), 1),)), sizes)
 
 
 class TestSHat:
@@ -75,42 +78,42 @@ class TestRelations:
 
 class TestBetaDelta:
     def test_beta_empty_words(self):
-        assert C.format(cactus_beta([C.identity(2), C.identity(3)])) == "e"
+        assert C.format(C.beta([C.identity(2), C.identity(3)])) == "e"
 
     def test_beta_shifts_blocks(self):
         w = C.parse("s(1,2)", 2)
-        assert C.format(cactus_beta([w, w])) == "s(1,2) s(3,4)"
+        assert C.format(C.beta([w, w])) == "s(1,2) s(3,4)"
 
     def test_beta_singleton(self):
         w = C.parse("s(1,3)", 3)
-        assert cactus_beta([w]) == w
+        assert C.beta([w]) == w
 
     def test_delta_gen_worked_examples(self):
-        assert C.format(cactus_delta_gen(1, 2, 2, [2, 1])) == "s(1,3) s(1,2)"
-        assert C.format(cactus_delta_gen(2, 3, 3, [1, 2, 1])) == "s(2,4) s(2,3)"
+        assert C.format(delta_gen(1, 2, 2, [2, 1])) == "s(1,3) s(1,2)"
+        assert C.format(delta_gen(2, 3, 3, [1, 2, 1])) == "s(2,4) s(2,3)"
 
     def test_delta_gen_unit_sizes(self):
         for n in (2, 3, 4):
             for p, q in interval_generators(n):
-                assert C.format(cactus_delta_gen(p, q, n, [1] * n)) == f"s({p},{q})"
+                assert C.format(delta_gen(p, q, n, [1] * n)) == f"s({p},{q})"
 
     def test_delta_gen_zero_width_blocks(self):
         # collapsing one strand of the basic swap: reverse the pair of
         # blocks, then re-reverse the surviving block -- everything cancels
-        got = cactus_delta_gen(1, 2, 2, [2, 0])
+        got = delta_gen(1, 2, 2, [2, 0])
         assert C.format(got) == "e"
         for sizes in itertools.product((0, 1, 2), repeat=2):
-            d = cactus_delta_gen(1, 2, 2, list(sizes))
+            d = delta_gen(1, 2, 2, list(sizes))
             assert C.pi(d) == block_perm(s_hat(1, 2, 2), list(sizes)), sizes
 
     def test_delta_gen_bounds(self):
         with pytest.raises(ValueError):
-            cactus_delta_gen(2, 2, 3, [1, 1, 1])
+            C.delta_letters((2, 2), 3, (1, 1, 1))
 
     def test_pi_compatibility_of_beta(self):
         words = [C.identity(1), C.parse("s(1,2)", 2), C.parse("s(1,3) s(1,2)", 3)]
         for ws in itertools.permutations(words, 2):
-            got = C.pi(cactus_beta(list(ws)))
+            got = C.pi(C.beta(list(ws)))
             want = block_sum([C.pi(w) for w in ws])
             assert got == want
 
@@ -118,7 +121,7 @@ class TestBetaDelta:
         for n in (2, 3):
             for p, q in interval_generators(n):
                 for sizes in itertools.product((1, 2, 3), repeat=n):
-                    got = C.pi(cactus_delta_gen(p, q, n, list(sizes)))
+                    got = C.pi(delta_gen(p, q, n, list(sizes)))
                     want = block_perm(s_hat(p, q, n), list(sizes))
                     assert got == want, (p, q, n, sizes)
 

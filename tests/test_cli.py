@@ -9,14 +9,30 @@ import pytest
 
 from actionoperads.cli import main
 from actionoperads.fincat import discrete_category, fincat_to_dict, z2_category
-from actionoperads.multicat import multicat_to_dict, operad_as_multicat
+from actionoperads.multicat import multicat_to_dict, operad_as_multicat, validate_multicat
 from actionoperads.core import symmetric_operad
+from test_validator_golden import _junk, _unknown_leg_in_chain
 
 
 def run(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _multicat_doc(M) -> dict:
+    """A multicategory document in listing order, junk entries included
+    (``multicat_to_dict`` reads every acted element's arity)."""
+    mappings: dict = {}
+    for (name, el), out in M.actions.items():
+        mappings.setdefault(name, {})[el] = out
+    return {
+        "objects": list(M.objects),
+        "homs": [{"inputs": list(i), "output": o, "elements": list(els)} for (i, o), els in M.homs.items()],
+        "identities": dict(M.identities),
+        "compose": [{"head": g, "inputs": list(fs), "result": r} for (g, fs), r in M.composition.items()],
+        "actions": [{"generator": name, "mapping": mapping} for name, mapping in mappings.items()],
+    }
 
 
 @pytest.fixture
@@ -221,6 +237,18 @@ class TestReports:
         code, out = run(capsys, "multicat", "validate", "--operad", "sym", "--file", str(f))
         assert code == 1 and "FAIL" in out
 
+    @pytest.mark.parametrize("planted", [lambda M: _junk(M, 0), _unknown_leg_in_chain], ids=["junk_head", "ghost"])
+    def test_multicat_validate_reports_junk(self, capsys, tmp_path, planted):
+        # entries the structure checks reject are reported, and no law reads them
+        M = planted(operad_as_multicat(symmetric_operad(), 2))
+        f = tmp_path / "junk.json"
+        f.write_text(json.dumps(_multicat_doc(M)))
+        code = main(["multicat", "validate", "--operad", "sym", "--file", str(f)])
+        captured = capsys.readouterr()
+        violations = validate_multicat(M, symmetric_operad()).violations
+        assert code == 1 and "Traceback" not in captured.err
+        assert violations and captured.out.splitlines()[1:] == [f"  violation: {v}" for v in violations]
+
     def test_multicat_lift(self, capsys, tmp_path):
         X = discrete_category(("a", "b"), name="X")
         Y = z2_category()
@@ -357,11 +385,15 @@ MALFORMED_INPUTS = [
     (["cactus", "coboundary", "--max-total", "0"], 0),
     (["borel", "hom", "--operad", "sym", "--category", "{nested_objects}", "--src", "a", "--tgt", "a"], 3),
     (["borel", "hom", "--operad", "braid", "--category", "{d2}", "--src", "a,b", "--tgt", "a,b"], 3),
+    (["borel", "hom", "--operad", "sym", "--category", "{d2}", "--src", "zz", "--tgt", "zz"], 3),
+    (["borel", "compose", "--operad", "sym", "--category", "{d2}", "--src", "a,zz", "--mid", "a,b",
+      "--tgt", "a,b", "[1,2]|id_a,id_b", "[1,2]|id_a,id_b"], 3),
     (["borel", "compose", "--operad", "sym", "--category", "{d2}", "--src", "a,b", "--mid", "b,a",
       "--tgt", "a,b", "[2,1]|nope,id_a", "[2,1]|id_a,id_b"], 3),
     (["borel", "compose", "--operad", "sym", "--category", "{d2}", "--src", "a,b", "--mid", "b,a",
       "--tgt", "a,b", "[2,1]", "[2,1]|id_a,id_b"], 3),
     (["borel", "infinity", "--operad", "cactus", "--n", "3"], 3),
+    (["club", "check", "--operad", "sym", "--max-arity", "-1"], 3),
     (["club", "pullback", "--operad", "braid", "--n", "2", "--category", "{d2}"], 3),
     (["multicat", "validate", "--operad", "sym", "--file", "{list_mapping}"], 3),
     (["multicat", "validate", "--operad", "sym", "--file", "{list_result}"], 3),
@@ -386,6 +418,20 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == want
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hom", "--src", "zz", "--tgt", "zz"],
+            ["compose", "--src", "a,zz", "--mid", "a,b", "--tgt", "a,b", "[1,2]|id_a,id_b", "[1,2]|id_a,id_b"],
+        ],
+        ids=["hom", "compose"],
+    )
+    def test_borel_unknown_object(self, capsys, d2_file, argv):
+        code = main(["borel", argv[0], "--operad", "sym", "--category", d2_file, *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == "error: unknown object 'zz' in X\n"
 
 
 class TestDeterminism:

@@ -79,10 +79,11 @@ class TestSymmetricInstance:
         assert res.is_distinct
 
     def test_generator_word_reconstructs(self):
+        gens = dict(SYM.generators(4))
         for g in SYM.elements(4):
             prod = SYM.identity(4)
-            for gen, sign in SYM.generator_word(g):
-                prod = SYM.mul(prod, gen if sign == 1 else SYM.inv(gen))
+            for name, sign in SYM.generator_word(g):
+                prod = SYM.mul(prod, gens[name] if sign == 1 else SYM.inv(gens[name]))
             assert prod == g
 
     def test_parse_format(self):
@@ -253,3 +254,17 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             get_operad("mystery")
+
+
+@pytest.mark.parametrize(
+    "operad, n, word", [("braid", 3, "b1 B2 b1"), ("cactus", 3, "s(1,3) s(1,2)"), ("trivial", 2, "e")]
+)
+def test_generator_word_uses_generator_names(operad, n, word):
+    # each letter of the word is named as generators(n) names it
+    inst = get_operad(operad)
+    a = inst.parse(word, n)
+    gens = dict(inst.generators(n))
+    prod = inst.identity(n)
+    for name, sign in inst.generator_word(a):
+        prod = inst.mul(prod, gens[name] if sign == 1 else inst.inv(gens[name]))
+    assert prod == a

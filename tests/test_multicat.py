@@ -204,6 +204,26 @@ class TestMultifunctor:
         assert not any("equivariance" in v for v in rep.violations)
         assert not any("identity" in v for v in rep.violations)
 
+    def test_unmapped_parts_are_skipped(self, sym_multicat):
+        # entries that read an element with no image are skipped, after
+        # the element is reported
+        emap = {e: e for e in sym_multicat.elements if not e.startswith("3:")}
+        F = FinMultifunctor("partial", {x: x for x in sym_multicat.objects}, emap)
+        rep = validate_multifunctor(F, sym_multicat, sym_multicat, SYM)
+        unmapped = set(sym_multicat.elements) - set(emap)
+        assert rep.violations == [f"element {e!r} has no image" for e in sym_multicat.elements if e in unmapped]
+        comp = sum(1 for (g, fs), r in sym_multicat.composition.items() if unmapped & {g, r, *fs})
+        acts = sum(1 for (_, el), out in sym_multicat.actions.items() if unmapped & {el, out})
+        assert rep.skipped == comp + acts > 0
+
+    def test_empty_object_map_is_reported(self, sym_multicat):
+        F = FinMultifunctor("no_objects", {}, {e: e for e in sym_multicat.elements})
+        rep = validate_multifunctor(F, sym_multicat, sym_multicat, SYM)
+        assert rep.violations[0] == "object '*' has no image"
+        wrong = [v for v in rep.violations if v.endswith("with the wrong signature")]
+        assert len(wrong) == len(sym_multicat.elements)
+        assert rep.violations[-1] == "identity at '*' is not preserved"
+
 
 class TestSerialization:
     def test_roundtrip(self, sym_multicat):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from actionoperads.braid import braid_relations
+from actionoperads.braid import braid_operad, braid_relations
 from actionoperads.cactus import cactus_relations
 from actionoperads.rewrite import (
     RelationSystem,
@@ -15,8 +19,6 @@ from actionoperads.rewrite import (
     invert_letters,
     replay_path,
     validate_invariants,
-    word_inv,
-    word_mul,
 )
 
 
@@ -121,6 +123,17 @@ class TestEqual:
         res = equal(lhs, rhs, sys, budget=0)
         assert res.is_inconclusive
 
+    def test_system_is_freed_after_a_search(self):
+        # the search tables live on the system, not in a module-level cache
+        sys = replace(braid_relations(3))
+        ref = weakref.ref(sys)
+        lhs = braid_word(3, (1, 1), (2, 1), (1, 1))
+        rhs = braid_word(3, (2, 1), (1, 1), (2, 1))
+        assert equal(lhs, rhs, sys).is_equal
+        del sys
+        gc.collect()
+        assert ref() is None
+
     def test_arity_mismatch_is_an_error(self):
         with pytest.raises(ValueError):
             equal(cactus_word(2), cactus_word(3), cactus_relations(2))
@@ -141,8 +154,6 @@ class TestEqual:
         res = equal(lhs, rhs, sys)
         assert replay_path(sys, lhs, rhs, res.path)
         assert not replay_path(sys, rhs, lhs, res.path) or lhs == rhs
-        from dataclasses import replace
-
         bad = replace(res.path, meet=res.path.meet + (((1, 2), 1),))
         assert not replay_path(sys, lhs, rhs, bad)
 
@@ -198,6 +209,6 @@ class TestSystems:
         assert validate_invariants(broken, contexts) != []
 
     def test_word_mul_and_inv(self):
-        sys = braid_relations(3)
-        w = braid_word(3, (1, 1), (2, -1))
-        assert word_mul(sys, w, word_inv(sys, w)).letters == ()
+        B = braid_operad()
+        w = B.from_letters(3, ((1, 1), (2, -1)))
+        assert B.mul(w, B.inv(w)).payload.letters == ()
