@@ -214,10 +214,10 @@ class SymmetricOperad(ActionOperad):
         self.check_element(a)
         self.check_element(b)
         if a.n != b.n:
-            return EqResult("distinct", separating="arity")
+            return EqResult("distinct", separating="arity", stop="invariant")
         if a.payload == b.payload:
-            return EqResult("equal", path=RewritePath((), (), ()))
-        return EqResult("distinct", separating="images")
+            return EqResult("equal", path=RewritePath((), (), ()), stop="met")
+        return EqResult("distinct", separating="images", stop="invariant")
 
     def elements(self, n):
         if n not in self._element_cache:
@@ -279,8 +279,8 @@ class TrivialOperad(ActionOperad):
         self.check_element(a)
         self.check_element(b)
         if a.n != b.n:
-            return EqResult("distinct", separating="arity")
-        return EqResult("equal", path=RewritePath((), (), ()))
+            return EqResult("distinct", separating="arity", stop="invariant")
+        return EqResult("equal", path=RewritePath((), (), ()), stop="met")
 
     def elements(self, n):
         return (self.identity(n),)
@@ -417,7 +417,7 @@ class WordOperad(ActionOperad):
         self.check_element(a)
         self.check_element(b)
         if a.n != b.n:
-            return EqResult("distinct", separating="arity")
+            return EqResult("distinct", separating="arity", stop="invariant")
         return rewrite.equal(a.payload, b.payload, self.relation_system(a.n), max_len, budget)
 
     def generators(self, n):
@@ -658,7 +658,7 @@ class _CaseSource:
         return 1 + self.stream.next_int(max(1, hi))
 
 
-_SAME = EqResult("equal", path=RewritePath((), (), ()))
+_SAME = EqResult("equal", path=RewritePath((), (), ()), stop="met")
 
 
 class _Kernel:

@@ -455,10 +455,15 @@ def multicat_from_dict(doc: dict, name: str = "multicat") -> FinMulticat:
 
 def multicat_to_dict(M: FinMulticat) -> dict:
     # one action block per (arity, generator); the arity is read off the
-    # elements the generator acts on
+    # elements the generator acts on.  Actions on unlisted elements go in
+    # blocks with no arity, after the others.
     actions: dict[tuple[int, str], dict[str, str]] = {}
+    unlisted: dict[str, dict[str, str]] = {}
     for (name, el), out in M.actions.items():
-        actions.setdefault((M.arity(el), name), {})[el] = out
+        if el in M.elements:
+            actions.setdefault((M.arity(el), name), {})[el] = out
+        else:
+            unlisted.setdefault(name, {})[el] = out
     return {
         "objects": list(M.objects),
         "homs": [
@@ -473,7 +478,8 @@ def multicat_to_dict(M: FinMulticat) -> dict:
         "actions": [
             {"arity": arity, "generator": name, "mapping": mapping}
             for (arity, name), mapping in sorted(actions.items())
-        ],
+        ]
+        + [{"generator": name, "mapping": mapping} for name, mapping in sorted(unlisted.items())],
     }
 
 

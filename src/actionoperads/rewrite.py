@@ -22,7 +22,16 @@ state budget.  The three possible outcomes are:
   state budget ran out or because the frontier emptied (no rewrite within
   the length bound reaches a new word); never coerced to a verdict.
 
-Orientations whose left side is empty are skipped during search: they
+``EqResult.stop`` says which way the search ended: ``met`` (the frontiers
+met, or the inputs were identical), ``invariant``, ``budget`` or
+``space_exhausted``.
+
+The search looks rewrites up by the next two letters of a word: one
+dictionary lookup per position finds the few oriented relations whose
+left side can start there.  Right sides are freely reduced once, when the
+tables are built, so a successor is the word with the left side replaced
+and free cancellation worked out only at the two seams, never over the
+whole word.  Orientations whose left side is empty are skipped: they
 splice a relator next to nothing and free reduction undoes them
 immediately, so they can never produce a new state.
 """
@@ -145,6 +154,8 @@ class EqResult:
     states: int = 0
     separating: str | None = None
     path: RewritePath | None = None
+    # why the search stopped: "met" | "invariant" | "budget" | "space_exhausted"
+    stop: str | None = None
 
     @property
     def is_equal(self) -> bool:
@@ -166,11 +177,21 @@ DEFAULT_BUDGET = 100_000
 class _SearchTables:
     """Interned form of a relation system for the inner search loop.
 
-    Letters become small integers; each oriented relation with a
-    nonempty left side is indexed by its first interned letter (empty
-    left sides are skipped: splicing a relator next to nothing is undone
-    by the immediate free reduction).  Free reduction over interned
-    letters uses a cancellation table.
+    Letters become small integers, and ``cancels[c]`` is the code that
+    cancels ``c``.  ``rules`` is keyed by the next two codes of a word, so
+    the loop does one lookup per position: the bucket of ``(c, d)`` holds
+    the oriented relations whose left side starts ``c d``, and also those
+    whose left side is the single letter ``c``; the one-letter key
+    ``(c,)`` holds only the latter, for a word's last position.  Each
+    bucket keeps relation order, so successors come out in the order a
+    scan of every orientation would give.  Orientations with an empty left
+    side are left out: splicing a relator next to nothing is undone by the
+    immediate free reduction.
+
+    An entry is ``(b, lb, la, tail, ridx, orient)``: the right side,
+    freely reduced once here, and its length; the left side's length, and
+    its letters past the second, which the loop compares only for left
+    sides longer than two.
     """
 
     def __init__(self, sys: RelationSystem):
@@ -188,28 +209,31 @@ class _SearchTables:
             else:
                 cancels.append(self.letter_to_code[(gen, -sign)])
         self.cancels = tuple(cancels)
-        self.index: dict[int, list[tuple[tuple[int, ...], tuple[int, ...], int, int]]] = {}
-        for ridx, (lhs, rhs) in enumerate(sys.relations):
-            key = (self.encode(lhs), self.encode(rhs))
-            for orient, (a, b) in enumerate((key, key[::-1])):
+        rules: dict[tuple[int, ...], list] = {}
+        for ridx, sides in enumerate(sys.relations):
+            codes = tuple(map(self.encode, sides))
+            for orient in (0, 1):
+                a = codes[orient]
                 if a:
-                    self.index.setdefault(a[0], []).append((a, b, ridx, orient))
+                    # an already reduced right side shares its interned tuple
+                    rb = free_reduce(sides[1 - orient], sys.involutive)
+                    b = codes[1 - orient] if rb == sides[1 - orient] else self.encode(rb)
+                    rules.setdefault(a[:2], []).append((b, len(b), len(a), a[2:], ridx, orient))
+        # fold each one-letter left side into every pair bucket of its
+        # letter, in relation order
+        for key in [key for key in rules if len(key) == 1]:
+            for d in range(len(cancels)):
+                merged = rules.get(key + (d,), []) + rules[key]
+                rules[key + (d,)] = sorted(merged, key=lambda entry: entry[4:])
+        for key, bucket in rules.items():
+            rules[key] = tuple(bucket)
+        self.rules = rules
 
     def encode(self, letters: Letters) -> tuple[int, ...]:
         return tuple(self.letter_to_code[l] for l in letters)
 
     def decode(self, codes: tuple[int, ...]) -> Letters:
         return tuple(self.code_to_letter[c] for c in codes)
-
-    def reduce(self, codes) -> tuple[int, ...]:
-        cancels = self.cancels
-        stack: list[int] = []
-        for c in codes:
-            if stack and stack[-1] == cancels[c]:
-                stack.pop()
-            else:
-                stack.append(c)
-        return tuple(stack)
 
 
 def equal(
@@ -230,18 +254,18 @@ def equal(
     start_letters = free_reduce(w1.letters, sys.involutive)
     goal_letters = free_reduce(w2.letters, sys.involutive)
     if start_letters == goal_letters:
-        return EqResult("equal", states=0, path=RewritePath(start_letters, (), ()))
+        return EqResult("equal", states=0, path=RewritePath(start_letters, (), ()), stop="met")
     for name, evaluate in sys.invariants:
         if evaluate(Word(sys.n, start_letters)) != evaluate(Word(sys.n, goal_letters)):
-            return EqResult("distinct", states=0, separating=name)
+            return EqResult("distinct", states=0, separating=name, stop="invariant")
     if max_len is None:
         max_len = max(len(start_letters), len(goal_letters)) + DEFAULT_EXTRA_LEN
     if budget is None:
         budget = DEFAULT_BUDGET
 
     tab = sys.search_tables
-    index = tab.index
-    reduce_codes = tab.reduce
+    rules = tab.rules
+    cancels = tab.cancels
     start = tab.encode(start_letters)
     goal = tab.encode(goal_letters)
 
@@ -270,21 +294,36 @@ def equal(
         expanded += 1
         ln = len(state)
         for pos in range(ln):
-            bucket = index.get(state[pos])
-            if not bucket:
+            bucket = rules.get(state[pos : pos + 2])
+            if bucket is None:
                 continue
-            for a, b, ridx, orient in bucket:
-                la = len(a)
-                if state[pos : pos + la] != a:
+            for b, m, la, tail, ridx, orient in bucket:
+                j = pos + la
+                if tail and state[pos + 2 : j] != tail:
                     continue
-                nxt = reduce_codes(state[:pos] + b + state[pos + la :])
-                if nxt == state or len(nxt) > max_len or nxt in mine:
+                # state and b are reduced: letters cancel only at the seams
+                i, k = pos, 0
+                while i and k < m and cancels[state[i - 1]] == b[k]:
+                    i -= 1
+                    k += 1
+                while k < m and j < ln and cancels[b[m - 1]] == state[j]:
+                    m -= 1
+                    j += 1
+                if k == m:
+                    while i and j < ln and cancels[state[i - 1]] == state[j]:
+                        i -= 1
+                        j += 1
+                if i + m - k + ln - j > max_len:
+                    continue
+                nxt = state[:i] + b[k:m] + state[j:]
+                if nxt in mine:  # the state itself is in mine too
                     continue
                 mine[nxt] = (state, ridx, orient, pos)
                 if nxt in other:
-                    return EqResult("equal", states=expanded, path=build_path(nxt))
+                    return EqResult("equal", states=expanded, path=build_path(nxt), stop="met")
                 queue.append(nxt)
-    return EqResult("inconclusive", states=expanded)
+    stop = "budget" if queues[0] or queues[1] else "space_exhausted"
+    return EqResult("inconclusive", states=expanded, stop=stop)
 
 
 def replay_path(sys: RelationSystem, w1: Word, w2: Word, path: RewritePath) -> bool:

@@ -9,7 +9,12 @@ import pytest
 
 from actionoperads.cli import main
 from actionoperads.fincat import discrete_category, fincat_to_dict, z2_category
-from actionoperads.multicat import multicat_to_dict, operad_as_multicat, validate_multicat
+from actionoperads.multicat import (
+    multicat_from_dict,
+    multicat_to_dict,
+    operad_as_multicat,
+    validate_multicat,
+)
 from actionoperads.core import symmetric_operad
 from test_validator_golden import _junk, _unknown_leg_in_chain
 
@@ -18,21 +23,6 @@ def run(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
-
-
-def _multicat_doc(M) -> dict:
-    """A multicategory document in listing order, junk entries included
-    (``multicat_to_dict`` reads every acted element's arity)."""
-    mappings: dict = {}
-    for (name, el), out in M.actions.items():
-        mappings.setdefault(name, {})[el] = out
-    return {
-        "objects": list(M.objects),
-        "homs": [{"inputs": list(i), "output": o, "elements": list(els)} for (i, o), els in M.homs.items()],
-        "identities": dict(M.identities),
-        "compose": [{"head": g, "inputs": list(fs), "result": r} for (g, fs), r in M.composition.items()],
-        "actions": [{"generator": name, "mapping": mapping} for name, mapping in mappings.items()],
-    }
 
 
 @pytest.fixture
@@ -240,12 +230,12 @@ class TestReports:
     @pytest.mark.parametrize("planted", [lambda M: _junk(M, 0), _unknown_leg_in_chain], ids=["junk_head", "ghost"])
     def test_multicat_validate_reports_junk(self, capsys, tmp_path, planted):
         # entries the structure checks reject are reported, and no law reads them
-        M = planted(operad_as_multicat(symmetric_operad(), 2))
+        doc = multicat_to_dict(planted(operad_as_multicat(symmetric_operad(), 2)))
         f = tmp_path / "junk.json"
-        f.write_text(json.dumps(_multicat_doc(M)))
+        f.write_text(json.dumps(doc))
         code = main(["multicat", "validate", "--operad", "sym", "--file", str(f)])
         captured = capsys.readouterr()
-        violations = validate_multicat(M, symmetric_operad()).violations
+        violations = validate_multicat(multicat_from_dict(doc), symmetric_operad()).violations
         assert code == 1 and "Traceback" not in captured.err
         assert violations and captured.out.splitlines()[1:] == [f"  violation: {v}" for v in violations]
 

@@ -4,16 +4,23 @@ from __future__ import annotations
 
 import gc
 import weakref
+from collections import deque
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actionoperads.braid import braid_operad, braid_relations
 from actionoperads.cactus import cactus_relations
 from actionoperads.rewrite import (
+    DEFAULT_BUDGET,
+    DEFAULT_EXTRA_LEN,
+    EqResult,
     RelationSystem,
+    RewritePath,
+    Step,
+    Word,
     equal,
     free_reduce,
     invert_letters,
@@ -134,6 +141,27 @@ class TestEqual:
         gc.collect()
         assert ref() is None
 
+    def test_stop_met_and_invariant(self):
+        sys = cactus_relations(3)
+        w = cactus_word(3, (1, 3), (1, 2))
+        assert equal(w, w, sys).stop == "met"
+        assert equal(w, cactus_word(3, (2, 3), (1, 3)), sys).stop == "met"
+        assert equal(cactus_word(3, (1, 2)), cactus_word(3), sys).stop == "invariant"
+
+    def test_stop_space_exhausted_on_equal_braid_pair(self):
+        # equal, but no relation applies until a cancelling pair is inserted
+        B = braid_operad()
+        lhs, rhs = B.parse("B1 B2 B2 b1", 3), B.parse("b2 B1 B1 B2", 3)
+        res = B.equal(lhs, rhs, None, 4000)
+        assert res.is_inconclusive and res.states == 2 and res.stop == "space_exhausted"
+
+    def test_stop_budget_on_long_braid_pair(self):
+        B = braid_operad()
+        delta = "b1 b2 b3 b1 b2 b1"
+        lhs, rhs = B.parse(f"{delta} {delta} b1 b1", 4), B.parse(f"{delta} {delta} b3 b3", 4)
+        res = B.equal(lhs, rhs, None, 4000)
+        assert res.is_inconclusive and res.states == 4000 and res.stop == "budget"
+
     def test_arity_mismatch_is_an_error(self):
         with pytest.raises(ValueError):
             equal(cactus_word(2), cactus_word(3), cactus_relations(2))
@@ -212,3 +240,133 @@ class TestSystems:
         B = braid_operad()
         w = B.from_letters(3, ((1, 1), (2, -1)))
         assert B.mul(w, B.inv(w)).payload.letters == ()
+
+
+def reference_equal(w1, w2, sys, max_len=None, budget=None) -> EqResult:
+    """The search as a plain scan: orientations indexed by their first
+    letter, every successor freely reduced over the whole word."""
+    start = free_reduce(w1.letters, sys.involutive)
+    goal = free_reduce(w2.letters, sys.involutive)
+    if start == goal:
+        return EqResult("equal", path=RewritePath(start, (), ()), stop="met")
+    for name, evaluate in sys.invariants:
+        if evaluate(Word(sys.n, start)) != evaluate(Word(sys.n, goal)):
+            return EqResult("distinct", separating=name, stop="invariant")
+    max_len = max(len(start), len(goal)) + DEFAULT_EXTRA_LEN if max_len is None else max_len
+    budget = DEFAULT_BUDGET if budget is None else budget
+    index: dict = {}
+    for ridx, (lhs, rhs) in enumerate(sys.relations):
+        for orient, (a, b) in enumerate(((lhs, rhs), (rhs, lhs))):
+            if a:
+                index.setdefault(a[0], []).append((a, b, ridx, orient))
+    seen = ({start: None}, {goal: None})
+    queues = (deque([start]), deque([goal]))
+    expanded = 0
+
+    def chain(side, node):
+        steps = []
+        while seen[side][node] is not None:
+            parent, ridx, orient, pos = seen[side][node]
+            steps.append(Step(ridx, orient, pos, node))
+            node = parent
+        return tuple(reversed(steps))
+
+    while (queues[0] or queues[1]) and expanded < budget:
+        side = 0 if queues[0] and (not queues[1] or len(queues[0]) <= len(queues[1])) else 1
+        state = queues[side].popleft()
+        expanded += 1
+        for pos, letter in enumerate(state):
+            for a, b, ridx, orient in index.get(letter, ()):
+                if state[pos : pos + len(a)] != a:
+                    continue
+                nxt = free_reduce(state[:pos] + b + state[pos + len(a) :], sys.involutive)
+                if nxt == state or len(nxt) > max_len or nxt in seen[side]:
+                    continue
+                seen[side][nxt] = (state, ridx, orient, pos)
+                if nxt in seen[1 - side]:
+                    path = RewritePath(nxt, chain(0, nxt), chain(1, nxt))
+                    return EqResult("equal", states=expanded, path=path, stop="met")
+                queues[side].append(nxt)
+    stop = "budget" if queues[0] or queues[1] else "space_exhausted"
+    return EqResult("inconclusive", states=expanded, stop=stop)
+
+
+# a one-letter left side, a three-letter one, an involutive letter, and
+# right sides that are not freely reduced
+TOY = RelationSystem(
+    name="toy",
+    n=1,
+    generators=("a", "b", "c", "s"),
+    relations=(
+        ((("a", 1),), (("b", 1), ("c", 1), ("c", -1), ("b", 1))),
+        ((("b", 1), ("c", 1)), (("c", 1), ("s", 1), ("s", 1), ("b", 1))),
+        ((("c", 1), ("b", 1), ("c", 1)), (("b", 1), ("c", 1), ("b", 1))),
+        ((("s", 1), ("a", 1)), (("a", -1), ("a", 1), ("a", 1), ("s", 1))),
+        ((("b", -1),), (("s", 1), ("c", -1), ("c", 1), ("s", 1), ("b", -1))),
+        ((("a", 1), ("b", 1)), (("b", 1), ("a", 1))),
+    ),
+    involutive=frozenset({"s"}),
+)
+
+
+def _letters(sys):
+    return [
+        (g, sign) for g in sys.generators for sign in ((1,) if g in sys.involutive else (1, -1))
+    ]
+
+
+@st.composite
+def search_queries(draw):
+    """A system, two words and search bounds.  The second word is either
+    independent of the first or one relation away from it, possibly with a
+    relator inserted, so that the search has work to do."""
+    family = draw(st.sampled_from(["cactus", "braid", "toy"]))
+    if family == "cactus":
+        sys = cactus_relations(draw(st.integers(2, 6)))
+    elif family == "braid":
+        sys = braid_relations(draw(st.integers(2, 5)))
+    else:
+        sys = TOY
+    words = st.lists(st.sampled_from(_letters(sys)), max_size=5).map(tuple)
+    x, y = draw(words), draw(words)
+    if sys.relations and draw(st.booleans()):
+        lhs, rhs = draw(st.sampled_from(sys.relations))
+        a, b = draw(st.sampled_from([(lhs, rhs), (rhs, lhs)]))
+        w1, w2 = x + a + y, x + b + y
+        if draw(st.booleans()):
+            r1, r2 = draw(st.sampled_from(sys.relations))
+            cut = draw(st.integers(0, len(w2)))
+            w2 = w2[:cut] + r1 + invert_letters(r2, sys.involutive) + w2[cut:]
+    else:
+        w1, w2 = x, y
+    w1 = Word(sys.n, free_reduce(w1, sys.involutive))
+    w2 = Word(sys.n, free_reduce(w2, sys.involutive))
+    max_len = draw(st.one_of(st.none(), st.integers(0, 12)))
+    return sys, w1, w2, max_len, draw(st.integers(0, 300))
+
+
+def _toy(*letters):
+    return Word(1, tuple((g.lower(), 1 if g.islower() else -1) for g in letters))
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(search_queries())
+    # toy pairs whose result depends on the folded buckets keeping
+    # relation order
+    @example((TOY, _toy("a"), _toy("B", "a", "b"), None, 200))
+    @example((TOY, _toy("a", "b", "c"), _toy("a", "c", "c"), None, 200))
+    def test_same_result_as_the_plain_scan(self, query):
+        sys, w1, w2, max_len, budget = query
+        res = equal(w1, w2, sys, max_len, budget)
+        assert res == reference_equal(w1, w2, sys, max_len, budget)
+        if res.is_equal:
+            assert replay_path(sys, w1, w2, res.path)
+
+    def test_toy_system_needs_the_fold_and_the_pre_reduction(self):
+        # a -> b b only through the one-letter left side and its reduced
+        # right side; the word ends in the letter, so the one-letter key is used
+        w1, w2 = _toy("c", "a"), _toy("c", "b", "b")
+        res = equal(w1, w2, TOY, budget=50)
+        assert res == reference_equal(w1, w2, TOY, budget=50)
+        assert res.is_equal and replay_path(TOY, w1, w2, res.path)

@@ -37,6 +37,7 @@ from actionoperads.multicat import (
     from_functor,
     identity_prof,
     lift_prof,
+    multicat_from_dict,
     multicat_to_dict,
     operad_as_multicat,
     prof_compose,
@@ -401,6 +402,18 @@ def test_fincat_first_failures_match_golden(golden):
 
 def test_multicat_to_dict_matches_golden(golden):
     assert multicat_to_dict(operad_as_multicat(SYM, 3)) == golden["multicat_to_dict_sym_3"]
+
+
+@pytest.mark.parametrize("planted", [lambda M: _junk(M, 0), _unknown_leg_in_chain], ids=["junk", "ghost"])
+def test_multicat_to_dict_keeps_entries_on_unknown_elements(planted):
+    # the document holds every entry the validator reports on, including
+    # an action on an element that no hom lists
+    M = planted(operad_as_multicat(SYM, 2))
+    back = multicat_from_dict(multicat_to_dict(M), M.name)
+    assert back.elements == dict(M.elements)
+    assert back.identities == dict(M.identities)
+    assert back.composition == dict(M.composition)
+    assert back.actions == dict(M.actions)
 
 
 def test_planted_cases_fail(golden):
