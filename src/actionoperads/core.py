@@ -59,6 +59,7 @@ from .perm import (
     identity,
     inverse,
     parse_perm,
+    _valid,
 )
 from .rewrite import EqResult, RelationSystem, RewritePath, Word
 
@@ -356,15 +357,20 @@ class WordOperad(ActionOperad):
         self.check_element(a)
         return self._wrap(a.n, rewrite.invert_letters(a.payload.letters, self.alphabet(a.n).involutive))
 
+    @lru_cache(maxsize=None)
+    def letter_images(self, gen, sign: int, n: int) -> tuple[int, ...]:
+        """``pi`` of the letter ``(gen, sign)`` at arity ``n``, as images
+        counted from 0: slot ``i`` holds ``pi(i + 1) - 1``."""
+        p = self.letter_pi(gen, n)
+        return tuple(v - 1 for v in (p if sign == 1 else inverse(p)).images)
+
     def pi(self, a):
         self.check_element(a)
-        out = identity(a.n)
+        # compose(out, p) reads out through p: slot i holds out[p(i) - 1]
+        out = identity(a.n).images
         for gen, sign in a.payload.letters:
-            p = self.letter_pi(gen, a.n)
-            if sign == -1:
-                p = inverse(p)
-            out = compose(out, p)
-        return out
+            out = tuple(map(out.__getitem__, self.letter_images(gen, sign, a.n)))
+        return _valid(out)
 
     def pi_images(self, word: Word) -> tuple[int, ...]:
         """``pi`` of a bare word, as images: the relation systems'
@@ -403,14 +409,14 @@ class WordOperad(ActionOperad):
         involutive = self.alphabet(total).involutive
         factors = []
         for gen, sign in reversed(letters):
-            p = self.letter_pi(gen, n)
+            # the widths moved through the letter: act_on_positions of its
+            # pi, which reads each slot through the inverse letter's images
+            moved = tuple(map(sizes.__getitem__, self.letter_images(gen, -sign, n)))
             if sign == 1:
                 factors.append(self.delta_letters(gen, n, sizes))
             else:
-                ksizes = tuple(sizes[p.images[i] - 1] for i in range(n))
-                factors.append(rewrite.invert_letters(self.delta_letters(gen, n, ksizes), involutive))
-                p = inverse(p)
-            sizes = act_on_positions(p, sizes)
+                factors.append(rewrite.invert_letters(self.delta_letters(gen, n, moved), involutive))
+            sizes = moved
         return self._wrap(total, [letter for f in reversed(factors) for letter in f])
 
     def equal(self, a, b, max_len=None, budget=None):

@@ -26,14 +26,17 @@ state budget.  The three possible outcomes are:
 met, or the inputs were identical), ``invariant``, ``budget`` or
 ``space_exhausted``.
 
-The search looks rewrites up by the next two letters of a word: one
-dictionary lookup per position finds the few oriented relations whose
-left side can start there.  Right sides are freely reduced once, when the
-tables are built, so a successor is the word with the left side replaced
-and free cancellation worked out only at the two seams, never over the
-whole word.  Orientations whose left side is empty are skipped: they
-splice a relator next to nothing and free reduction undoes them
-immediately, so they can never produce a new state.
+The search codes each letter as one character, so its states are
+strings, and looks rewrites up by the next two letters of a word: one
+lookup per position, in the row of rules of the letter there, finds the
+few oriented relations whose left side can start there.  Right sides are
+freely reduced once, when the tables are built, so a successor is the
+word with the left side replaced: as it is when neither seam cancels,
+which two compares tell, and with free cancellation worked out only at
+the two seams otherwise, never over the whole word.  Orientations whose
+left side is empty are skipped: they splice a relator next to nothing
+and free reduction undoes them immediately, so they can never produce a
+new state.
 """
 
 from __future__ import annotations
@@ -79,14 +82,20 @@ class RelationSystem:
     invariants: tuple[tuple[str, Callable[[Word], Hashable]], ...] = ()
 
     def word(self, letters: Sequence[Letter]) -> Word:
+        generators = self.generator_set
         for gen, sign in letters:
-            if gen not in self.generators:
+            if gen not in generators:
                 raise ValueError(f"unknown generator {gen!r} at arity {self.n}")
             if sign not in (1, -1):
                 raise ValueError(f"letter sign must be +1 or -1, got {sign!r}")
             if sign == -1 and gen in self.involutive:
                 raise ValueError(f"involutive generator {gen!r} cannot carry sign -1")
         return Word(self.n, free_reduce(tuple(letters), self.involutive))
+
+    @cached_property
+    def generator_set(self) -> frozenset:
+        """The generators as a set, for the membership test of ``word``."""
+        return frozenset(self.generators)
 
     @cached_property
     def search_tables(self) -> _SearchTables:
@@ -177,63 +186,70 @@ DEFAULT_BUDGET = 100_000
 class _SearchTables:
     """Interned form of a relation system for the inner search loop.
 
-    Letters become small integers, and ``cancels[c]`` is the code that
-    cancels ``c``.  ``rules`` is keyed by the next two codes of a word, so
-    the loop does one lookup per position: the bucket of ``(c, d)`` holds
-    the oriented relations whose left side starts ``c d``, and also those
-    whose left side is the single letter ``c``; the one-letter key
-    ``(c,)`` holds only the latter, for a word's last position.  Each
-    bucket keeps relation order, so successors come out in the order a
-    scan of every orientation would give.  Orientations with an empty left
-    side are left out: splicing a relator next to nothing is undone by the
-    immediate free reduction.
+    Each letter is coded as one character, ``chr`` of its rank in the
+    alphabet, so states, right sides and tails are ``str``: a ``str``
+    caches its hash, so a successor is hashed once however many
+    dictionaries it is looked up in.  ``decode`` gives back letter tuples.
+    ``cancels[c]`` is the character that cancels ``c``.
 
-    An entry is ``(b, lb, la, tail, ridx, orient)``: the right side,
-    freely reduced once here, and its length; the left side's length, and
-    its letters past the second, which the loop compares only for left
-    sides longer than two.
+    ``rows[c]`` holds the rules of the letter ``c``, keyed by the letter
+    after it, so the loop does one lookup per position: the bucket of
+    ``d`` holds the oriented relations whose left side starts ``c d``, and
+    also those whose left side is the single letter ``c``; the key ``""``
+    holds only the latter, for a word's last position.  Every letter has a
+    row, empty when no left side starts with it.  Each bucket keeps
+    relation order, so successors come out in the order a scan of every
+    orientation would give.  Orientations with an empty left side are left
+    out: splicing a relator next to nothing is undone by the immediate free
+    reduction.
+
+    An entry is ``(b, lb, la, tail, head, foot, ridx, orient)``: the right
+    side, freely reduced once here, and its length; the left side's
+    length, and its letters past the second, which the loop compares only
+    for left sides longer than two; ``head`` and ``foot``, the letters that
+    cancel the right side's first and last letter (``""`` when it is
+    empty), so two compares tell whether either seam of a splice cancels.
     """
 
     def __init__(self, sys: RelationSystem):
-        self.letter_to_code: dict[Letter, int] = {}
-        self.code_to_letter: list[Letter] = []
+        self.letter_to_code: dict[Letter, str] = {}
+        self.code_to_letter: dict[str, Letter] = {}
         for gen in sys.generators:
             signs = (1,) if gen in sys.involutive else (1, -1)
             for sign in signs:
-                self.letter_to_code[(gen, sign)] = len(self.code_to_letter)
-                self.code_to_letter.append((gen, sign))
-        cancels = []
-        for gen, sign in self.code_to_letter:
-            if gen in sys.involutive:
-                cancels.append(self.letter_to_code[(gen, sign)])
-            else:
-                cancels.append(self.letter_to_code[(gen, -sign)])
-        self.cancels = tuple(cancels)
-        rules: dict[tuple[int, ...], list] = {}
+                code = chr(len(self.code_to_letter))
+                self.letter_to_code[(gen, sign)] = code
+                self.code_to_letter[code] = (gen, sign)
+        self.cancels = {
+            code: self.letter_to_code[(gen, sign if gen in sys.involutive else -sign)]
+            for code, (gen, sign) in self.code_to_letter.items()
+        }
+        self.rows: dict[str, dict[str, tuple]] = {c: {} for c in self.code_to_letter}
         for ridx, sides in enumerate(sys.relations):
             codes = tuple(map(self.encode, sides))
             for orient in (0, 1):
                 a = codes[orient]
                 if a:
-                    # an already reduced right side shares its interned tuple
                     rb = free_reduce(sides[1 - orient], sys.involutive)
                     b = codes[1 - orient] if rb == sides[1 - orient] else self.encode(rb)
-                    rules.setdefault(a[:2], []).append((b, len(b), len(a), a[2:], ridx, orient))
-        # fold each one-letter left side into every pair bucket of its
-        # letter, in relation order
-        for key in [key for key in rules if len(key) == 1]:
-            for d in range(len(cancels)):
-                merged = rules.get(key + (d,), []) + rules[key]
-                rules[key + (d,)] = sorted(merged, key=lambda entry: entry[4:])
-        for key, bucket in rules.items():
-            rules[key] = tuple(bucket)
-        self.rules = rules
+                    head, foot = (self.cancels[b[0]], self.cancels[b[-1]]) if b else ("", "")
+                    self.rows[a[0]].setdefault(a[1:2], []).append(
+                        (b, len(b), len(a), a[2:], head, foot, ridx, orient)
+                    )
+        for row in self.rows.values():
+            # fold the one-letter left sides into every bucket of the row,
+            # in relation order
+            if "" in row:
+                for d in self.code_to_letter:
+                    row[d] = sorted(row.get(d, []) + row[""], key=lambda entry: entry[6:])
+            for d, bucket in row.items():
+                row[d] = tuple(bucket)
 
-    def encode(self, letters: Letters) -> tuple[int, ...]:
-        return tuple(self.letter_to_code[l] for l in letters)
+    def encode(self, letters: Letters) -> str:
+        return "".join(map(self.letter_to_code.__getitem__, letters))
 
-    def decode(self, codes: tuple[int, ...]) -> Letters:
-        return tuple(self.code_to_letter[c] for c in codes)
+    def decode(self, codes: str) -> Letters:
+        return tuple(map(self.code_to_letter.__getitem__, codes))
 
 
 def equal(
@@ -264,7 +280,7 @@ def equal(
         budget = DEFAULT_BUDGET
 
     tab = sys.search_tables
-    rules = tab.rules
+    rows = tab.rows
     cancels = tab.cancels
     start = tab.encode(start_letters)
     goal = tab.encode(goal_letters)
@@ -294,28 +310,34 @@ def equal(
         expanded += 1
         ln = len(state)
         for pos in range(ln):
-            bucket = rules.get(state[pos : pos + 2])
+            bucket = rows[state[pos]].get(state[pos + 1 : pos + 2])
             if bucket is None:
                 continue
-            for b, m, la, tail, ridx, orient in bucket:
+            for b, m, la, tail, head, foot, ridx, orient in bucket:
                 j = pos + la
                 if tail and state[pos + 2 : j] != tail:
                     continue
-                # state and b are reduced: letters cancel only at the seams
-                i, k = pos, 0
-                while i and k < m and cancels[state[i - 1]] == b[k]:
-                    i -= 1
-                    k += 1
-                while k < m and j < ln and cancels[b[m - 1]] == state[j]:
-                    m -= 1
-                    j += 1
-                if k == m:
-                    while i and j < ln and cancels[state[i - 1]] == state[j]:
+                if m and (not pos or state[pos - 1] != head) and (j == ln or state[j] != foot):
+                    # neither seam cancels: the splice is reduced as it is
+                    if ln - la + m > max_len:
+                        continue
+                    nxt = state[:pos] + b + state[j:]
+                else:
+                    # state and b are reduced: letters cancel only at the seams
+                    i, k = pos, 0
+                    while i and k < m and cancels[state[i - 1]] == b[k]:
                         i -= 1
+                        k += 1
+                    while k < m and j < ln and cancels[b[m - 1]] == state[j]:
+                        m -= 1
                         j += 1
-                if i + m - k + ln - j > max_len:
-                    continue
-                nxt = state[:i] + b[k:m] + state[j:]
+                    if k == m:
+                        while i and j < ln and cancels[state[i - 1]] == state[j]:
+                            i -= 1
+                            j += 1
+                    if i + m - k + ln - j > max_len:
+                        continue
+                    nxt = state[:i] + b[k:m] + state[j:]
                 if nxt in mine:  # the state itself is in mine too
                     continue
                 mine[nxt] = (state, ridx, orient, pos)

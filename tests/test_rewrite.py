@@ -309,6 +309,29 @@ TOY = RelationSystem(
 )
 
 
+# a two-letter left side with an empty right side: the splice can leave
+# letters that cancel across it (x a b X -> x X -> e)
+EMPTY_RIGHT = RelationSystem(
+    name="empty_right",
+    n=1,
+    generators=("a", "b", "x"),
+    relations=(((("a", 1), ("b", 1)), ()),),
+)
+
+# 300 generators, 600 letters: more than one byte can code
+WIDE = RelationSystem(
+    name="wide",
+    n=1,
+    generators=tuple(range(300)),
+    relations=(
+        (((298, 1), (299, 1), (298, 1)), ((299, 1), (298, 1), (299, 1))),
+        (((250, 1), (298, 1)), ((298, 1), (250, 1))),
+        (((250, 1), (299, 1)), ((299, 1), (250, 1))),
+        (((299, -1),), ((0, 1), (299, -1), (0, -1))),
+    ),
+)
+
+
 def _letters(sys):
     return [
         (g, sign) for g in sys.generators for sign in ((1,) if g in sys.involutive else (1, -1))
@@ -320,13 +343,13 @@ def search_queries(draw):
     """A system, two words and search bounds.  The second word is either
     independent of the first or one relation away from it, possibly with a
     relator inserted, so that the search has work to do."""
-    family = draw(st.sampled_from(["cactus", "braid", "toy"]))
+    family = draw(st.sampled_from(["cactus", "braid", "toy", "empty_right", "wide"]))
     if family == "cactus":
         sys = cactus_relations(draw(st.integers(2, 6)))
     elif family == "braid":
         sys = braid_relations(draw(st.integers(2, 5)))
     else:
-        sys = TOY
+        sys = {"toy": TOY, "empty_right": EMPTY_RIGHT, "wide": WIDE}[family]
     words = st.lists(st.sampled_from(_letters(sys)), max_size=5).map(tuple)
     x, y = draw(words), draw(words)
     if sys.relations and draw(st.booleans()):
@@ -370,3 +393,22 @@ class TestAgainstReference:
         res = equal(w1, w2, TOY, budget=50)
         assert res == reference_equal(w1, w2, TOY, budget=50)
         assert res.is_equal and replay_path(TOY, w1, w2, res.path)
+
+    @pytest.mark.parametrize(
+        "sys, w1, w2",
+        [
+            # the empty splice leaves x X, which cancels across it: 1 state
+            (EMPTY_RIGHT, _toy("x", "a", "b", "X", "a"), _toy("a")),
+            # codes up to 599
+            (
+                WIDE,
+                Word(1, ((250, 1), (298, 1), (299, 1), (298, 1))),
+                Word(1, ((299, 1), (298, 1), (299, 1), (250, 1))),
+            ),
+        ],
+        ids=["empty_right", "wide"],
+    )
+    def test_pinned_pairs_are_equal(self, sys, w1, w2):
+        res = equal(w1, w2, sys, budget=200)
+        assert res == reference_equal(w1, w2, sys, budget=200)
+        assert res.is_equal and replay_path(sys, w1, w2, res.path)
