@@ -19,11 +19,12 @@ labelled as bounded in the result.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .core import ActionOperad, OperadElement
+from .core import ActionOperad, OperadElement, _Kernel, finite_group
 from .fincat import FinCat
 from .perm import act_on_positions
 
@@ -40,9 +41,6 @@ class BorelObject:
         if len(self.objects) != self.n:
             raise ValueError(f"arity {self.n} against {len(self.objects)} object(s)")
 
-    def render(self) -> str:
-        return "[e; " + ",".join(self.objects) + "]"
-
 
 @dataclass(frozen=True)
 class BorelMorphism:
@@ -50,9 +48,6 @@ class BorelMorphism:
     target: BorelObject
     g: OperadElement
     components: tuple[str, ...]
-
-    def key(self):
-        return (self.source.objects, self.target.objects, self.g.key(), self.components)
 
 
 def normalize(inst: ActionOperad, g: OperadElement, objects: Sequence[str]) -> BorelObject:
@@ -116,14 +111,6 @@ def group_elements(inst: ActionOperad, n: int, bound: int | None) -> tuple[tuple
                 next_frontier.extend(inst.mul(el, s) for s in signed)
         frontier = next_frontier
     return tuple(reps), False
-
-
-def finite_group(inst: ActionOperad, n: int) -> tuple[OperadElement, ...]:
-    """The full arity-n group; raises when it is not finite."""
-    els = inst.elements(n)
-    if els is None:
-        raise ValueError(f"instance {inst.name!r} is not finite at arity {n}")
-    return els
 
 
 def hom_set(
@@ -220,35 +207,27 @@ def contractible_free_check(inst: ActionOperad, n: int) -> InfinityReport:
 
     The morphisms g -> h are the k with g*k = h, so one pass over the
     |G|^2 products, made by the instance's ``mul`` and matched against the
-    enumerated elements by its ``equal``, gives every hom-set.
+    enumerated elements by the kernel's identity rule, gives every hom-set.
     """
-    els = finite_group(inst, n)
-    by_key = {el.key(): i for i, el in enumerate(els)}
-
-    def resolve(prod: OperadElement) -> int | None:
-        """The index of the first enumerated element equal to ``prod``."""
-        i = by_key.get(prod.key())
-        if i is not None and inst.equal(prod, els[i]).is_equal:
-            return i
-        return next((j for j, h in enumerate(els) if inst.equal(prod, h).is_equal), None)
-
-    e = inst.identity(n)
-    hom_sizes = [[0] * len(els) for _ in els]
+    K = _Kernel(inst, (n,))
+    els = K.elements(n)
+    e = K.identity(n)
+    hom_sizes = Counter()
     stabilizers = []
     for k in els:
-        is_unit = inst.equal(k, e).is_equal
-        for i, g in enumerate(els):
-            j = resolve(inst.mul(g, k))
+        is_unit = K.equal(k, e).is_equal
+        for g in els:
+            j = K.resolve(K.mul(g, k))
             if j is None:
                 continue
-            hom_sizes[i][j] += 1
-            if j == i and not is_unit:
-                stabilizers.append(f"stabilizer: g*h = g for g={inst.format(g)}, h={inst.format(k)}")
+            hom_sizes[g, j] += 1
+            if j == g and not is_unit:
+                stabilizers.append(f"stabilizer: g*h = g for g={K.format(g)}, h={K.format(k)}")
     details = [
-        f"hom({inst.format(g)},{inst.format(h)}) has {hom_sizes[i][j]} morphisms"
-        for i, g in enumerate(els)
-        for j, h in enumerate(els)
-        if hom_sizes[i][j] != 1
+        f"hom({K.format(g)},{K.format(h)}) has {hom_sizes[g, h]} morphisms"
+        for g in els
+        for h in els
+        if hom_sizes[g, h] != 1
     ]
     contractible = not details
     details.extend(stabilizers)

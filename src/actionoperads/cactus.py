@@ -78,7 +78,7 @@ def cactus_relations(n: int) -> RelationSystem:
         relations.append((((g, 1), (g, 1)), ()))
     for i, a in enumerate(gens):
         for b in gens[i + 1 :]:
-            if is_disjoint(a, b) or is_disjoint(b, a):
+            if is_disjoint(a, b):
                 relations.append((((a, 1), (b, 1)), ((b, 1), (a, 1))))
     for outer in gens:
         rev = s_hat(outer[0], outer[1], n)

@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict
 
 from . import borel, cactus as cactus_mod, club as club_mod, multicat as mc, presentation as pres
-from .core import AxiomCheckConfig, OperadElement, check_axioms, get_operad
+from .core import AxiomCheckConfig, OperadElement, check_axioms, finite_group, get_operad
 from .fincat import load_fincat
 from .perm import format_perm
 from .rewrite import RewritePath, Step, Word, replay_path
@@ -232,32 +232,26 @@ def cmd_cactus_coboundary(args) -> int:
     kw = _oracle_kwargs(args)
     lines = []
     results = []
-    inconclusive = failures = 0
+
+    def record(law, res, **at):
+        results.append({"law": law, **at, "verdict": res.verdict})
+        lines.append(" ".join([law, *(f"{k}={v}" for k, v in at.items())]) + f": {res.verdict}")
+
     for m in range(1, args.max_total):
         for n in range(1, args.max_total):
             if m + n > args.max_total:
                 continue
-            res = cactus_mod.commutor_symmetry(m, n, **kw)
-            results.append({"law": "symmetry", "m": m, "n": n, "verdict": res.verdict})
-            lines.append(f"symmetry m={m} n={n}: {res.verdict}")
-            failures += res.is_distinct
-            inconclusive += res.is_inconclusive
+            record("symmetry", cactus_mod.commutor_symmetry(m, n, **kw), m=m, n=n)
             d = inst.delta(inst.parse("s(1,2)", 2), (m, n))
-            res2 = inst.equal(cactus_mod.commutor(m, n), d, **kw)
-            results.append({"law": "delta-coherence", "m": m, "n": n, "verdict": res2.verdict})
-            lines.append(f"delta-coherence m={m} n={n}: {res2.verdict}")
-            failures += res2.is_distinct
-            inconclusive += res2.is_inconclusive
+            record("delta-coherence", inst.equal(cactus_mod.commutor(m, n), d, **kw), m=m, n=n)
     for m in range(1, args.max_total):
         for n in range(1, args.max_total):
             for p in range(1, args.max_total):
                 if m + n + p > args.max_total:
                     continue
-                res = cactus_mod.coboundary_square(m, n, p, **kw)
-                results.append({"law": "square", "m": m, "n": n, "p": p, "verdict": res.verdict})
-                lines.append(f"square m={m} n={n} p={p}: {res.verdict}")
-                failures += res.is_distinct
-                inconclusive += res.is_inconclusive
+                record("square", cactus_mod.coboundary_square(m, n, p, **kw), m=m, n=n, p=p)
+    verdicts = [r["verdict"] for r in results]
+    failures, inconclusive = verdicts.count("distinct"), verdicts.count("inconclusive")
     lines.append(f"total: {len(results)} checks, {failures} failed, {inconclusive} inconclusive")
     _emit(args, "\n".join(lines), {"checks": results})
     if failures:
@@ -388,7 +382,7 @@ def cmd_multicat_lift(args) -> int:
     # is an input error, not a failed comparison
     G.validate()
     for n in range(args.max_arity + 1):
-        borel.finite_group(inst, n)
+        finite_group(inst, n)
     try:
         bij = mc.lift_matches_plus(inst, G, max_arity=args.max_arity)
     except ValueError as exc:

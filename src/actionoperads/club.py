@@ -24,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .borel import BorelObject, finite_group, hom_set
-from .core import ActionOperad, size_vectors, symmetric_operad
+from .borel import BorelObject, hom_set
+from .core import ActionOperad, finite_group, size_vectors, symmetric_operad
 from .fincat import FinCat
 from .perm import compose
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import rewrite
 from .perm import (
@@ -110,9 +110,6 @@ class ActionOperad:
 
     def pi(self, a: OperadElement) -> Perm:
         raise NotImplementedError
-
-    def arity(self, a: OperadElement) -> int:
-        return a.n
 
     # -- operad structure -------------------------------------------------
     def beta(self, els: Sequence[OperadElement]) -> OperadElement:
@@ -637,15 +634,16 @@ def _cut(flat: Sequence, cuts: Sequence) -> tuple:
 
 
 class _CaseSource:
-    """Shapes and elements for sampled mode, drawn from one seeded stream."""
+    """Shapes and elements for sampled mode, drawn from one seeded stream;
+    each drawn element is interned in the kernel."""
 
-    def __init__(self, inst: ActionOperad, config: AxiomCheckConfig):
-        self.inst = inst
+    def __init__(self, K: _Kernel, config: AxiomCheckConfig):
+        self.K = K
         self.config = config
         self.stream = DeterministicStream(config.seed)
 
-    def sample_element(self, n: int) -> OperadElement:
-        return self.inst.sample(n, self.stream, self.config.max_word_length)
+    def sample_element(self, n: int) -> int:
+        return self.K.intern(self.K.inst.sample(n, self.stream, self.config.max_word_length))
 
     def sample_sizes(self, parts: int, max_total: int) -> tuple[int, ...]:
         cap = self.config.max_block_size
@@ -667,24 +665,34 @@ class _CaseSource:
 _SAME = EqResult("equal", path=RewritePath((), (), ()), stop="met")
 
 
+def finite_group(inst: ActionOperad, n: int) -> tuple[OperadElement, ...]:
+    """The full arity-n group; raises when it is not finite."""
+    els = inst.elements(n)
+    if els is None:
+        raise ValueError(f"instance {inst.name!r} is not finite at arity {n}")
+    return els
+
+
 class _Kernel:
-    """An instance's finite groups with elements interned as integers.
+    """An instance's groups with elements interned as integers, built by
+    one call of a finite engine (the axiom laws, the free check, the operad
+    as a multicategory, the profunctor lift) and freed when it returns.
 
-    Elements at arities ``0..max_arity`` are numbered by
-    :meth:`OperadElement.key`; ``mul``, ``inv`` and ``pi`` are per-element
-    tables and ``beta``, ``delta`` and ``mu`` are memoised on index
-    tuples.  Every entry is computed once, by the instance's own method on
-    the materialised elements, so an overridden or defective method is
-    what gets checked.  A result whose key was not enumerated (a wrong
-    arity, a word not in reduced form) gets a fresh index.
+    The groups at the given arities are enumerated through
+    :func:`finite_group`, and every element is numbered by
+    :meth:`OperadElement.key`; ``mul``, ``inv`` and ``pi`` are
+    per-element tables and ``beta``, ``delta`` and ``mu`` are memoised on
+    index tuples.  Every entry is computed once, by the instance's own
+    method on the materialised elements, so an overridden or defective
+    method is what gets checked.  A result whose key was not enumerated (a
+    wrong arity, a word not in reduced form) gets a fresh index.
 
-    The kernel answers the same calls as an instance, on indices, so the
-    axiom cases are written once for both modes.  Equal indices are equal
-    keys and compare equal without the oracle; different indices go to
-    the instance's oracle.  A kernel lives for one ``check_axioms`` call.
+    Identity rule: equal indices are equal keys and are equal without the
+    oracle; different indices go to the instance's oracle.  :meth:`resolve`
+    applies the rule to match a computed element to an enumerated one.
     """
 
-    def __init__(self, inst: ActionOperad, max_arity: int):
+    def __init__(self, inst: ActionOperad, arities: Iterable[int]):
         self.inst = inst
         self.els: list[OperadElement] = []
         self._index: dict[object, int] = {}
@@ -693,14 +701,10 @@ class _Kernel:
         self._pi: list[Perm | None] = []
         self._units: dict[int, int] = {}
         self._memo: dict[tuple, int] = {}  # beta, delta and mu, keyed by op name
-        self._enumerated = []
-        for n in range(max_arity + 1):
-            els = inst.elements(n)
-            if els is None:
-                raise ValueError(f"instance {inst.name!r} has no enumeration at arity {n}")
-            self._enumerated.append(tuple(self._intern(e) for e in els))
+        self._enumerated = {n: tuple(map(self.intern, finite_group(inst, n))) for n in arities}
+        self._listed = len(self.els)  # the indices below this were enumerated
 
-    def _intern(self, el: OperadElement) -> int:
+    def intern(self, el: OperadElement) -> int:
         key = el.key()
         i = self._index.get(key)
         if i is None:
@@ -711,6 +715,15 @@ class _Kernel:
             self._pi.append(None)
         return i
 
+    def resolve(self, x: int) -> int | None:
+        """``x`` when it was enumerated, else the first enumerated element
+        of its arity that the oracle equates with it; ``None`` when there
+        is none or its arity was not enumerated."""
+        if x < self._listed:
+            return x
+        candidates = self._enumerated.get(self.els[x].n, ())
+        return next((j for j in candidates if self.equal(x, j).is_equal), None)
+
     def elements(self, n: int) -> tuple[int, ...]:
         return self._enumerated[n]
 
@@ -720,20 +733,20 @@ class _Kernel:
     def identity(self, n: int) -> int:
         i = self._units.get(n)
         if i is None:
-            i = self._units[n] = self._intern(self.inst.identity(n))
+            i = self._units[n] = self.intern(self.inst.identity(n))
         return i
 
     def mul(self, a: int, b: int) -> int:
         row = self._mul[a]
         r = row.get(b)
         if r is None:
-            r = row[b] = self._intern(self.inst.mul(self.els[a], self.els[b]))
+            r = row[b] = self.intern(self.inst.mul(self.els[a], self.els[b]))
         return r
 
     def inv(self, a: int) -> int:
         r = self._inv[a]
         if r is None:
-            r = self._inv[a] = self._intern(self.inst.inv(self.els[a]))
+            r = self._inv[a] = self.intern(self.inst.inv(self.els[a]))
         return r
 
     def pi(self, a: int) -> Perm:
@@ -746,21 +759,21 @@ class _Kernel:
         key = ("beta", tuple(xs))
         r = self._memo.get(key)
         if r is None:
-            r = self._memo[key] = self._intern(self.inst.beta([self.els[x] for x in xs]))
+            r = self._memo[key] = self.intern(self.inst.beta([self.els[x] for x in xs]))
         return r
 
     def delta(self, a: int, sizes: Sequence[int]) -> int:
         key = ("delta", a, tuple(sizes))
         r = self._memo.get(key)
         if r is None:
-            r = self._memo[key] = self._intern(self.inst.delta(self.els[a], sizes))
+            r = self._memo[key] = self.intern(self.inst.delta(self.els[a], sizes))
         return r
 
     def mu(self, g: int, hs: Sequence[int]) -> int:
         key = ("mu", g, tuple(hs))
         r = self._memo.get(key)
         if r is None:
-            r = self._memo[key] = self._intern(self.inst.mu(self.els[g], [self.els[h] for h in hs]))
+            r = self._memo[key] = self.intern(self.inst.mu(self.els[g], [self.els[h] for h in hs]))
         return r
 
     def equal(self, a: int, b: int, max_len=None, budget=None) -> EqResult:
@@ -776,32 +789,28 @@ def check_axioms(inst: ActionOperad, config: AxiomCheckConfig | None = None) -> 
     """Verify the structural laws of an instance on many input tuples.
 
     Exhaustive when the instance enumerates its groups at the configured
-    arities (then the run is a proof by enumeration at that scale, on
-    interned elements), sampled deterministically otherwise.
+    arities (then the run is a proof by enumeration at that scale), sampled
+    deterministically otherwise.  Both modes run on interned elements.
     """
     config = config or AxiomCheckConfig()
     exhaustive = config.exhaustive
     if exhaustive is None:
         exhaustive = inst.elements(config.max_total_arity) is not None
-    if exhaustive:
-        carrier = _Kernel(inst, config.max_total_arity)
-        cases = _exhaustive_cases(carrier, config)
-    else:
-        carrier = inst
-        cases = _sampled_cases(inst, _CaseSource(inst, config), config)
+    K = _Kernel(inst, range(config.max_total_arity + 1) if exhaustive else ())
+    cases = (_exhaustive_cases if exhaustive else _sampled_cases)(K, config)
 
     outcomes = {name: CheckOutcome() for name in AXIOM_NAMES}
     for kind, name, (lhs, rhs, inputs) in cases:
         out = outcomes[name]
         out.checked += 1
         if kind == "pair":
-            res = carrier.equal(lhs, rhs, max_len=config.max_len, budget=config.budget)
+            res = K.equal(lhs, rhs, max_len=config.max_len, budget=config.budget)
             if res.is_equal:
                 continue
             if res.is_inconclusive:
                 out.inconclusive += 1
                 continue
-            shown = carrier.format(lhs), carrier.format(rhs)
+            shown = K.format(lhs), K.format(rhs)
         elif lhs == rhs:
             continue
         else:
@@ -812,8 +821,7 @@ def check_axioms(inst: ActionOperad, config: AxiomCheckConfig | None = None) -> 
     return AxiomReport(inst.name, "exhaustive" if exhaustive else "sampled", outcomes)
 
 
-# Each case states one law once, against a carrier: the instance itself
-# on elements (sampled mode) or its ``_Kernel`` on indices (exhaustive).
+# Each case states one law once, on kernel indices.
 
 
 def _case_pi_mul(C, g, h):
@@ -1034,7 +1042,8 @@ def _split(flat: Sequence, group_lens: Sequence[int]) -> tuple:
     return tuple(groups)
 
 
-def _sampled_cases(inst, source: _CaseSource, config: AxiomCheckConfig) -> Iterator:
+def _sampled_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
+    source = _CaseSource(K, config)
     N = config.samples_per_axiom
     cap = config.max_result_arity
 
@@ -1046,35 +1055,35 @@ def _sampled_cases(inst, source: _CaseSource, config: AxiomCheckConfig) -> Itera
         n = source.sample_arity()
         g = source.sample_element(n)
         h = source.sample_element(n)
-        yield from _case_pi_mul(inst, g, h)
-        yield from _case_pi_inv_unit(inst, g)
+        yield from _case_pi_mul(K, g, h)
+        yield from _case_pi_inv_unit(K, g)
 
     for _ in range(N):
         v = arity_vector()
         hs = [source.sample_element(k) for k in v]
         gs = [source.sample_element(k) for k in v]
-        yield from _case_beta_naturality(inst, hs)
-        yield from _case_beta_homomorphism(inst, gs, hs)
+        yield from _case_beta_naturality(K, hs)
+        yield from _case_beta_homomorphism(K, gs, hs)
 
     for _ in range(N):
         n = source.sample_arity()
         g = source.sample_element(n)
-        yield from _case_beta_unary(inst, g)
-        yield from _case_delta_units(inst, g, n)
+        yield from _case_beta_unary(K, g)
+        yield from _case_delta_units(K, g, n)
 
     for _ in range(N):
         flat = arity_vector()
         cuts = [source.stream.next_int(2) for _ in range(len(flat) - 1)]
         flat_els = [[source.sample_element(k) for k in grp] for grp in _cut(flat, cuts)]
-        yield from _case_beta_assoc(inst, flat_els)
+        yield from _case_beta_assoc(K, flat_els)
 
     for _ in range(N):
         n = source.sample_arity()
         g = source.sample_element(n)
         v = source.sample_sizes(n, max_total=cap)
-        yield from _case_delta_naturality(inst, g, v)
+        yield from _case_delta_naturality(K, g, v)
         h = source.sample_element(n)
-        yield from _case_delta_product(inst, g, h, v)
+        yield from _case_delta_product(K, g, h, v)
 
     for _ in range(N):
         n = 1 + source.stream.next_int(2)
@@ -1082,14 +1091,14 @@ def _sampled_cases(inst, source: _CaseSource, config: AxiomCheckConfig) -> Itera
         M = sum(msizes)
         plists = _split(source.sample_sizes(M, max_total=cap), msizes)
         f = source.sample_element(n)
-        yield from _case_delta_nesting(inst, f, msizes, plists)
+        yield from _case_delta_nesting(K, f, msizes, plists)
 
     for _ in range(N):
         n = source.sample_arity()
         g = source.sample_element(n)
         v = source.sample_sizes(n, max_total=cap)
         hs = [source.sample_element(k) for k in v]
-        yield from _case_delta_beta_twist(inst, g, hs)
+        yield from _case_delta_beta_twist(K, g, hs)
 
     for _ in range(N):
         parts = 1 + source.stream.next_int(2)
@@ -1102,18 +1111,18 @@ def _sampled_cases(inst, source: _CaseSource, config: AxiomCheckConfig) -> Itera
             total += sum(ml)
             mlists.append(ml)
         gs = [source.sample_element(len(ml)) for ml in mlists]
-        yield from _case_beta_delta_interchange(inst, gs, mlists)
+        yield from _case_beta_delta_interchange(K, gs, mlists)
 
     for _ in range(N):
         n = 1 + source.stream.next_int(2)
         v = source.sample_sizes(n, max_total=cap)
         gp = source.sample_element(n)
         g = source.sample_element(n)
-        pgp_inv = inverse(inst.pi(gp))
+        pgp_inv = inverse(K.pi(gp))
         f_arities = tuple(v[pgp_inv.images[i] - 1] for i in range(n))
         fps = [source.sample_element(k) for k in v]
         fs = [source.sample_element(k) for k in f_arities]
-        yield from _case_interchange(inst, g, fs, gp, fps)
+        yield from _case_interchange(K, g, fs, gp, fps)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ from functools import cache, cached_property
 from itertools import product
 from typing import Mapping, Sequence
 
-from .borel import BorelMorphism, BorelObject, _mor_id, _obj_id, borel_realization, finite_group
-from .core import ActionOperad, OperadElement, _split
+from .borel import BorelMorphism, BorelObject, _mor_id, _obj_id, borel_realization
+from .core import ActionOperad, OperadElement, _Kernel, _split
 from .fincat import FinCat, doc_name
 from .perm import act_on_positions, inverse
 
@@ -385,28 +385,27 @@ def _arity_vectors(max_arity: int) -> list[tuple[int, ...]]:
 def operad_as_multicat(inst: ActionOperad, max_arity: int) -> FinMulticat:
     """The one-object multicategory whose arity-n elements are the arity-n
     group elements, with composition the operad composition and the action
-    right multiplication.  Requires finite enumeration up to max_arity."""
+    right multiplication.  Requires finite enumeration up to max_arity; a
+    computed element is named by the enumerated one the kernel resolves
+    it to."""
     obj = "*"
-    elements: dict[str, Signature] = {}
-    ids: dict[tuple, str] = {}
-    groups = [finite_group(inst, n) for n in range(max_arity + 1)]
-    for n, els in enumerate(groups):
-        for el in els:
-            eid = f"{n}:{inst.format(el)}"
-            ids[el.key()] = eid
-            elements[eid] = ((obj,) * n, obj)
-    identities = {obj: ids[inst.identity(1).key()]}
+    K = _Kernel(inst, range(max_arity + 1))
+    groups = [K.elements(n) for n in range(max_arity + 1)]
+    names = {x: f"{n}:{K.format(x)}" for n, els in enumerate(groups) for x in els}
+    elements: dict[str, Signature] = {name: ((obj,) * K.arity(x), obj) for x, name in names.items()}
+    identities = {obj: names[K.resolve(K.identity(1))]}
     composition: dict[tuple[str, tuple[str, ...]], str] = {}
     for v in _arity_vectors(max_arity):
         for g in groups[len(v)]:
             for hs in product(*[groups[k] for k in v]):
-                key = (ids[g.key()], tuple(ids[h.key()] for h in hs))
-                composition[key] = ids[inst.mu(g, list(hs)).key()]
+                legs = tuple(names[h] for h in hs)
+                composition[(names[g], legs)] = names[K.resolve(K.mu(g, hs))]
     actions: dict[tuple[str, str], str] = {}
     for n in range(max_arity + 1):
         for name, gen in inst.generators(n):
-            for el in groups[n]:
-                actions[(name, ids[el.key()])] = ids[inst.mul(el, gen).key()]
+            a = K.intern(gen)
+            for x in groups[n]:
+                actions[(name, names[x])] = names[K.resolve(K.mul(x, a))]
     return FinMulticat(
         f"{inst.name}_as_multicat", (obj,), elements, identities, composition, actions
     )
@@ -797,12 +796,11 @@ def lift_prof(
         ry = borel_realization(inst, F.target, max_arity)
     else:
         rx, ry = realizations
-    els_by_arity = [finite_group(inst, n) for n in range(max_arity + 1)]
+    K = _Kernel(inst, range(max_arity + 1))
 
     values: dict[tuple[str, str], tuple[str, ...]] = {}
-    decode: dict[str, tuple] = {}
-    encode: dict[tuple[str, str, tuple], str] = {}
-    counter = 0
+    content: dict[str, tuple[int, tuple]] = {}  # element id -> (group index, component ids)
+    encode: dict[tuple[str, str, int, tuple], str] = {}
     for yid, yobj in ry.objects.items():
         for xid, xobj in rx.objects.items():
             if yobj.n != xobj.n:
@@ -810,55 +808,48 @@ def lift_prof(
                 continue
             n = yobj.n
             cell = []
-            for g in els_by_arity[n]:
-                p = inst.pi(g)
+            for g in K.elements(n):
+                p = K.pi(g)
                 pools = [
                     F.values.get((yobj.objects[i], xobj.objects[p.images[i] - 1]), ())
                     for i in range(n)
                 ]
                 for comps in product(*pools):
-                    eid = f"L{counter}"
-                    counter += 1
+                    eid = f"L{len(content)}"
                     cell.append(eid)
-                    decode[eid] = (g.key(), comps)
-                    encode[(yid, xid, (g.key(), comps))] = eid
+                    content[eid] = (g, comps)
+                    encode[(yid, xid, g, comps)] = eid
             values[(yid, xid)] = tuple(cell)
-
-    els_lookup = {g.key(): g for els in els_by_arity for g in els}
 
     source_action: dict[tuple[str, str], str] = {}
     for mid, m in rx.morphisms.items():
-        h = m.g
-        ph = inst.pi(h)
+        h = K.intern(m.g)
         src_id, tgt_id = rx.cat.src[mid], rx.cat.tgt[mid]
         for yid, yobj in ry.objects.items():
             for eid in values.get((yid, src_id), ()):
-                gkey, comps = decode[eid]
-                g = els_lookup[gkey]
-                pg = inst.pi(g)
-                new_g = inst.mul(h, g)
+                g, comps = content[eid]
+                pg = K.pi(g)
                 new_comps = tuple(
                     F.source_action[(m.components[pg.images[i] - 1], comps[i])]
                     for i in range(yobj.n)
                 )
-                source_action[(mid, eid)] = encode[(yid, tgt_id, (new_g.key(), new_comps))]
+                source_action[(mid, eid)] = encode[(yid, tgt_id, K.resolve(K.mul(h, g)), new_comps)]
 
     target_action: dict[tuple[str, str], str] = {}
     for mid, m in ry.morphisms.items():
-        k = m.g
-        pk = inst.pi(k)
+        k = K.intern(m.g)
+        pk = K.pi(k)
         src_id, tgt_id = ry.cat.src[mid], ry.cat.tgt[mid]
         for xid, xobj in rx.objects.items():
             for eid in values.get((tgt_id, xid), ()):
-                gkey, comps = decode[eid]
-                g = els_lookup[gkey]
-                new_g = inst.mul(g, k)
+                g, comps = content[eid]
                 new_comps = tuple(
                     F.target_action[(m.components[i], comps[pk.images[i] - 1])]
                     for i in range(m.source.n)
                 )
-                target_action[(mid, eid)] = encode[(src_id, xid, (new_g.key(), new_comps))]
+                target_action[(mid, eid)] = encode[(src_id, xid, K.resolve(K.mul(g, k)), new_comps)]
 
+    decode = {eid: (K.els[g].key(), comps) for eid, (g, comps) in content.items()}
     prof = FinProf(
         f"lift_{F.name}", rx.cat, ry.cat, values, source_action, target_action
     )

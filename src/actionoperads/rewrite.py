@@ -60,9 +60,6 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def is_empty(self) -> bool:
-        return not self.letters
-
 
 @dataclass(frozen=True)
 class RelationSystem:

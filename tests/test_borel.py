@@ -24,7 +24,7 @@ from actionoperads.cactus import cactus_operad
 from actionoperads.core import symmetric_operad, trivial_operad
 from actionoperads.fincat import arrow_category, discrete_category, z2_category
 from oracles import quotient_hom_set
-from planted import StabilizedProduct
+from planted import StabilizedProduct, UnreducedCactus
 
 SYM = symmetric_operad()
 TRIV = trivial_operad()
@@ -240,6 +240,12 @@ class TestInfinityChecks:
 
     def test_cactus_arity_two(self):
         rep = contractible_free_check(CACT, 2)
+        assert rep.passed and rep.size == 2
+
+    def test_unreduced_products_resolve_through_the_oracle(self):
+        # s(1,2) s(1,2) is no enumerated word, but the oracle equates it
+        # with the unit, so the translation category is still contractible
+        rep = contractible_free_check(UnreducedCactus(), 2)
         assert rep.passed and rep.size == 2
 
     def test_infinite_arity_rejected(self):

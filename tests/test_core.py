@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from actionoperads.borel import contractible_free_check
 from actionoperads.core import (
     AxiomCheckConfig,
     DeterministicStream,
@@ -18,6 +19,8 @@ from actionoperads.core import (
     symmetric_operad,
     trivial_operad,
 )
+from actionoperads.fincat import discrete_category
+from actionoperads.multicat import identity_prof, lift_prof, operad_as_multicat
 from actionoperads.perm import Perm, identity
 from planted import IdentityDelta, UnreducedCactus
 
@@ -151,7 +154,7 @@ class TestCheckAxioms:
 
 class TestKernel:
     def test_results_outside_the_enumeration_get_fresh_indices(self):
-        K = _Kernel(UnreducedCactus(), 2)
+        K = _Kernel(UnreducedCactus(), (2,))
         e, s = K.elements(2)
         ss = K.mul(s, s)
         assert ss not in K.elements(2) and K.mul(s, s) == ss
@@ -177,10 +180,33 @@ class TestKernel:
         assert check_axioms(inst, AxiomCheckConfig(max_total_arity=4)).passed(strict=True)
         assert inst.calls and max(inst.calls.values()) == 1
 
+    def test_resolve_matches_computed_elements_to_enumerated_ones(self):
+        K = _Kernel(UnreducedCactus(), (2,))
+        e, s = K.elements(2)
+        # the unreduced product gets a fresh index, which the oracle equates
+        # with the unit; an enumerated element resolves to itself
+        assert K.resolve(K.mul(s, s)) == e
+        assert K.resolve(s) == s
+        # nothing at an arity that was not enumerated
+        assert K.resolve(K.identity(1)) is None
+
+    def test_exhaustive_mode_needs_finite_groups(self):
+        with pytest.raises(ValueError, match="'braid' is not finite at arity 2"):
+            check_axioms(get_operad("braid"), AxiomCheckConfig(max_total_arity=3, exhaustive=True))
+
     def test_tables_are_freed_when_the_call_returns(self):
-        check_axioms(SYM, AxiomCheckConfig(max_total_arity=3))
-        gc.collect()
-        assert not any(isinstance(o, _Kernel) for o in gc.get_objects())
+        point = discrete_category(("a",), name="pt")
+        runs = [
+            lambda: check_axioms(SYM, AxiomCheckConfig(max_total_arity=3)),
+            lambda: check_axioms(get_operad("braid"), AxiomCheckConfig(samples_per_axiom=2)),
+            lambda: contractible_free_check(SYM, 3),
+            lambda: operad_as_multicat(SYM, 2),
+            lambda: lift_prof(identity_prof(point), SYM, 2),
+        ]
+        for run in runs:
+            out = run()  # the result is kept: it must not hold the tables
+            gc.collect()
+            assert not any(isinstance(o, _Kernel) for o in gc.get_objects()), out
 
 
 class TestCompositeDiagonal:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from actionoperads.cactus import cactus_operad
 from actionoperads.core import symmetric_operad, trivial_operad
 from actionoperads.fincat import arrow_category, discrete_category, translation_category, z2_category
 from actionoperads.multicat import (
@@ -29,6 +30,7 @@ from actionoperads.multicat import (
     validate_profunctor,
 )
 from oracles import zigzag_orbit_count
+from planted import UnreducedCactus
 
 SYM = symmetric_operad()
 TRIV = trivial_operad()
@@ -142,6 +144,16 @@ class TestOperadCorrespondence:
         rep = validate_multicat(broken, SYM)
         assert not rep.passed
         assert any("head action" in v or "leg action" in v for v in rep.violations)
+
+
+    def test_unreduced_products_get_the_names_of_their_group_elements(self):
+        # the planted instance's products are unreduced words that no
+        # enumeration lists; each is named by the element the oracle equates
+        # it with, so the table is the cactus table
+        got = operad_as_multicat(UnreducedCactus(), max_arity=2)
+        want = operad_as_multicat(cactus_operad(), max_arity=2)
+        assert got.composition == want.composition
+        assert got.actions == want.actions
 
 
 class TestMutations:
