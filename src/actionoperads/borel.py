@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
 
-from .core import ActionOperad, OperadElement, _Kernel, finite_group
+from .core import ActionOperad, OperadElement, _Kernel
 from .fincat import FinCat
 from .perm import act_on_positions
 
@@ -249,8 +249,7 @@ def borel_realization(inst: ActionOperad, X: FinCat, max_arity: int) -> BorelRea
     explicit finite category (objects: normalized tuples).  The groups at
     those arities must be finite: a truncated group is not closed under
     composition."""
-    for n in range(max_arity + 1):
-        finite_group(inst, n)
+    K = _Kernel(inst, range(max_arity + 1))
     objs: list[BorelObject] = []
     for n in range(max_arity + 1):
         for tup in product(X.objects, repeat=n):
@@ -259,6 +258,8 @@ def borel_realization(inst: ActionOperad, X: FinCat, max_arity: int) -> BorelRea
     morphisms: dict[str, BorelMorphism] = {}
     src: dict[str, str] = {}
     tgt: dict[str, str] = {}
+    group: dict[str, int] = {}  # id -> kernel index of the group part
+    ids: dict[tuple, str] = {}  # (source id, target id, group index, components) -> id
     for a in objs:
         for b in objs:
             if a.n != b.n:
@@ -268,15 +269,29 @@ def borel_realization(inst: ActionOperad, X: FinCat, max_arity: int) -> BorelRea
                 morphisms[mid] = m
                 src[mid] = obj_ids[a]
                 tgt[mid] = obj_ids[b]
-    identities = {obj_ids[o]: _mor_id(inst, identity_morphism(inst, X, o)) for o in objs}
+                group[mid] = K.intern(m.g)
+                ids[src[mid], tgt[mid], group[mid], m.components] = mid
+
+    def named(source: BorelObject, target: BorelObject, g: int, comps: tuple) -> str:
+        """The listed morphism whose group part the kernel resolves ``g``
+        to; on a miss, the raw name, which ``validate`` reports."""
+        mid = ids.get((obj_ids[source], obj_ids[target], K.resolve(g), comps))
+        return mid or _mor_id(inst, BorelMorphism(source, target, K.els[g], comps))
+
+    identities = {
+        obj_ids[o]: named(o, o, K.identity(o.n), tuple(map(X.identity_of, o.objects))) for o in objs
+    }
     table: dict[tuple[str, str], str] = {}
     by_source: dict[str, list[str]] = {}
     for mid in morphisms:
         by_source.setdefault(src[mid], []).append(mid)
     for mid1, m1 in morphisms.items():
+        g1 = group[mid1]
+        slots = [i - 1 for i in K.pi(g1).images]
         for mid2 in by_source.get(tgt[mid1], ()):
             m2 = morphisms[mid2]
-            table[(mid2, mid1)] = _mor_id(inst, compose_borel(inst, X, m2, m1))
+            comps = tuple(X.compose(m2.components[s], f) for s, f in zip(slots, m1.components))
+            table[(mid2, mid1)] = named(m1.source, m2.target, K.mul(group[mid2], g1), comps)
     cat = FinCat(
         f"borel_{inst.name}_{X.name}",
         tuple(obj_ids[o] for o in objs),

@@ -90,19 +90,26 @@ class FinCat:
                 raise ValueError(f"{self.name}: entry ({g}, {f}) is not composable")
             if self.src[h] != self.src[f] or self.tgt[h] != self.tgt[g]:
                 raise ValueError(f"{self.name}: entry ({g}, {f}) -> {h} has wrong endpoints")
+        # rows[g] maps each f composable with g to g after f, in the order of
+        # arrows_into(src g); a triple is then two row lookups
+        rows: dict[str, dict[str, str]] = {}
         for g in self.morphisms:
+            row = rows[g] = {}
             for f in self.arrows_into(self.src[g]):
                 if (g, f) not in self.table:
                     raise ValueError(f"{self.name}: missing composite for ({g!r}, {f!r})")
+                row[f] = self.table[(g, f)]
         for f in self.morphisms:
-            if self.table[(f, self.identities[self.src[f]])] != f:
+            if rows[f][self.identities[self.src[f]]] != f:
                 raise ValueError(f"{self.name}: right unit law fails at {f!r}")
-            if self.table[(self.identities[self.tgt[f]], f)] != f:
+            if rows[self.identities[self.tgt[f]]][f] != f:
                 raise ValueError(f"{self.name}: left unit law fails at {f!r}")
         for h in self.morphisms:
-            for g in self.arrows_into(self.src[h]):
-                for f in self.arrows_into(self.src[g]):
-                    if self.table[(self.table[(h, g)], f)] != self.table[(h, self.table[(g, f)])]:
+            row_h = rows[h]
+            for g, hg in row_h.items():
+                row_hg = rows[hg]
+                for f, gf in rows[g].items():
+                    if row_hg[f] != row_h[gf]:
                         raise ValueError(
                             f"{self.name}: associativity fails on triple ({h!r}, {g!r}, {f!r})"
                         )

@@ -30,11 +30,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import product
+from itertools import accumulate, product
 from typing import Mapping, Sequence
 
 from .borel import BorelMorphism, BorelObject, _mor_id, _obj_id, borel_realization
-from .core import ActionOperad, OperadElement, _Kernel, _split
+from .core import ActionOperad, OperadElement, _Kernel
 from .fincat import FinCat, doc_name
 from .perm import act_on_positions, inverse
 
@@ -132,8 +132,8 @@ def validate_multicat(M: FinMulticat, inst: ActionOperad) -> ValidationReport:
             note(f"object {x!r} lacks a valid identity element")
     # the entries that typecheck, with their legs' arities, in listing order
     # and by head: the laws below walk only these
-    typed: list[tuple[str, tuple[str, ...], str, list[int]]] = []
-    by_head: dict[str, list[tuple[tuple[str, ...], str, list[int]]]] = {}
+    typed: list[tuple[str, tuple[str, ...], str, tuple[int, ...]]] = []
+    by_head: dict[str, list[tuple[tuple[str, ...], str, tuple[int, ...]]]] = {}
     for (g, fs), r in M.composition.items():
         rep.checked += 1
         if g not in M.elements or r not in M.elements or any(f not in M.elements for f in fs):
@@ -153,7 +153,7 @@ def validate_multicat(M: FinMulticat, inst: ActionOperad) -> ValidationReport:
             if M.elements[r] != (flat, g_out):
                 note(f"composition entry ({g!r}, {fs!r}) -> {r!r} has the wrong signature")
                 continue
-            ks = [M.arity(f) for f in fs]
+            ks = tuple(M.arity(f) for f in fs)
             typed.append((g, fs, r, ks))
             by_head.setdefault(g, []).append((fs, r, ks))
 
@@ -208,20 +208,7 @@ def validate_multicat(M: FinMulticat, inst: ActionOperad) -> ValidationReport:
             if r != g:
                 note(f"right unit law fails: {g!r}(identities) = {r!r}")
 
-    # associativity over listed chains: f over gs gives r1, r1 over hs gives s
-    for f, gs, r1, ks in typed:
-        for hs, s, _ in by_head.get(r1, ()):
-            inner = tuple(M.composition.get(leg) for leg in zip(gs, _split(hs, ks)))
-            outer = (f, inner)
-            if None in inner or outer not in M.composition:
-                rep.skipped += 1
-                continue
-            rep.checked += 1
-            if M.composition[outer] != s:
-                note(
-                    f"associativity fails: {f!r} over {gs!r} then {hs!r} "
-                    f"gives {s!r} vs {M.composition[outer]!r}"
-                )
+    _check_associativity(M, typed, by_head, rep)
 
     # action compatibility law 1: acting on one leg at a time
     for f, gs, r, sizes in typed:
@@ -277,6 +264,41 @@ def validate_multicat(M: FinMulticat, inst: ActionOperad) -> ValidationReport:
                 )
 
     return rep
+
+
+def _check_associativity(M: FinMulticat, typed: list, by_head: dict, rep: ValidationReport) -> None:
+    """Associativity over listed chains: f over gs gives r1, r1 over hs
+    gives s.  Every entry sits in its head's row {legs: result}, and the
+    legs of the r1-headed entries are cut by the leg arities ks once per
+    (r1, ks), so a chain is one row lookup per leg and one for the head."""
+    rows: dict[str, dict[tuple[str, ...], str]] = {}
+    for (g, fs), r in M.composition.items():
+        rows.setdefault(g, {})[fs] = r
+    cut_chains: dict[tuple[str, tuple[int, ...]], list] = {}
+    checked = skipped = 0
+    for f, gs, r1, ks in typed:
+        chains = cut_chains.get((r1, ks))
+        if chains is None:
+            bounds = (0, *accumulate(ks))
+            cuts = list(zip(bounds, bounds[1:]))
+            chains = cut_chains[r1, ks] = [
+                (tuple(hs[a:b] for a, b in cuts), hs, s) for hs, s, _ in by_head.get(r1, ())
+            ]
+        leg_rows = [rows.get(g, {}) for g in gs]
+        row_f = rows[f]
+        for pieces, hs, s in chains:
+            inner = tuple(map(dict.get, leg_rows, pieces))
+            t = None if None in inner else row_f.get(inner)
+            if t is None:
+                skipped += 1
+                continue
+            checked += 1
+            if t != s:
+                rep.violations.append(
+                    f"associativity fails: {f!r} over {gs!r} then {hs!r} gives {s!r} vs {t!r}"
+                )
+    rep.checked += checked
+    rep.skipped += skipped
 
 
 def action_well_defined(M: FinMulticat, inst: ActionOperad, words: Sequence[OperadElement]) -> ValidationReport:

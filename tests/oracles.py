@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from itertools import product
 
+from actionoperads.core import _split
 from actionoperads.perm import act_on_positions
 
 
@@ -134,3 +135,62 @@ def zigzag_orbit_count(G, F, z, x):
     for el in elements:
         reps.add(frozenset(groups[el]))
     return len(reps)
+
+
+def reference_chain_walk(M, typed, by_head, rep):
+    """``validate_multicat``'s associativity walk as first written: each
+    chain splits its legs with ``_split`` and probes the whole composition
+    table three times."""
+    for f, gs, r1, ks in typed:
+        for hs, s, _ in by_head.get(r1, ()):
+            inner = tuple(M.composition.get(leg) for leg in zip(gs, _split(hs, ks)))
+            outer = (f, inner)
+            if None in inner or outer not in M.composition:
+                rep.skipped += 1
+                continue
+            rep.checked += 1
+            if M.composition[outer] != s:
+                rep.violations.append(
+                    f"associativity fails: {f!r} over {gs!r} then {hs!r} "
+                    f"gives {s!r} vs {M.composition[outer]!r}"
+                )
+
+
+def reference_fincat_validate(cat):
+    """``FinCat.validate`` as first written: every law instance probes the
+    composition table directly, a triple with four lookups."""
+    if len(set(cat.objects)) != len(cat.objects):
+        raise ValueError(f"{cat.name}: duplicate object ids")
+    if len(set(cat.morphisms)) != len(cat.morphisms):
+        raise ValueError(f"{cat.name}: duplicate morphism ids")
+    for m in cat.morphisms:
+        if cat.src.get(m) not in cat.objects or cat.tgt.get(m) not in cat.objects:
+            raise ValueError(f"{cat.name}: morphism {m!r} has unknown endpoints")
+    for x in cat.objects:
+        i = cat.identities.get(x)
+        if i not in cat.morphisms or cat.src[i] != x or cat.tgt[i] != x:
+            raise ValueError(f"{cat.name}: object {x!r} lacks a valid identity")
+    mset = set(cat.morphisms)
+    for (g, f), h in cat.table.items():
+        if g not in mset or f not in mset or h not in mset:
+            raise ValueError(f"{cat.name}: composition entry ({g}, {f}) -> {h} uses unknown ids")
+        if cat.src[g] != cat.tgt[f]:
+            raise ValueError(f"{cat.name}: entry ({g}, {f}) is not composable")
+        if cat.src[h] != cat.src[f] or cat.tgt[h] != cat.tgt[g]:
+            raise ValueError(f"{cat.name}: entry ({g}, {f}) -> {h} has wrong endpoints")
+    for g in cat.morphisms:
+        for f in cat.arrows_into(cat.src[g]):
+            if (g, f) not in cat.table:
+                raise ValueError(f"{cat.name}: missing composite for ({g!r}, {f!r})")
+    for f in cat.morphisms:
+        if cat.table[(f, cat.identities[cat.src[f]])] != f:
+            raise ValueError(f"{cat.name}: right unit law fails at {f!r}")
+        if cat.table[(cat.identities[cat.tgt[f]], f)] != f:
+            raise ValueError(f"{cat.name}: left unit law fails at {f!r}")
+    for h in cat.morphisms:
+        for g in cat.arrows_into(cat.src[h]):
+            for f in cat.arrows_into(cat.src[g]):
+                if cat.table[(cat.table[(h, g)], f)] != cat.table[(h, cat.table[(g, f)])]:
+                    raise ValueError(
+                        f"{cat.name}: associativity fails on triple ({h!r}, {g!r}, {f!r})"
+                    )

@@ -23,6 +23,7 @@ from actionoperads.borel import (
 from actionoperads.cactus import cactus_operad
 from actionoperads.core import symmetric_operad, trivial_operad
 from actionoperads.fincat import arrow_category, discrete_category, z2_category
+from actionoperads.multicat import FinFunctor, identity_prof, lift_matches_plus, lift_prof
 from oracles import quotient_hom_set
 from planted import StabilizedProduct, UnreducedCactus
 
@@ -275,6 +276,17 @@ class TestMaterializedCategory:
         assert len(cat.objects) == 7
         cat2 = borel_realization(TRIV, ARROW, max_arity=2).cat
         assert "[a,b]" in cat2.objects
+
+    def test_unreduced_products_name_listed_morphisms(self):
+        # s(1,2) s(1,2) is no enumerated word: each composite is named by
+        # the listed morphism whose group part the oracle equates it with,
+        # so the realization and the lift match those of the cactus operad
+        inst = UnreducedCactus()
+        real = borel_realization(inst, D2, max_arity=2)
+        assert real.cat.table == borel_realization(CACT, D2, max_arity=2).cat.table
+        assert len(lift_prof(identity_prof(D2), inst, 2).decode) == 11
+        collapse = FinFunctor("collapse", D2, Z2, {"a": "*", "b": "*"}, {"id_a": "e", "id_b": "e"})
+        assert lift_matches_plus(inst, collapse, 2) == lift_matches_plus(CACT, collapse, 2)
 
     def test_realization_needs_finite_groups(self):
         # a word-length truncation is not closed under composition, so only

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from actionoperads.borel import contractible_free_check
+from actionoperads.borel import borel_realization, contractible_free_check
 from actionoperads.core import (
     AxiomCheckConfig,
     DeterministicStream,
@@ -202,6 +202,7 @@ class TestKernel:
             lambda: contractible_free_check(SYM, 3),
             lambda: operad_as_multicat(SYM, 2),
             lambda: lift_prof(identity_prof(point), SYM, 2),
+            lambda: borel_realization(SYM, point, 2),
         ]
         for run in runs:
             out = run()  # the result is kept: it must not hold the tables

@@ -1,0 +1,136 @@
+"""The row-indexed law walks against the walks they replaced.
+
+``validate_multicat``'s associativity walk and ``FinCat.validate``'s triple
+walk look compositions up in one row per head.  Here random corruptions of
+finite tables must give the same ``ValidationReport`` (counts and
+violations in order) and the same first ``FinCat`` failure as the
+reference walks in ``tests/oracles.py``, which probe the whole table.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+from functools import cache
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from actionoperads import multicat
+from actionoperads.borel import borel_realization
+from actionoperads.core import symmetric_operad
+from actionoperads.fincat import arrow_category, discrete_category, z2_category
+from actionoperads.multicat import operad_as_multicat, validate_multicat
+from oracles import reference_chain_walk, reference_fincat_validate
+from test_validator_golden import _colored_terminal, _partly_listed, _swapped_actions
+
+SYM = symmetric_operad()
+
+
+def corruptions(same: int):
+    """Lists of (kind, entry, choice), each picking an entry and a
+    replacement by index; only "same" leaves a table that can reach the
+    associativity walk, so it gets weight ``same`` against 1 for each
+    other kind."""
+    kinds = ("same",) * same + ("any", "drop", "ghost")
+    edit = st.tuples(st.sampled_from(kinds), st.integers(0, 10**6), st.integers(0, 10**6))
+    return st.lists(edit, min_size=1, max_size=4)
+
+
+def _other(pool, current, j):
+    """The j-th member of ``pool`` other than ``current``, if any."""
+    others = [x for x in pool if x != current]
+    return others[j % len(others)] if others else current
+
+
+@cache
+def multicats() -> tuple:
+    colored = _colored_terminal(2)
+    return (operad_as_multicat(SYM, 3), colored, _partly_listed(colored), _swapped_actions(colored))
+
+
+@cache
+def realizations() -> tuple:
+    cats = (
+        discrete_category(("a", "b"), name="d2"),
+        z2_category(),
+        arrow_category(),
+        discrete_category(("a", "b", "c"), name="d3"),
+    )
+    return tuple(borel_realization(SYM, X, 3).cat for X in cats)
+
+
+def _corrupt_multicat(M, edits):
+    """A result moved within its signature ("same") or anywhere ("any"),
+    an entry dropped, or a result that is no element ("ghost")."""
+    comp = dict(M.composition)
+    names = list(M.elements)
+    for kind, i, j in edits:
+        keys = list(comp)
+        key = keys[i % len(keys)]
+        if kind == "drop":
+            del comp[key]
+        elif kind == "ghost":
+            comp[key] = "ghost"
+        elif kind == "any":
+            comp[key] = names[j % len(names)]
+        elif comp[key] in M.elements:
+            comp[key] = _other(M.homs[M.elements[comp[key]]], comp[key], j)
+    return replace(M, composition=comp)
+
+
+def _corrupt_fincat(cat, edits):
+    """A composite moved within its hom-set ("same") or anywhere ("any"),
+    an entry dropped, or a composite that is no morphism ("ghost")."""
+    table = dict(cat.table)
+    for kind, i, j in edits:
+        keys = list(table)
+        key = keys[i % len(keys)]
+        if kind == "drop":
+            del table[key]
+        elif kind == "ghost":
+            table[key] = "ghost"
+        elif kind == "any":
+            table[key] = cat.morphisms[j % len(cat.morphisms)]
+        elif table[key] in cat.src:
+            h = table[key]
+            table[key] = _other(cat.hom(cat.src[h], cat.tgt[h]), h, j)
+    return replace(cat, table=table)
+
+
+def _first_failure(validate) -> str | None:
+    try:
+        validate()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _report(M):
+    rep = validate_multicat(M, SYM)
+    return rep.checked, rep.skipped, rep.violations
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 3), corruptions(same=3))
+def test_chain_walk_matches_the_reference(which, edits):
+    M = _corrupt_multicat(multicats()[which], edits)
+    got = _report(M)
+    with mock.patch.object(multicat, "_check_associativity", reference_chain_walk):
+        want = _report(M)
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), corruptions(same=12))
+def test_triple_walk_matches_the_reference(which, edits):
+    cat = _corrupt_fincat(realizations()[which], edits)
+    assert _first_failure(cat.validate) == _first_failure(lambda: reference_fincat_validate(cat))
+
+
+def test_the_corruptions_reach_the_associativity_walks():
+    # a result moved within its signature breaks associativity somewhere
+    M = _corrupt_multicat(multicats()[0], [("same", 7, 1)])
+    assert any(v.startswith("associativity fails") for v in _report(M)[2])
+    cat = _corrupt_fincat(realizations()[1], [("same", 40, 1)])
+    assert "associativity fails" in _first_failure(cat.validate)
