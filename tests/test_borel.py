@@ -288,6 +288,12 @@ class TestMaterializedCategory:
         collapse = FinFunctor("collapse", D2, Z2, {"a": "*", "b": "*"}, {"id_a": "e", "id_b": "e"})
         assert lift_matches_plus(inst, collapse, 2) == lift_matches_plus(CACT, collapse, 2)
 
+    def test_composite_that_is_no_listed_morphism_is_reported(self):
+        # with (1 2) stabilizing everything, (1 2) after (1 2) keeps the
+        # group part (1 2) between [a,b] and itself: no listed morphism
+        with pytest.raises(ValueError, match=r"-> \[a,b\]--\[2,1\]\|id_a,id_b->\[a,b\] uses unknown ids"):
+            borel_realization(StabilizedProduct(), D2, max_arity=2)
+
     def test_realization_needs_finite_groups(self):
         # a word-length truncation is not closed under composition, so only
         # finite groups are materialized
