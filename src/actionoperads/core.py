@@ -622,14 +622,15 @@ def nested_size_vectors(max_total: int) -> list[tuple[tuple[int, ...], ...]]:
             continue
         # choose cut points: each subset of positions 1..m-1
         for cuts in itertools.product((False, True), repeat=len(flat) - 1):
-            out.append(_cut(flat, cuts))
+            out.append(_groups(flat, itertools.compress(itertools.count(1), (*cuts, True))))
     return out
 
 
-def _cut(flat: Sequence, cuts: Sequence) -> tuple:
-    """``flat`` in consecutive groups, a new group starting at each
-    position i (1-based) with ``cuts[i - 1]`` set."""
-    bounds = [0, *(i for i, cut in enumerate(cuts, start=1) if cut), len(flat)]
+def _groups(flat: Sequence, ends: Iterable[int]) -> tuple:
+    """``flat`` in consecutive groups, the i-th ending just before
+    ``ends[i]``: the running sums of the group lengths, or the positions
+    where a group ends."""
+    bounds = [0, *ends]
     return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
@@ -1023,7 +1024,7 @@ def _exhaustive_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
         M = sum(msizes)
         for ptotal in range(M, A + 1):
             for flat_p in compositions_of(ptotal, M):
-                plists = _split(flat_p, msizes)
+                plists = _groups(flat_p, itertools.accumulate(msizes))
                 for f in els(len(msizes)):
                     yield from _case_delta_nesting(K, f, msizes, plists)
 
@@ -1046,15 +1047,6 @@ def _exhaustive_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
             f_choices = list(itertools.product(*[els(k) for k in f_arities]))
             for g in els(n):
                 yield from _interchange_cases(K, g, gp, itertools.product(*[els(k) for k in v]), f_choices)
-
-
-def _split(flat: Sequence, group_lens: Sequence[int]) -> tuple:
-    groups = []
-    idx = 0
-    for ln in group_lens:
-        groups.append(flat[idx : idx + ln])
-        idx += ln
-    return tuple(groups)
 
 
 def _sampled_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
@@ -1089,7 +1081,8 @@ def _sampled_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
     for _ in range(N):
         flat = arity_vector()
         cuts = [source.stream.next_int(2) for _ in range(len(flat) - 1)]
-        flat_els = [[source.sample_element(k) for k in grp] for grp in _cut(flat, cuts)]
+        groups = _groups(flat, itertools.compress(itertools.count(1), (*cuts, 1)))
+        flat_els = [[source.sample_element(k) for k in grp] for grp in groups]
         yield from _case_beta_assoc(K, flat_els)
 
     for _ in range(N):
@@ -1104,7 +1097,7 @@ def _sampled_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
         n = 1 + source.stream.next_int(2)
         msizes = source.sample_sizes(n, max_total=3)
         M = sum(msizes)
-        plists = _split(source.sample_sizes(M, max_total=cap), msizes)
+        plists = _groups(source.sample_sizes(M, max_total=cap), itertools.accumulate(msizes))
         f = source.sample_element(n)
         yield from _case_delta_nesting(K, f, msizes, plists)
 

@@ -10,8 +10,12 @@ reduction).  Words are kept freely reduced at all times.
 Equality is a *semidecision* procedure, not a normal form.  ``equal``
 runs a bidirectional breadth-first search over single-relation rewrites
 (a relation may be applied in either orientation at any position,
-followed by free reduction), bounded by a maximum word length and a
-state budget.  The three possible outcomes are:
+followed by free reduction), bounded by a state budget and a cap on the
+word length.  No orientation of the shipped braid and cactus relations
+lengthens a word, so the default cap (the longer input plus
+``DEFAULT_EXTRA_LEN``) never binds on them; the cap prunes only when a
+caller sets it below an input's length, or on a system whose relations
+lengthen words.  The three possible outcomes are:
 
 - ``equal`` -- the two search frontiers met; the result carries a
   replayable path that :func:`replay_path` re-validates step by step;
@@ -20,23 +24,32 @@ state budget.  The three possible outcomes are:
   :func:`validate_invariants` checks);
 - ``inconclusive`` -- the search stopped undecided, either because the
   state budget ran out or because the frontier emptied (no rewrite within
-  the length bound reaches a new word); never coerced to a verdict.
+  the length cap reaches a new word); never coerced to a verdict.
 
 ``EqResult.stop`` says which way the search ended: ``met`` (the frontiers
 met, or the inputs were identical), ``invariant``, ``budget`` or
 ``space_exhausted``.
 
 The search codes each letter as one character, so its states are
-strings, and looks rewrites up by the next two letters of a word: one
-lookup per position, in the row of rules of the letter there, finds the
-few oriented relations whose left side can start there.  Right sides are
-freely reduced once, when the tables are built, so a successor is the
-word with the left side replaced: as it is when neither seam cancels,
-which two compares tell, and with free cancellation worked out only at
-the two seams otherwise, never over the whole word.  Orientations whose
-left side is empty are skipped: they splice a relator next to nothing
-and free reduction undoes them immediately, so they can never produce a
-new state.
+strings, and looks rewrites up by the letters of a word: one lookup per
+position, in the row of rules of the letter there and under the next
+few letters (as many as the longest left side has past its first),
+finds exactly the oriented relations whose whole left side starts
+there.  Right sides are freely reduced once, when the tables are built,
+so a successor is the word with the left side replaced: as it is when
+neither seam cancels, which two compares tell, and with free
+cancellation worked out only at the two seams otherwise, never over the
+whole word.  Orientations whose left side is empty are skipped: they
+splice a relator next to nothing and free reduction undoes them
+immediately, so they can never produce a new state.
+
+A state's rewrites that lie wholly before the letters changed by the
+rewrite that produced it, with a letter between, commute with that
+rewrite, so the parent's expansion has already reached their results
+(a diamond).  The search skips them before building their strings; the
+comment at the test in :func:`equal` gives the argument.  It expands
+the same states in the same order as a search that builds and drops
+them.
 """
 
 from __future__ import annotations
@@ -180,32 +193,53 @@ DEFAULT_EXTRA_LEN = 6
 DEFAULT_BUDGET = 100_000
 
 
+class _Row(dict):
+    """The rules of one letter, keyed by the letters after it.
+
+    A key is the next ``width`` letters of a word, fewer at its end.  Its
+    bucket holds, in relation order, the entries whose left side after its
+    first letter is a prefix of the key, so every entry in it matches; the
+    bucket is built on the key's first lookup.
+    """
+
+    __slots__ = ("entries",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.entries: list[tuple[str, tuple]] = []  # (left side past its first letter, entry)
+
+    def __missing__(self, key: str) -> tuple:
+        bucket = self[key] = tuple(entry for rest, entry in self.entries if key.startswith(rest))
+        return bucket
+
+
 class _SearchTables:
     """Interned form of a relation system for the inner search loop.
 
     Each letter is coded as one character, ``chr`` of its rank in the
-    alphabet, so states, right sides and tails are ``str``: a ``str``
-    caches its hash, so a successor is hashed once however many
-    dictionaries it is looked up in.  ``decode`` gives back letter tuples.
-    ``cancels[c]`` is the character that cancels ``c``.
+    alphabet, so states and right sides are ``str``: a ``str`` caches its
+    hash, so a successor is hashed once however many dictionaries it is
+    looked up in.  ``decode`` gives back letter tuples.  ``cancels[c]`` is
+    the character that cancels ``c``.
 
-    ``rows[c]`` holds the rules of the letter ``c``, keyed by the letter
-    after it, so the loop does one lookup per position: the bucket of
-    ``d`` holds the oriented relations whose left side starts ``c d``, and
-    also those whose left side is the single letter ``c``; the key ``""``
-    holds only the latter, for a word's last position.  Every letter has a
-    row, empty when no left side starts with it.  Each bucket keeps
-    relation order, so successors come out in the order a scan of every
-    orientation would give.  Orientations with an empty left side are left
-    out: splicing a relator next to nothing is undone by the immediate free
-    reduction.
+    ``rows[c]`` holds the rules of the letter ``c``, keyed by the
+    ``width`` letters after it, where ``width`` is the longest left side
+    less one (2 for braid, 1 for cactus): one lookup per position finds
+    exactly the oriented relations whose whole left side starts there,
+    one-letter left sides and matches at a word's end included, since a
+    key is cut short there.  Each bucket keeps relation order, so
+    successors come out in the order a scan of every orientation would
+    give.  Buckets are built on first lookup (:class:`_Row`): a search
+    looks up a few hundred windows, where filling every row would build
+    one bucket per window of ``width`` letters.  Every letter has a row.
+    Orientations with an empty left side are left out: splicing a
+    relator next to nothing is undone by the immediate free reduction.
 
-    An entry is ``(b, lb, la, tail, head, foot, ridx, orient)``: the right
-    side, freely reduced once here, and its length; the left side's
-    length, and its letters past the second, which the loop compares only
-    for left sides longer than two; ``head`` and ``foot``, the letters that
-    cancel the right side's first and last letter (``""`` when it is
-    empty), so two compares tell whether either seam of a splice cancels.
+    An entry is ``(b, lb, la, head, foot, ridx, orient)``: the right side,
+    freely reduced once here, and its length; the left side's length;
+    ``head`` and ``foot``, the letters that cancel the right side's first
+    and last letter (``""`` when it is empty), so two compares tell
+    whether either seam of a splice cancels.
     """
 
     def __init__(self, sys: RelationSystem):
@@ -221,7 +255,8 @@ class _SearchTables:
             code: self.letter_to_code[(gen, sign if gen in sys.involutive else -sign)]
             for code, (gen, sign) in self.code_to_letter.items()
         }
-        self.rows: dict[str, dict[str, tuple]] = {c: {} for c in self.code_to_letter}
+        self.width = max((len(side) for sides in sys.relations for side in sides), default=1) - 1
+        self.rows: dict[str, _Row] = {c: _Row() for c in self.code_to_letter}
         for ridx, sides in enumerate(sys.relations):
             codes = tuple(map(self.encode, sides))
             for orient in (0, 1):
@@ -230,17 +265,9 @@ class _SearchTables:
                     rb = free_reduce(sides[1 - orient], sys.involutive)
                     b = codes[1 - orient] if rb == sides[1 - orient] else self.encode(rb)
                     head, foot = (self.cancels[b[0]], self.cancels[b[-1]]) if b else ("", "")
-                    self.rows[a[0]].setdefault(a[1:2], []).append(
-                        (b, len(b), len(a), a[2:], head, foot, ridx, orient)
+                    self.rows[a[0]].entries.append(
+                        (a[1:], (b, len(b), len(a), head, foot, ridx, orient))
                     )
-        for row in self.rows.values():
-            # fold the one-letter left sides into every bucket of the row,
-            # in relation order
-            if "" in row:
-                for d in self.code_to_letter:
-                    row[d] = sorted(row.get(d, []) + row[""], key=lambda entry: entry[6:])
-            for d, bucket in row.items():
-                row[d] = tuple(bucket)
 
     def encode(self, letters: Letters) -> str:
         return "".join(map(self.letter_to_code.__getitem__, letters))
@@ -279,10 +306,13 @@ def equal(
     tab = sys.search_tables
     rows = tab.rows
     cancels = tab.cancels
+    span = tab.width + 1  # the key at pos is state[pos + 1 : pos + span]
     start = tab.encode(start_letters)
     goal = tab.encode(goal_letters)
 
-    # parent maps: state -> (previous state, rel, orient, pos); roots -> None
+    # parent maps: state -> (previous state, rel, orient, pos, edge), where
+    # edge is the left end of the letters the rewrite changed, after seam
+    # cancellation; roots -> None
     seen: tuple[dict, dict] = ({start: None}, {goal: None})
     queues = (deque([start]), deque([goal]))
     expanded = 0
@@ -292,7 +322,7 @@ def equal(
         for s in (0, 1):
             node = meet
             while seen[s][node] is not None:
-                parent, ridx, orient, pos = seen[s][node]
+                parent, ridx, orient, pos, _ = seen[s][node]
                 chains[s].append(Step(ridx, orient, pos, tab.decode(node)))
                 node = parent
         return RewritePath(
@@ -306,18 +336,32 @@ def equal(
         state = queue.popleft()
         expanded += 1
         ln = len(state)
+        record = mine[state]
+        # Diamond moves.  Let u be the rewrite that produced this state from
+        # its parent; it changed no letter before edge.  A move t whose final
+        # j (seams included) is < edge reads and changes only letters before
+        # j, and letter j < edge stays untouched between t and u.  So t does
+        # the same in the parent, the two commute, and state.t == parent.t.u.
+        # The parent's scan reached t before u, so parent.t was queued before
+        # this state or was already seen, and was expanded first, unless it
+        # was over the length cap: hence the test that parent.t fits, its
+        # length size - ln + len(parent) <= max_len, i.e. size <= fit.  That
+        # expansion built parent.t.u or skipped it by this same rule, so the
+        # string is already in mine and need not be built.
+        if record is None:
+            edge = fit = 0
+        else:
+            edge = record[4]
+            fit = max_len + ln - len(record[0])
         for pos in range(ln):
-            bucket = rows[state[pos]].get(state[pos + 1 : pos + 2])
-            if bucket is None:
-                continue
-            for b, m, la, tail, head, foot, ridx, orient in bucket:
+            for b, m, la, head, foot, ridx, orient in rows[state[pos]][state[pos + 1 : pos + span]]:
                 j = pos + la
-                if tail and state[pos + 2 : j] != tail:
-                    continue
                 if m and (not pos or state[pos - 1] != head) and (j == ln or state[j] != foot):
                     # neither seam cancels: the splice is reduced as it is
-                    if ln - la + m > max_len:
+                    size = ln - la + m
+                    if size > max_len or j < edge and size <= fit:
                         continue
+                    i = pos
                     nxt = state[:pos] + b + state[j:]
                 else:
                     # state and b are reduced: letters cancel only at the seams
@@ -332,12 +376,13 @@ def equal(
                         while i and j < ln and cancels[state[i - 1]] == state[j]:
                             i -= 1
                             j += 1
-                    if i + m - k + ln - j > max_len:
+                    size = i + m - k + ln - j
+                    if size > max_len or j < edge and size <= fit:
                         continue
                     nxt = state[:i] + b[k:m] + state[j:]
                 if nxt in mine:  # the state itself is in mine too
                     continue
-                mine[nxt] = (state, ridx, orient, pos)
+                mine[nxt] = (state, ridx, orient, pos, i)
                 if nxt in other:
                     return EqResult("equal", states=expanded, path=build_path(nxt), stop="met")
                 queue.append(nxt)

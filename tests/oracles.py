@@ -8,9 +8,9 @@ computed by union-find.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import accumulate, product
 
-from actionoperads.core import _split
+from actionoperads.core import _groups
 from actionoperads.perm import act_on_positions
 
 
@@ -139,11 +139,11 @@ def zigzag_orbit_count(G, F, z, x):
 
 def reference_chain_walk(M, typed, by_head, rep):
     """``validate_multicat``'s associativity walk as first written: each
-    chain splits its legs with ``_split`` and probes the whole composition
+    chain splits its legs with ``_groups`` and probes the whole composition
     table three times."""
     for f, gs, r1, ks in typed:
         for hs, s, _ in by_head.get(r1, ()):
-            inner = tuple(M.composition.get(leg) for leg in zip(gs, _split(hs, ks)))
+            inner = tuple(M.composition.get(leg) for leg in zip(gs, _groups(hs, accumulate(ks))))
             outer = (f, inner)
             if None in inner or outer not in M.composition:
                 rep.skipped += 1

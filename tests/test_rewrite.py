@@ -332,6 +332,20 @@ WIDE = RelationSystem(
 )
 
 
+# a four-letter left side beside a two-letter and a one-letter one, so
+# that the lookup key is three letters and is cut short at a word's end
+FOUR = RelationSystem(
+    name="four",
+    n=1,
+    generators=("a", "b", "c", "d"),
+    relations=(
+        ((("a", 1), ("b", 1), ("c", 1), ("d", 1)), (("d", 1), ("a", 1))),
+        ((("c", 1), ("d", 1)), (("d", 1), ("c", 1))),
+        ((("b", 1),), (("d", 1), ("d", 1))),
+    ),
+)
+
+
 def _letters(sys):
     return [
         (g, sign) for g in sys.generators for sign in ((1,) if g in sys.involutive else (1, -1))
@@ -343,13 +357,13 @@ def search_queries(draw):
     """A system, two words and search bounds.  The second word is either
     independent of the first or one relation away from it, possibly with a
     relator inserted, so that the search has work to do."""
-    family = draw(st.sampled_from(["cactus", "braid", "toy", "empty_right", "wide"]))
+    family = draw(st.sampled_from(["cactus", "braid", "toy", "empty_right", "wide", "four"]))
     if family == "cactus":
         sys = cactus_relations(draw(st.integers(2, 6)))
     elif family == "braid":
         sys = braid_relations(draw(st.integers(2, 5)))
     else:
-        sys = {"toy": TOY, "empty_right": EMPTY_RIGHT, "wide": WIDE}[family]
+        sys = {"toy": TOY, "empty_right": EMPTY_RIGHT, "wide": WIDE, "four": FOUR}[family]
     words = st.lists(st.sampled_from(_letters(sys)), max_size=5).map(tuple)
     x, y = draw(words), draw(words)
     if sys.relations and draw(st.booleans()):
@@ -379,6 +393,12 @@ class TestAgainstReference:
     # relation order
     @example((TOY, _toy("a"), _toy("B", "a", "b"), None, 200))
     @example((TOY, _toy("a", "b", "c"), _toy("a", "c", "c"), None, 200))
+    # the diamond skip: under a cap below the inputs' length a move may be
+    # skipped only when its result from the parent fits the cap too
+    @example((TOY, _toy("c", "b", "a"), _toy("b", "c", "a", "a", "B", "B"), 3, 4))
+    # ... and only when an untouched letter separates it from the rewrite
+    # that produced the state (final right index < left edge)
+    @example((TOY, _toy(), _toy("s", "a", "s", "a"), None, 15))
     def test_same_result_as_the_plain_scan(self, query):
         sys, w1, w2, max_len, budget = query
         res = equal(w1, w2, sys, max_len, budget)
@@ -405,10 +425,29 @@ class TestAgainstReference:
                 Word(1, ((250, 1), (298, 1), (299, 1), (298, 1))),
                 Word(1, ((299, 1), (298, 1), (299, 1), (250, 1))),
             ),
+            # keys cut short at a word's end: a two-letter left side in the
+            # last two letters, a one-letter one in the last letter, and the
+            # four-letter one under a full key
+            (FOUR, _toy("a", "c", "d"), _toy("a", "d", "c")),
+            (FOUR, _toy("c", "b"), _toy("c", "d", "d")),
+            (FOUR, _toy("c", "a", "b", "c", "d"), _toy("c", "d", "a")),
         ],
-        ids=["empty_right", "wide"],
+        ids=["empty_right", "wide", "four_last_two", "four_last_one", "four_whole"],
     )
     def test_pinned_pairs_are_equal(self, sys, w1, w2):
         res = equal(w1, w2, sys, budget=200)
         assert res == reference_equal(w1, w2, sys, budget=200)
         assert res.is_equal and replay_path(sys, w1, w2, res.path)
+
+
+def test_buckets_are_built_on_first_lookup():
+    # filling every row of braid n = 24 up front builds about 85k buckets
+    sys = replace(braid_relations(24))
+    odd = [(i, 1) for i in range(1, 16, 2)]
+    lhs, rhs = braid_word(24, *odd), braid_word(24, *reversed(odd))
+    res = equal(lhs, rhs, sys, budget=200)
+    rows = sys.search_tables.rows
+    buckets = sum(map(len, rows.values()))
+    # at most one lookup per position of each expanded state
+    assert 0 < buckets <= res.states * len(lhs)
+    assert all(len(key) <= sys.search_tables.width for row in rows.values() for key in row)
