@@ -202,14 +202,17 @@ class _Row(dict):
     bucket is built on the key's first lookup.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ("rests", "entries")
 
     def __init__(self) -> None:
         super().__init__()
-        self.entries: list[tuple[str, tuple]] = []  # (left side past its first letter, entry)
+        self.rests: list[str] = []  # each entry's left side past its first letter
+        self.entries: list[tuple] = []
 
     def __missing__(self, key: str) -> tuple:
-        bucket = self[key] = tuple(entry for rest, entry in self.entries if key.startswith(rest))
+        bucket = self[key] = tuple(
+            entry for rest, entry in zip(self.rests, self.entries) if key.startswith(rest)
+        )
         return bucket
 
 
@@ -235,11 +238,11 @@ class _SearchTables:
     Orientations with an empty left side are left out: splicing a
     relator next to nothing is undone by the immediate free reduction.
 
-    An entry is ``(b, lb, la, head, foot, ridx, orient)``: the right side,
-    freely reduced once here, and its length; the left side's length;
-    ``head`` and ``foot``, the letters that cancel the right side's first
-    and last letter (``""`` when it is empty), so two compares tell
-    whether either seam of a splice cancels.
+    An entry is ``(b, lb, la, head, foot, move)``: the right side, freely
+    reduced once here, and its length; the left side's length; ``head``
+    and ``foot``, the letters that cancel the right side's first and last
+    letter (``""`` when it is empty), so two compares tell whether either
+    seam of a splice cancels; and ``move``, ``2 * ridx + orient``.
     """
 
     def __init__(self, sys: RelationSystem):
@@ -265,9 +268,9 @@ class _SearchTables:
                     rb = free_reduce(sides[1 - orient], sys.involutive)
                     b = codes[1 - orient] if rb == sides[1 - orient] else self.encode(rb)
                     head, foot = (self.cancels[b[0]], self.cancels[b[-1]]) if b else ("", "")
-                    self.rows[a[0]].entries.append(
-                        (a[1:], (b, len(b), len(a), head, foot, ridx, orient))
-                    )
+                    row = self.rows[a[0]]
+                    row.rests.append(a[1:])
+                    row.entries.append((b, len(b), len(a), head, foot, 2 * ridx + orient))
 
     def encode(self, letters: Letters) -> str:
         return "".join(map(self.letter_to_code.__getitem__, letters))
@@ -310,9 +313,9 @@ def equal(
     start = tab.encode(start_letters)
     goal = tab.encode(goal_letters)
 
-    # parent maps: state -> (previous state, rel, orient, pos, edge), where
-    # edge is the left end of the letters the rewrite changed, after seam
-    # cancellation; roots -> None
+    # parent maps: state -> (previous state, 2 * rel + orient, pos, edge),
+    # where edge is the left end of the letters the rewrite changed, after
+    # seam cancellation; roots -> None
     seen: tuple[dict, dict] = ({start: None}, {goal: None})
     queues = (deque([start]), deque([goal]))
     expanded = 0
@@ -322,8 +325,8 @@ def equal(
         for s in (0, 1):
             node = meet
             while seen[s][node] is not None:
-                parent, ridx, orient, pos, _ = seen[s][node]
-                chains[s].append(Step(ridx, orient, pos, tab.decode(node)))
+                parent, move, pos, _ = seen[s][node]
+                chains[s].append(Step(move >> 1, move & 1, pos, tab.decode(node)))
                 node = parent
         return RewritePath(
             tab.decode(meet), tuple(reversed(chains[0])), tuple(reversed(chains[1]))
@@ -351,10 +354,10 @@ def equal(
         if record is None:
             edge = fit = 0
         else:
-            edge = record[4]
+            edge = record[3]
             fit = max_len + ln - len(record[0])
         for pos in range(ln):
-            for b, m, la, head, foot, ridx, orient in rows[state[pos]][state[pos + 1 : pos + span]]:
+            for b, m, la, head, foot, move in rows[state[pos]][state[pos + 1 : pos + span]]:
                 j = pos + la
                 if m and (not pos or state[pos - 1] != head) and (j == ln or state[j] != foot):
                     # neither seam cancels: the splice is reduced as it is
@@ -382,7 +385,7 @@ def equal(
                     nxt = state[:i] + b[k:m] + state[j:]
                 if nxt in mine:  # the state itself is in mine too
                     continue
-                mine[nxt] = (state, ridx, orient, pos, i)
+                mine[nxt] = (state, move, pos, i)
                 if nxt in other:
                     return EqResult("equal", states=expanded, path=build_path(nxt), stop="met")
                 queue.append(nxt)
