@@ -141,6 +141,18 @@ class TestEqual:
         gc.collect()
         assert ref() is None
 
+    def test_buckets_are_built_on_first_lookup(self):
+        # filling every row of braid n = 24 up front builds 99,498 buckets
+        sys = replace(braid_relations(24))
+        odd = [(i, 1) for i in range(1, 16, 2)]
+        lhs, rhs = braid_word(24, *odd), braid_word(24, *reversed(odd))
+        res = equal(lhs, rhs, sys, budget=200)
+        rows = sys.search_tables.rows
+        buckets = sum(map(len, rows.values()))
+        # at most one lookup per position of each expanded state
+        assert 0 < buckets <= res.states * len(lhs)
+        assert all(len(key) <= sys.search_tables.width for row in rows.values() for key in row)
+
     def test_stop_met_and_invariant(self):
         sys = cactus_relations(3)
         w = cactus_word(3, (1, 3), (1, 2))
@@ -438,16 +450,3 @@ class TestAgainstReference:
         res = equal(w1, w2, sys, budget=200)
         assert res == reference_equal(w1, w2, sys, budget=200)
         assert res.is_equal and replay_path(sys, w1, w2, res.path)
-
-
-def test_buckets_are_built_on_first_lookup():
-    # filling every row of braid n = 24 up front builds about 85k buckets
-    sys = replace(braid_relations(24))
-    odd = [(i, 1) for i in range(1, 16, 2)]
-    lhs, rhs = braid_word(24, *odd), braid_word(24, *reversed(odd))
-    res = equal(lhs, rhs, sys, budget=200)
-    rows = sys.search_tables.rows
-    buckets = sum(map(len, rows.values()))
-    # at most one lookup per position of each expanded state
-    assert 0 < buckets <= res.states * len(lhs)
-    assert all(len(key) <= sys.search_tables.width for row in rows.values() for key in row)
