@@ -14,8 +14,11 @@ with their sign-closed variants (inverse and mixed-sign consequences),
 so the bounded rewriting search can act on words containing inverse
 letters without ever growing them; every added variant is a consequence
 of the defining relations and is covered by the invariant soundness
-check.  Equality refutation uses two invariants: the underlying
-permutation and the exponent sum (the abelianization).
+check.  Equality refutation uses three invariants, in this order: the
+underlying permutation, the exponent sum (the abelianization), and
+Garside's left-greedy normal form (:func:`garside_normal_form`).  The
+normal form is complete, so every distinct pair is refuted before the
+search; it never issues ``equal``, which needs a replayable path.
 """
 
 from __future__ import annotations
@@ -30,6 +33,78 @@ from .rewrite import RelationSystem, Word
 
 def _word_exponent_sum(word: Word) -> int:
     return sum(sign for _gen, sign in word.letters)
+
+
+def garside_normal_form(n: int, letters: Sequence[tuple[int, int]]) -> tuple:
+    """Garside's left-greedy normal form ``(k, (A_1, ..., A_r))`` of a
+    braid word: the braid is Δ^k · A_1 ⋯ A_r, each ``A_j`` a permutation
+    braid other than 1 and Δ, given by its underlying permutation, and
+    each adjacent pair left-weighted (Garside 1969; Elrifai–Morton 1994;
+    Epstein et al., *Word Processing in Groups*, 1992, ch. 9).  Two words
+    have the same normal form exactly when they are the same braid.
+
+    Each ``B<i>`` is Δ⁻¹ · (Δσ_i⁻¹), and moving a Δ⁻¹ left past a factor
+    flips it (i ↦ n − i), so the word is Δ^-m times positive factors, m
+    its number of inverse letters.  The factors are appended one by one;
+    each append makes the pairs left-weighted from the right, moving σ_i
+    from the right factor B to the left one A while i is in S(B) ∖ F(A),
+    and stops at the first pair that is already left-weighted: the pairs
+    to its left are unchanged, and one such pass puts a left-weighted
+    word times one permutation braid in normal form.  Leading Δ factors
+    fold into k.  Nothing is kept between calls.
+
+    >>> garside_normal_form(3, ((1, 1), (2, 1), (1, 1), (2, 1)))
+    (1, ((1, 3, 2),))
+    >>> garside_normal_form(3, ((1, -1),))
+    (-1, ((2, 3, 1),))
+    """
+    ident, top = list(range(1, n + 1)), list(range(n, 0, -1))
+    flips = sum(1 for _gen, sign in letters if sign == -1)
+    k = -flips
+    factors: list[list[int]] = []
+    for gen, sign in letters:
+        if sign == -1:
+            flips -= 1
+        i = n - gen if flips & 1 else gen  # flipped by the Δ⁻¹ of each later B<j>
+        if sign == 1 and factors and factors[-1][i - 1] < factors[-1][i]:
+            a = factors[-1]  # i is not in F(a): σ_i moves into a at once
+            a[i - 1], a[i] = a[i], a[i - 1]
+        else:
+            factor = ident[:] if sign == 1 else top[:]
+            factor[i - 1], factor[i] = factor[i], factor[i - 1]
+            factors.append(factor)
+            if sign == 1:
+                continue  # first, or i is in F of the factor before: left-weighted
+        for j in range(len(factors) - 2, -1, -1):
+            a, b = factors[j], factors[j + 1]
+            inv = [0] * n  # b⁻¹, so that i is in S(b) when inv[i - 1] > inv[i]
+            for pos, v in enumerate(b):
+                inv[v - 1] = pos
+            moved = False
+            i = 1
+            while i < n:
+                if inv[i - 1] > inv[i] and a[i - 1] < a[i]:
+                    a[i - 1], a[i] = a[i], a[i - 1]
+                    inv[i - 1], inv[i] = inv[i], inv[i - 1]
+                    moved = True
+                    if i > 1:
+                        i -= 1  # only S and F at i - 1 and i + 1 changed
+                else:
+                    i += 1
+            if not moved:
+                break
+            for v, pos in enumerate(inv, 1):
+                b[pos] = v
+        if factors[-1] == ident:  # the new factor moved wholly to the left
+            factors.pop()
+    lead = 0
+    while lead < len(factors) and factors[lead] == top:
+        lead += 1
+    return (k + lead, tuple(map(tuple, factors[lead:])))
+
+
+def _word_garside(word: Word) -> tuple:
+    return garside_normal_form(word.n, word.letters)
 
 
 @lru_cache(maxsize=None)
@@ -65,7 +140,11 @@ def braid_relations(n: int) -> RelationSystem:
         generators=gens,
         relations=tuple(relations),
         involutive=frozenset(),
-        invariants=(("pi", braid_operad().pi_images), ("exponent_sum", _word_exponent_sum)),
+        invariants=(
+            ("pi", braid_operad().pi_images),
+            ("exponent_sum", _word_exponent_sum),
+            ("garside", _word_garside),
+        ),
     )
 
 

@@ -3,7 +3,8 @@
 These deliberately avoid the library's normalized-representative
 shortcuts: the Borel quotient is materialized as raw tuples and raw
 morphisms modulo the explicit diagonal group action, with classes
-computed by union-find.
+computed by union-find.  ``burau`` evaluates braid words without the
+library's braid code.
 """
 
 from __future__ import annotations
@@ -194,3 +195,30 @@ def reference_fincat_validate(cat):
                     raise ValueError(
                         f"{cat.name}: associativity fails on triple ({h!r}, {g!r}, {f!r})"
                     )
+
+
+def burau(n, letters):
+    """The unreduced Burau matrix of a braid word over Z[t, 1/t], rows of
+    Laurent polynomials as sorted (exponent, coefficient) tuples.
+
+    ``(i, 1)`` multiplies on the right by the identity with the block
+    [[1 - t, t], [1, 0]] at rows and columns i, i + 1, and ``(i, -1)`` by
+    its inverse [[0, 1], [1/t, 1 - 1/t]].  Faithful for n <= 3.
+    """
+
+    def comb(*terms):  # sum of coefficient * t^shift * poly
+        out = {}
+        for coef, shift, poly in terms:
+            for e, c in poly.items():
+                out[e + shift] = out.get(e + shift, 0) + coef * c
+        return {e: c for e, c in out.items() if c}
+
+    rows = [[{0: 1} if r == c else {} for c in range(n)] for r in range(n)]
+    for gen, sign in letters:
+        for row in rows:
+            x, y = row[gen - 1], row[gen]
+            if sign == 1:
+                row[gen - 1], row[gen] = comb((1, 0, x), (-1, 1, x), (1, 0, y)), comb((1, 1, x))
+            else:
+                row[gen - 1], row[gen] = comb((1, -1, y)), comb((1, 0, x), (1, 0, y), (-1, -1, y))
+    return tuple(tuple(tuple(sorted(p.items())) for p in row) for row in rows)

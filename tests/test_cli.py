@@ -85,6 +85,19 @@ class TestEqual:
         )
         assert code == 2 and out.strip() == "Inconclusive"
 
+    def test_distinct_by_normal_form(self, capsys):
+        delta = "b1 b2 b3 b1 b2 b1"
+        words = (f"{delta} {delta} b1 b1", f"{delta} {delta} b3 b3")
+        argv = ("equal", "--operad", "braid", "--n", "4")
+        code, out = run(capsys, *argv, *words)
+        assert code == 1 and out == "Distinct(garside)\n"
+        code, structured = run(capsys, *argv, "--format", "structured", *words)
+        assert code == 1
+        assert json.loads(structured) == {"separating": "garside", "states": 0, "verdict": "distinct"}
+        # a Distinct carries no path, so --explain adds nothing
+        assert run(capsys, *argv, "--explain", *words) == (1, out)
+        assert run(capsys, *argv, "--explain", "--format", "structured", *words) == (1, structured)
+
     def test_explain_text_mode(self, capsys):
         code, out = run(
             capsys,

@@ -161,18 +161,27 @@ class TestEqual:
         assert equal(cactus_word(3, (1, 2)), cactus_word(3), sys).stop == "invariant"
 
     def test_stop_space_exhausted_on_equal_braid_pair(self):
-        # equal, but no relation applies until a cancelling pair is inserted
+        # equal, but no relation applies until a cancelling pair is inserted:
+        # this pair has no rewrite path that never lengthens a word
         B = braid_operad()
         lhs, rhs = B.parse("B1 B2 B2 b1", 3), B.parse("b2 B1 B1 B2", 3)
         res = B.equal(lhs, rhs, None, 4000)
         assert res.is_inconclusive and res.states == 2 and res.stop == "space_exhausted"
 
     def test_stop_budget_on_long_braid_pair(self):
+        # a distinct pair that pi and the exponent sum cannot separate: the
+        # search without the normal form runs out of budget, the shipped
+        # system refutes it before searching
         B = braid_operad()
         delta = "b1 b2 b3 b1 b2 b1"
         lhs, rhs = B.parse(f"{delta} {delta} b1 b1", 4), B.parse(f"{delta} {delta} b3 b3", 4)
-        res = B.equal(lhs, rhs, None, 4000)
+        shipped = braid_relations(4)
+        no_garside = replace(shipped, invariants=shipped.invariants[:2])
+        res = equal(lhs.payload, rhs.payload, no_garside, None, 4000)
         assert res.is_inconclusive and res.states == 4000 and res.stop == "budget"
+        res = B.equal(lhs, rhs, None, 4000)
+        assert res.is_distinct and res.separating == "garside"
+        assert res.states == 0 and res.stop == "invariant"
 
     def test_arity_mismatch_is_an_error(self):
         with pytest.raises(ValueError):
