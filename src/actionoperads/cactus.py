@@ -200,14 +200,14 @@ def commutor(m: int, n: int) -> OperadElement:
     return cactus_operad().from_letters(m + n, tuple(letters))
 
 
-def commutor_symmetry(m: int, n: int, max_len=None, budget=None):
+def commutor_symmetry(m: int, n: int, budget=None):
     """Oracle verdict for commutor(n,m) * commutor(m,n) = e."""
     inst = cactus_operad()
     prod = inst.mul(commutor(n, m), commutor(m, n))
-    return inst.equal(prod, inst.identity(m + n), max_len=max_len, budget=budget)
+    return inst.equal(prod, inst.identity(m + n), budget=budget)
 
 
-def coboundary_square(m: int, n: int, p: int, max_len=None, budget=None):
+def coboundary_square(m: int, n: int, p: int, budget=None):
     """Oracle verdict for the coboundary square at widths (m, n, p):
 
     commutor(m, n+p) * beta(e_m, commutor(n, p))
@@ -220,10 +220,10 @@ def coboundary_square(m: int, n: int, p: int, max_len=None, budget=None):
     rhs = inst.mul(
         commutor(n + m, p), inst.beta([commutor(m, n), inst.identity(p)])
     )
-    return inst.equal(lhs, rhs, max_len=max_len, budget=budget)
+    return inst.equal(lhs, rhs, budget=budget)
 
 
-def delta_respects_relation(n: int, sizes: Sequence[int], relation_index: int, max_len=None, budget=None):
+def delta_respects_relation(n: int, sizes: Sequence[int], relation_index: int, budget=None):
     """Oracle verdict for one defining relation surviving the block
     diagonal: delta(lhs, sizes) = delta(rhs, sizes)."""
     inst = cactus_operad()
@@ -231,4 +231,4 @@ def delta_respects_relation(n: int, sizes: Sequence[int], relation_index: int, m
     lhs_letters, rhs_letters = sys.relations[relation_index]
     lhs = inst.delta(inst.from_letters(n, lhs_letters), tuple(sizes))
     rhs = inst.delta(inst.from_letters(n, rhs_letters), tuple(sizes))
-    return inst.equal(lhs, rhs, max_len=max_len, budget=budget)
+    return inst.equal(lhs, rhs, budget=budget)

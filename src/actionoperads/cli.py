@@ -38,10 +38,6 @@ def _emit(args, text: str, payload: dict) -> None:
         print(text)
 
 
-def _oracle_kwargs(args) -> dict:
-    return {"max_len": getattr(args, "max_len", None), "budget": getattr(args, "budget", None)}
-
-
 # -- element commands ---------------------------------------------------------
 
 
@@ -147,7 +143,7 @@ def cmd_equal(args) -> int:
         _emit(args, "Valid" if ok else "Invalid", {"replay": ok})
         return OK if ok else FAIL
 
-    res = inst.equal(a, b, **_oracle_kwargs(args))
+    res = inst.equal(a, b, budget=args.budget)
     verdict = {"equal": "Equal", "distinct": "Distinct", "inconclusive": "Inconclusive"}[res.verdict]
     lines = [verdict if not res.separating else f"{verdict}({res.separating})"]
     payload = {"verdict": res.verdict, "separating": res.separating, "states": res.states}
@@ -182,7 +178,6 @@ def cmd_axioms(args) -> int:
         max_block_size=args.block_size,
         max_result_arity=args.result_arity,
         seed=args.seed,
-        max_len=args.max_len,
         budget=args.budget,
     )
     rep = check_axioms(inst, config)
@@ -229,7 +224,7 @@ def cmd_cactus_relations(args) -> int:
 
 def cmd_cactus_coboundary(args) -> int:
     inst = cactus_mod.cactus_operad()
-    kw = _oracle_kwargs(args)
+    budget = args.budget
     lines = []
     results = []
 
@@ -241,15 +236,15 @@ def cmd_cactus_coboundary(args) -> int:
         for n in range(1, args.max_total):
             if m + n > args.max_total:
                 continue
-            record("symmetry", cactus_mod.commutor_symmetry(m, n, **kw), m=m, n=n)
+            record("symmetry", cactus_mod.commutor_symmetry(m, n, budget=budget), m=m, n=n)
             d = inst.delta(inst.parse("s(1,2)", 2), (m, n))
-            record("delta-coherence", inst.equal(cactus_mod.commutor(m, n), d, **kw), m=m, n=n)
+            record("delta-coherence", inst.equal(cactus_mod.commutor(m, n), d, budget=budget), m=m, n=n)
     for m in range(1, args.max_total):
         for n in range(1, args.max_total):
             for p in range(1, args.max_total):
                 if m + n + p > args.max_total:
                     continue
-                record("square", cactus_mod.coboundary_square(m, n, p, **kw), m=m, n=n, p=p)
+                record("square", cactus_mod.coboundary_square(m, n, p, budget=budget), m=m, n=n, p=p)
     verdicts = [r["verdict"] for r in results]
     failures, inconclusive = verdicts.count("distinct"), verdicts.count("inconclusive")
     lines.append(f"total: {len(results)} checks, {failures} failed, {inconclusive} inconclusive")
@@ -408,7 +403,7 @@ def cmd_present_check(args) -> int:
             raise ValueError(f"malformed --interp entry {item!r}; expected name=WORD")
         gen = p.generators[name.strip()]
         interp[name.strip()] = inst.parse(text.strip(), gen.arity)
-    rep = pres.check_presentation(p, interp, inst, **_oracle_kwargs(args))
+    rep = pres.check_presentation(p, interp, inst, budget=args.budget)
     payload = {
         "operad": rep.operad,
         "relations": [
@@ -431,7 +426,6 @@ def _add_common(p, operad=True, oracle=False, strict=False):
     if operad:
         p.add_argument("--operad", required=True, choices=["trivial", "sym", "braid", "cactus"])
     if oracle:
-        p.add_argument("--max-len", type=int, default=None, dest="max_len")
         p.add_argument("--budget", type=int, default=None)
     if strict:
         p.add_argument("--strict", action="store_true")

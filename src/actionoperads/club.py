@@ -56,8 +56,8 @@ class ClubBackedOperad(ActionOperad):
     def delta(self, a, sizes):
         return self.club.mu(a, [self.club.identity(k) for k in sizes])
 
-    def equal(self, a, b, max_len=None, budget=None):
-        return self.club.equal(a, b)
+    def equal(self, a, b, _=None, budget=None):
+        return self.club.equal(a, b, budget=budget)
 
     def elements(self, n):
         return self.club.elements(n)

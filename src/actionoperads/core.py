@@ -130,7 +130,10 @@ class ActionOperad:
         return self.mul(self.delta(g, sizes), self.beta(hs))
 
     # -- oracle / enumeration ----------------------------------------------
-    def equal(self, a: OperadElement, b: OperadElement, max_len=None, budget=None) -> EqResult:
+    def equal(self, a: OperadElement, b: OperadElement, _=None, budget=None) -> EqResult:
+        """The oracle's verdict on ``a == b``, searching at most ``budget``
+        states.  The unused third slot keeps the positional call
+        ``equal(a, b, None, budget)`` of existing callers working."""
         raise NotImplementedError
 
     def elements(self, n: int) -> tuple[OperadElement, ...] | None:
@@ -208,7 +211,7 @@ class SymmetricOperad(ActionOperad):
         self.check_element(a)
         return self._wrap(block_perm(a.payload, sizes))
 
-    def equal(self, a, b, max_len=None, budget=None) -> EqResult:
+    def equal(self, a, b, _=None, budget=None) -> EqResult:
         self.check_element(a)
         self.check_element(b)
         if a.n != b.n:
@@ -273,7 +276,7 @@ class TrivialOperad(ActionOperad):
             raise ValueError(f"arity mismatch: delta of arity {a.n} with {len(sizes)} size(s)")
         return self.identity(sum(sizes))
 
-    def equal(self, a, b, max_len=None, budget=None):
+    def equal(self, a, b, _=None, budget=None):
         self.check_element(a)
         self.check_element(b)
         if a.n != b.n:
@@ -416,12 +419,12 @@ class WordOperad(ActionOperad):
             sizes = moved
         return self._wrap(total, [letter for f in reversed(factors) for letter in f])
 
-    def equal(self, a, b, max_len=None, budget=None):
+    def equal(self, a, b, _=None, budget=None):
         self.check_element(a)
         self.check_element(b)
         if a.n != b.n:
             return EqResult("distinct", separating="arity", stop="invariant")
-        return rewrite.equal(a.payload, b.payload, self.relation_system(a.n), max_len, budget)
+        return rewrite.equal(a.payload, b.payload, self.relation_system(a.n), budget)
 
     def generators(self, n):
         return tuple(
@@ -487,7 +490,6 @@ class AxiomCheckConfig:
     max_block_size: int = 2
     max_result_arity: int = 6
     seed: int = 2026
-    max_len: int | None = None
     budget: int | None = None
 
     def __post_init__(self):
@@ -786,10 +788,10 @@ class _Kernel:
             r = row[hs] = self.intern(self.inst.mu(self.els[g], [self.els[h] for h in hs]))
         return r
 
-    def equal(self, a: int, b: int, max_len=None, budget=None) -> EqResult:
+    def equal(self, a: int, b: int, budget=None) -> EqResult:
         if a == b:
             return _SAME
-        return self.inst.equal(self.els[a], self.els[b], max_len=max_len, budget=budget)
+        return self.inst.equal(self.els[a], self.els[b], budget=budget)
 
     def format(self, a: int) -> str:
         return self.inst.format(self.els[a])
@@ -816,7 +818,7 @@ def check_axioms(inst: ActionOperad, config: AxiomCheckConfig | None = None) -> 
         if lhs == rhs:
             continue
         if kind == "pair":
-            res = K.equal(lhs, rhs, max_len=config.max_len, budget=config.budget)
+            res = K.equal(lhs, rhs, budget=config.budget)
             if res.is_equal:
                 continue
             if res.is_inconclusive:

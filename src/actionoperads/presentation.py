@@ -198,7 +198,7 @@ def parse_term(text: str) -> Term:
     >>> parse_term("delta(gen(s); [2,1])")
     DeltaT(body=Gen(name='s'), sizes=(2, 1))
     """
-    term, pos = _parse(text, 0)
+    term, pos = _parse(text, 0, MAX_TERM_DEPTH)
     if text[pos:].strip():
         raise ValueError(f"trailing input after term: {text[pos:]!r}")
     return term
@@ -217,8 +217,16 @@ def _expect(text: str, pos: int, token: str) -> int:
     return pos + len(token)
 
 
-def _parse(text: str, pos: int) -> tuple[Term, int]:
+# The term walkers recurse once per level; the parser stops deeper terms
+# well inside the interpreter's recursion limit.
+MAX_TERM_DEPTH = 200
+
+
+def _parse(text: str, pos: int, depth: int) -> tuple[Term, int]:
     pos = _skip(text, pos)
+    if not depth:
+        raise ValueError(f"term nests deeper than {MAX_TERM_DEPTH} levels at position {pos}")
+    depth -= 1
     for head in ("gen", "id", "mul", "inv", "beta", "delta"):
         if text.startswith(head + "(", pos) or (
             text.startswith(head, pos) and _skip(text, pos + len(head)) < len(text)
@@ -239,30 +247,30 @@ def _parse(text: str, pos: int) -> tuple[Term, int]:
         end = text.index(")", pos)
         return IdT(int(text[pos:end].strip())), end + 1
     if head == "mul":
-        left, pos = _parse(text, pos)
+        left, pos = _parse(text, pos, depth)
         pos = _expect(text, pos, ",")
-        right, pos = _parse(text, pos)
+        right, pos = _parse(text, pos, depth)
         pos = _expect(text, pos, ")")
         return Mul(left, right), pos
     if head == "inv":
-        body, pos = _parse(text, pos)
+        body, pos = _parse(text, pos, depth)
         pos = _expect(text, pos, ")")
         return Inv(body), pos
     if head == "beta":
         parts = []
-        first, pos = _parse(text, pos)
+        first, pos = _parse(text, pos, depth)
         parts.append(first)
         while True:
             pos = _skip(text, pos)
             if text.startswith(",", pos):
-                nxt, pos = _parse(text, pos + 1)
+                nxt, pos = _parse(text, pos + 1, depth)
                 parts.append(nxt)
             else:
                 break
         pos = _expect(text, pos, ")")
         return BetaT(tuple(parts)), pos
     # delta
-    body, pos = _parse(text, pos)
+    body, pos = _parse(text, pos, depth)
     pos = _expect(text, pos, ";")
     pos = _expect(text, pos, "[")
     end = text.index("]", pos)
@@ -340,7 +348,6 @@ def check_presentation(
     p: Presentation,
     interp: Mapping[str, OperadElement],
     inst: ActionOperad,
-    max_len: int | None = None,
     budget: int | None = None,
 ) -> PresentationReport:
     """Evaluate both sides of every relation and ask the instance oracle."""
@@ -350,7 +357,7 @@ def check_presentation(
     for idx, (lhs, rhs) in enumerate(p.relations):
         lv = eval_term(lhs, interp, inst, p.generators, True)
         rv = eval_term(rhs, interp, inst, p.generators, True)
-        res = inst.equal(lv, rv, max_len=max_len, budget=budget)
+        res = inst.equal(lv, rv, budget=budget)
         outcomes.append(RelationOutcome(idx, format_term(lhs), format_term(rhs), res))
     return PresentationReport(p.name, inst.name, outcomes)
 

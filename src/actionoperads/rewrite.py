@@ -10,12 +10,8 @@ reduction).  Words are kept freely reduced at all times.
 Equality is a *semidecision* procedure, not a normal form.  ``equal``
 runs a bidirectional breadth-first search over single-relation rewrites
 (a relation may be applied in either orientation at any position,
-followed by free reduction), bounded by a state budget and a cap on the
-word length.  No orientation of the shipped braid and cactus relations
-lengthens a word, so the default cap (the longer input plus
-``DEFAULT_EXTRA_LEN``) never binds on them; the cap prunes only when a
-caller sets it below an input's length, or on a system whose relations
-lengthen words.  The three possible outcomes are:
+followed by free reduction), bounded by a state budget alone.  The
+three possible outcomes are:
 
 - ``equal`` -- the two search frontiers met; the result carries a
   replayable path that :func:`replay_path` re-validates step by step;
@@ -23,8 +19,8 @@ lengthen words.  The three possible outcomes are:
   long as every invariant is constant on each relation pair, which
   :func:`validate_invariants` checks);
 - ``inconclusive`` -- the search stopped undecided, either because the
-  state budget ran out or because the frontier emptied (no rewrite within
-  the length cap reaches a new word); never coerced to a verdict.
+  state budget ran out or because the frontier emptied (no rewrite
+  reaches a new word); never coerced to a verdict.
 
 ``EqResult.stop`` says which way the search ended: ``met`` (the frontiers
 met, or the inputs were identical), ``invariant``, ``budget`` or
@@ -189,7 +185,6 @@ class EqResult:
         return self.verdict == "inconclusive"
 
 
-DEFAULT_EXTRA_LEN = 6
 DEFAULT_BUDGET = 100_000
 
 
@@ -283,7 +278,6 @@ def equal(
     w1: Word,
     w2: Word,
     sys: RelationSystem,
-    max_len: int | None = None,
     budget: int | None = None,
 ) -> EqResult:
     """Decide (semidecide) whether two words represent the same element.
@@ -301,8 +295,6 @@ def equal(
     for name, evaluate in sys.invariants:
         if evaluate(Word(sys.n, start_letters)) != evaluate(Word(sys.n, goal_letters)):
             return EqResult("distinct", states=0, separating=name, stop="invariant")
-    if max_len is None:
-        max_len = max(len(start_letters), len(goal_letters)) + DEFAULT_EXTRA_LEN
     if budget is None:
         budget = DEFAULT_BUDGET
 
@@ -346,23 +338,16 @@ def equal(
         # j, and letter j < edge stays untouched between t and u.  So t does
         # the same in the parent, the two commute, and state.t == parent.t.u.
         # The parent's scan reached t before u, so parent.t was queued before
-        # this state or was already seen, and was expanded first, unless it
-        # was over the length cap: hence the test that parent.t fits, its
-        # length size - ln + len(parent) <= max_len, i.e. size <= fit.  That
+        # this state or was already seen, and was expanded first.  That
         # expansion built parent.t.u or skipped it by this same rule, so the
         # string is already in mine and need not be built.
-        if record is None:
-            edge = fit = 0
-        else:
-            edge = record[3]
-            fit = max_len + ln - len(record[0])
+        edge = 0 if record is None else record[3]
         for pos in range(ln):
             for b, m, la, head, foot, move in rows[state[pos]][state[pos + 1 : pos + span]]:
                 j = pos + la
                 if m and (not pos or state[pos - 1] != head) and (j == ln or state[j] != foot):
                     # neither seam cancels: the splice is reduced as it is
-                    size = ln - la + m
-                    if size > max_len or j < edge and size <= fit:
+                    if j < edge:
                         continue
                     i = pos
                     nxt = state[:pos] + b + state[j:]
@@ -379,8 +364,7 @@ def equal(
                         while i and j < ln and cancels[state[i - 1]] == state[j]:
                             i -= 1
                             j += 1
-                    size = i + m - k + ln - j
-                    if size > max_len or j < edge and size <= fit:
+                    if j < edge:
                         continue
                     nxt = state[:i] + b[k:m] + state[j:]
                 if nxt in mine:  # the state itself is in mine too

@@ -337,6 +337,41 @@ class TestLongWords:
         code, out = run(capsys, "delta", "--operad", "braid", "--n", "2", "--sizes", "1500,1", "b1")
         assert code == 0 and out.split() == [f"b{i}" for i in range(1, 1501)]
 
+    @staticmethod
+    def present(capsys, tmp_path, lhs) -> tuple[int, str, str]:
+        doc = {
+            "generators": [{"name": "s", "arity": 2, "pi": [2, 1]}],
+            "relations": [{"lhs": lhs, "rhs": "gen(s)"}],
+        }
+        f = tmp_path / "deep.json"
+        f.write_text(json.dumps(doc))
+        code = main(["present", "check", "--operad", "cactus", "--file", str(f), "--interp", "s=s(1,2)"])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize(
+        "lhs",
+        [
+            "inv(" * 3000 + "gen(s)" + ")" * 3000,
+            "mul(" * 3000 + "gen(s)" + ", id(2))" * 3000,
+        ],
+        ids=["inv", "mul"],
+    )
+    def test_too_deep_term_is_input_error(self, capsys, tmp_path, lhs):
+        code, out, err = self.present(capsys, tmp_path, lhs)
+        assert code == 3 and out == ""
+        assert err.startswith("error: term nests deeper than 200 levels") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "head, tail",
+        [("inv(", ")"), ("mul(", ", id(2))"), ("beta(", ")"), ("delta(", "; [1,1])")],
+        ids=["inv", "mul", "beta", "delta"],
+    )
+    def test_term_at_the_depth_limit(self, capsys, tmp_path, head, tail):
+        # 199 constructors around a generator: every walker reads 200 levels
+        code, out, _ = self.present(capsys, tmp_path, head * 199 + "gen(s)" + tail * 199)
+        assert code == 0 and "relation 0: equal" in out
+
 
 # Malformed documents, keyed by the placeholder the table below uses.
 MALFORMED_DOCS = {
@@ -435,6 +470,24 @@ class TestMalformedInputs:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == "error: unknown object 'zz' in X\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["equal", "--operad", "cactus", "--n", "3", "e", "e"],
+            ["axioms", "--operad", "sym", "--max-arity", "2"],
+            ["cactus", "coboundary", "--max-total", "2"],
+            ["present", "check", "--operad", "cactus", "--file", "{file}", "--interp", "s=s(1,2)"],
+        ],
+        ids=["equal", "axioms", "cactus coboundary", "present check"],
+    )
+    def test_word_length_cap_is_gone(self, capsys, tmp_path, argv):
+        # the state budget is the search's only bound
+        doc = {"generators": [{"name": "s", "arity": 2, "pi": [2, 1]}], "relations": []}
+        (tmp_path / "p.json").write_text(json.dumps(doc))
+        argv = [arg.format(file=tmp_path / "p.json") for arg in argv]
+        assert main(argv) == 0
+        assert main([*argv, "--max-len", "8"]) == 3
 
 
 class TestDeterminism:

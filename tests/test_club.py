@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import pytest
 
+from actionoperads.braid import braid_operad
 from actionoperads.cactus import cactus_operad
 from actionoperads.club import check_pullback, operad_from_club, roundtrip_check
 from actionoperads.core import AxiomCheckConfig, check_axioms, symmetric_operad, trivial_operad
@@ -66,6 +67,14 @@ class TestRebuild:
         w = CACT.parse("s(1,2)", 2)
         assert CACT.equal(rebuilt.delta(w, (2, 1)), CACT.delta(w, (2, 1))).is_equal
         assert CACT.equal(rebuilt.beta([w, w]), CACT.beta([w, w])).is_equal
+
+    def test_rebuilt_oracle_keeps_the_budget(self):
+        braid = braid_operad()
+        lhs, rhs = braid.parse("b1 b2 b1", 3), braid.parse("b2 b1 b2", 3)
+        res = operad_from_club(braid).equal(lhs, rhs, None, 0)
+        assert res == braid.equal(lhs, rhs, None, 0)
+        assert res.is_inconclusive and res.states == 0 and res.stop == "budget"
+        assert operad_from_club(braid).equal(lhs, rhs, budget=10).is_equal
 
 
 class TestShapeHypotheses:

@@ -15,7 +15,6 @@ from actionoperads.braid import braid_operad, braid_relations
 from actionoperads.cactus import cactus_relations
 from actionoperads.rewrite import (
     DEFAULT_BUDGET,
-    DEFAULT_EXTRA_LEN,
     EqResult,
     RelationSystem,
     RewritePath,
@@ -93,7 +92,7 @@ class TestEqual:
         sys = cactus_relations(4)
         lhs = cactus_word(4, (1, 4), (2, 3))
         rhs = cactus_word(4, (2, 3), (1, 4))
-        res = equal(lhs, rhs, sys, max_len=8, budget=10_000)
+        res = equal(lhs, rhs, sys, budget=10_000)
         assert res.is_equal
         assert replay_path(sys, lhs, rhs, res.path)
 
@@ -177,7 +176,7 @@ class TestEqual:
         lhs, rhs = B.parse(f"{delta} {delta} b1 b1", 4), B.parse(f"{delta} {delta} b3 b3", 4)
         shipped = braid_relations(4)
         no_garside = replace(shipped, invariants=shipped.invariants[:2])
-        res = equal(lhs.payload, rhs.payload, no_garside, None, 4000)
+        res = equal(lhs.payload, rhs.payload, no_garside, 4000)
         assert res.is_inconclusive and res.states == 4000 and res.stop == "budget"
         res = B.equal(lhs, rhs, None, 4000)
         assert res.is_distinct and res.separating == "garside"
@@ -263,7 +262,7 @@ class TestSystems:
         assert B.mul(w, B.inv(w)).payload.letters == ()
 
 
-def reference_equal(w1, w2, sys, max_len=None, budget=None) -> EqResult:
+def reference_equal(w1, w2, sys, budget=None) -> EqResult:
     """The search as a plain scan: orientations indexed by their first
     letter, every successor freely reduced over the whole word."""
     start = free_reduce(w1.letters, sys.involutive)
@@ -273,7 +272,6 @@ def reference_equal(w1, w2, sys, max_len=None, budget=None) -> EqResult:
     for name, evaluate in sys.invariants:
         if evaluate(Word(sys.n, start)) != evaluate(Word(sys.n, goal)):
             return EqResult("distinct", separating=name, stop="invariant")
-    max_len = max(len(start), len(goal)) + DEFAULT_EXTRA_LEN if max_len is None else max_len
     budget = DEFAULT_BUDGET if budget is None else budget
     index: dict = {}
     for ridx, (lhs, rhs) in enumerate(sys.relations):
@@ -301,7 +299,7 @@ def reference_equal(w1, w2, sys, max_len=None, budget=None) -> EqResult:
                 if state[pos : pos + len(a)] != a:
                     continue
                 nxt = free_reduce(state[:pos] + b + state[pos + len(a) :], sys.involutive)
-                if nxt == state or len(nxt) > max_len or nxt in seen[side]:
+                if nxt == state or nxt in seen[side]:
                     continue
                 seen[side][nxt] = (state, ridx, orient, pos)
                 if nxt in seen[1 - side]:
@@ -375,7 +373,7 @@ def _letters(sys):
 
 @st.composite
 def search_queries(draw):
-    """A system, two words and search bounds.  The second word is either
+    """A system, two words and a state budget.  The second word is either
     independent of the first or one relation away from it, possibly with a
     relator inserted, so that the search has work to do."""
     family = draw(st.sampled_from(["cactus", "braid", "toy", "empty_right", "wide", "four"]))
@@ -399,8 +397,7 @@ def search_queries(draw):
         w1, w2 = x, y
     w1 = Word(sys.n, free_reduce(w1, sys.involutive))
     w2 = Word(sys.n, free_reduce(w2, sys.involutive))
-    max_len = draw(st.one_of(st.none(), st.integers(0, 12)))
-    return sys, w1, w2, max_len, draw(st.integers(0, 300))
+    return sys, w1, w2, draw(st.integers(0, 300))
 
 
 def _toy(*letters):
@@ -412,18 +409,16 @@ class TestAgainstReference:
     @given(search_queries())
     # toy pairs whose result depends on the folded buckets keeping
     # relation order
-    @example((TOY, _toy("a"), _toy("B", "a", "b"), None, 200))
-    @example((TOY, _toy("a", "b", "c"), _toy("a", "c", "c"), None, 200))
-    # the diamond skip: under a cap below the inputs' length a move may be
-    # skipped only when its result from the parent fits the cap too
-    @example((TOY, _toy("c", "b", "a"), _toy("b", "c", "a", "a", "B", "B"), 3, 4))
-    # ... and only when an untouched letter separates it from the rewrite
-    # that produced the state (final right index < left edge)
-    @example((TOY, _toy(), _toy("s", "a", "s", "a"), None, 15))
+    @example((TOY, _toy("a"), _toy("B", "a", "b"), 200))
+    @example((TOY, _toy("a", "b", "c"), _toy("a", "c", "c"), 200))
+    # the diamond skip: a move may be skipped only when an untouched letter
+    # separates it from the rewrite that produced the state (final right
+    # index < left edge)
+    @example((TOY, _toy(), _toy("s", "a", "s", "a"), 15))
     def test_same_result_as_the_plain_scan(self, query):
-        sys, w1, w2, max_len, budget = query
-        res = equal(w1, w2, sys, max_len, budget)
-        assert res == reference_equal(w1, w2, sys, max_len, budget)
+        sys, w1, w2, budget = query
+        res = equal(w1, w2, sys, budget)
+        assert res == reference_equal(w1, w2, sys, budget)
         if res.is_equal:
             assert replay_path(sys, w1, w2, res.path)
 
