@@ -15,7 +15,7 @@ from dataclasses import asdict
 
 from . import borel, cactus as cactus_mod, club as club_mod, multicat as mc, presentation as pres
 from .core import AxiomCheckConfig, OperadElement, check_axioms, finite_group, get_operad
-from .fincat import load_fincat
+from .fincat import load_fincat, read_json
 from .perm import format_perm
 from .rewrite import RewritePath, Step, Word, replay_path
 
@@ -133,8 +133,7 @@ def cmd_equal(args) -> int:
     if args.replay:
         if not hasattr(inst, "relation_system"):
             raise ValueError(f"instance {inst.name!r} has no rewrite paths to replay")
-        with open(args.replay) as fh:
-            doc = json.load(fh)
+        doc = read_json(args.replay)
         try:
             path = _path_from_doc(doc["path"])
         except (KeyError, TypeError) as exc:
@@ -367,8 +366,7 @@ def cmd_multicat_lift(args) -> int:
     inst = get_operad(args.operad)
     X = load_fincat(args.category_x, name="X")
     Y = load_fincat(args.category_y, name="Y")
-    with open(args.functor) as fh:
-        doc = json.load(fh)
+    doc = read_json(args.functor)
     for key in ("ob", "mor"):
         if not isinstance(doc, dict) or not isinstance(doc.get(key), dict):
             raise ValueError(f"functor file {args.functor}: expected a JSON object whose {key!r} entry is a map")
@@ -422,11 +420,22 @@ def cmd_present_check(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _budget(text: str) -> int:
+    """A state budget: a whole number >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
+    return value
+
+
 def _add_common(p, operad=True, oracle=False, strict=False):
     if operad:
         p.add_argument("--operad", required=True, choices=["trivial", "sym", "braid", "cactus"])
     if oracle:
-        p.add_argument("--budget", type=int, default=None)
+        p.add_argument("--budget", type=_budget, default=None)
     if strict:
         p.add_argument("--strict", action="store_true")
     p.add_argument("--format", choices=["text", "structured"], default="text")

@@ -123,6 +123,16 @@ def doc_name(x) -> str:
     return x
 
 
+def read_json(path):
+    """The JSON document in the file at ``path``.  A document nested too
+    deeply to parse is a ``ValueError``, like any other malformed one."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON document nested too deeply") from None
+
+
 def fincat_from_dict(doc: dict, name: str = "fincat") -> FinCat:
     try:
         objects = tuple(map(doc_name, doc["objects"]))
@@ -139,9 +149,7 @@ def fincat_from_dict(doc: dict, name: str = "fincat") -> FinCat:
 
 
 def load_fincat(path, name: str | None = None) -> FinCat:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return fincat_from_dict(doc, name or str(path))
+    return fincat_from_dict(read_json(path), name or str(path))
 
 
 def fincat_to_dict(cat: FinCat) -> dict:

@@ -27,7 +27,6 @@ objects modulo the zigzag identifications, computed by union-find.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import accumulate, product
@@ -35,7 +34,7 @@ from typing import Mapping, Sequence
 
 from .borel import BorelMorphism, BorelObject, _mor_id, _obj_id, borel_realization
 from .core import ActionOperad, OperadElement, _Kernel
-from .fincat import FinCat, doc_name
+from .fincat import FinCat, doc_name, read_json
 from .perm import act_on_positions, inverse
 
 Signature = tuple[tuple[str, ...], str]
@@ -78,8 +77,14 @@ def act_by(M: FinMulticat, inst: ActionOperad, el: str, alpha: OperadElement) ->
     n = M.arity(el)
     if alpha.n != n:
         raise ValueError(f"arity mismatch: element of arity {n} acted by arity {alpha.n}")
+    return _fold(M, el, inst.generator_word(alpha))
+
+
+def _fold(M: FinMulticat, el: str, word: Sequence[tuple[str, int]]) -> str:
+    """Fold the listed generator actions on ``el`` along a signed word of
+    generator names.  Raises when a needed action is not listed."""
     current = el
-    for name, sign in inst.generator_word(alpha):
+    for name, sign in word:
         if sign == 1:
             key = (name, current)
             if key not in M.actions:
@@ -210,70 +215,19 @@ def validate_multicat(M: FinMulticat, inst: ActionOperad) -> ValidationReport:
 
     _check_associativity(M, typed, by_head, rep)
 
-    # action compatibility law 1: acting on one leg at a time
-    for f, gs, r, sizes in typed:
-        for i, g in enumerate(gs):
-            for name, gen in gens(sizes[i]).items():
-                if (name, g) not in M.actions:
-                    rep.skipped += 1
-                    continue
-                acted = list(gs)
-                acted[i] = M.actions[(name, g)]
-                key = (f, tuple(acted))
-                if key not in M.composition:
-                    rep.skipped += 1
-                    continue
-                shifted = inst.beta(
-                    [gen if j == i else inst.identity(sizes[j]) for j in range(len(gs))]
-                )
-                try:
-                    want = act_by(M, inst, r, shifted)
-                except ValueError:
-                    rep.skipped += 1
-                    continue
-                rep.checked += 1
-                if M.composition[key] != want:
-                    note(
-                        f"leg action law fails at entry ({f!r}, {gs!r}), leg {i + 1}, "
-                        f"generator {name!r}"
-                    )
-
-    # action compatibility law 2: acting on the head; an action whose result
-    # is unknown or of another arity was noted above and states no law
-    for (name, f), h in M.actions.items():
-        if f not in M.elements or h not in M.elements or M.arity(h) != M.arity(f):
-            continue
-        alpha = gens(M.arity(f)).get(name)
-        if alpha is None:
-            continue
-        p = inst.pi(alpha)
-        for gs, s, ks in by_head.get(h, ()):
-            key = (f, act_on_positions(p, gs))
-            if key not in M.composition:
-                rep.skipped += 1
-                continue
-            try:
-                want = act_by(M, inst, M.composition[key], inst.delta(alpha, ks))
-            except ValueError:
-                rep.skipped += 1
-                continue
-            rep.checked += 1
-            if s != want:
-                note(
-                    f"head action law fails: ({name!r} . {f!r}) applied to {gs!r}"
-                )
-
+    _check_action_laws(M, inst, typed, by_head, gens, rep)
     return rep
 
 
 def _check_associativity(M: FinMulticat, typed: list, by_head: dict, rep: ValidationReport) -> None:
     """Associativity over listed chains: f over gs gives r1, r1 over hs
-    gives s.  Every entry sits in its head's row {legs: result}, and the
-    legs of the r1-headed entries are cut by the leg arities ks once per
-    (r1, ks), so a chain is one row lookup per leg and one for the head."""
+    gives s.  Every entry sits in its head's row {legs: result}, and each
+    leg tuple hs is cut by the leg arities ks once per (ks, hs), shared by
+    every head, so a chain is one row lookup per leg and one for the head."""
     rows: dict[str, dict[tuple[str, ...], str]] = {}
     for (g, fs), r in M.composition.items():
         rows.setdefault(g, {})[fs] = r
+    cut_legs: dict[tuple[int, ...], dict[tuple[str, ...], tuple]] = {}
     cut_chains: dict[tuple[str, tuple[int, ...]], list] = {}
     checked = skipped = 0
     for f, gs, r1, ks in typed:
@@ -281,9 +235,13 @@ def _check_associativity(M: FinMulticat, typed: list, by_head: dict, rep: Valida
         if chains is None:
             bounds = (0, *accumulate(ks))
             cuts = list(zip(bounds, bounds[1:]))
-            chains = cut_chains[r1, ks] = [
-                (tuple(hs[a:b] for a, b in cuts), hs, s) for hs, s, _ in by_head.get(r1, ())
-            ]
+            cut = cut_legs.setdefault(ks, {})
+            chains = cut_chains[r1, ks] = []
+            for hs, s, _ in by_head.get(r1, ()):
+                pieces = cut.get(hs)
+                if pieces is None:
+                    pieces = cut[hs] = tuple(hs[a:b] for a, b in cuts)
+                chains.append((pieces, hs, s))
         leg_rows = [rows.get(g, {}) for g in gs]
         row_f = rows[f]
         for pieces, hs, s in chains:
@@ -299,6 +257,91 @@ def _check_associativity(M: FinMulticat, typed: list, by_head: dict, rep: Valida
                 )
     rep.checked += checked
     rep.skipped += skipped
+
+
+def _check_action_laws(
+    M: FinMulticat, inst: ActionOperad, typed: list, by_head: dict, gens, rep: ValidationReport
+) -> None:
+    """Both composition-action compatibility laws over the typed entries.
+    What a law acts by depends only on shapes: (leg arities, leg,
+    generator) for the leg law, (generator, arity, leg arities) for the
+    head law.  Each such element and its generator word are computed once
+    per call, at the first check that needs them."""
+
+    def note(msg: str):
+        rep.violations.append(msg)
+
+    @cache
+    def leg_shift(sizes: tuple[int, ...], i: int, name: str) -> OperadElement:
+        """The generator ``name`` on leg i and units on the other legs, block-summed."""
+        return inst.beta([gens(k)[name] if j == i else inst.identity(k) for j, k in enumerate(sizes)])
+
+    @cache
+    def head_shift(name: str, n: int, ks: tuple[int, ...]) -> OperadElement:
+        return inst.delta(gens(n)[name], ks)
+
+    @cache
+    def word(shift, *key) -> tuple[tuple[str, int], ...]:
+        return inst.generator_word(shift(*key))
+
+    def act(el: str, shift, *key) -> str:
+        """``act_by(M, inst, el, shift(*key))``, from the memos."""
+        alpha, n = shift(*key), M.arity(el)
+        if alpha.n != n:
+            raise ValueError(f"arity mismatch: element of arity {n} acted by arity {alpha.n}")
+        return _fold(M, el, word(shift, *key))
+
+    # law 1: acting on one leg at a time
+    for f, gs, r, sizes in typed:
+        for i, g in enumerate(gs):
+            for name in gens(sizes[i]):
+                if (name, g) not in M.actions:
+                    rep.skipped += 1
+                    continue
+                acted = list(gs)
+                acted[i] = M.actions[(name, g)]
+                key = (f, tuple(acted))
+                if key not in M.composition:
+                    rep.skipped += 1
+                    continue
+                leg_shift(sizes, i, name)  # outside the try: beta's errors propagate
+                try:
+                    want = act(r, leg_shift, sizes, i, name)
+                except ValueError:
+                    rep.skipped += 1
+                    continue
+                rep.checked += 1
+                if M.composition[key] != want:
+                    note(
+                        f"leg action law fails at entry ({f!r}, {gs!r}), leg {i + 1}, "
+                        f"generator {name!r}"
+                    )
+
+    # law 2: acting on the head; an action whose result is unknown or of
+    # another arity was noted above and states no law
+    for (name, f), h in M.actions.items():
+        if f not in M.elements or h not in M.elements or M.arity(h) != M.arity(f):
+            continue
+        n = M.arity(f)
+        alpha = gens(n).get(name)
+        if alpha is None:
+            continue
+        p = inst.pi(alpha)
+        for gs, s, ks in by_head.get(h, ()):
+            key = (f, act_on_positions(p, gs))
+            if key not in M.composition:
+                rep.skipped += 1
+                continue
+            try:
+                want = act(M.composition[key], head_shift, name, n, ks)
+            except ValueError:
+                rep.skipped += 1
+                continue
+            rep.checked += 1
+            if s != want:
+                note(
+                    f"head action law fails: ({name!r} . {f!r}) applied to {gs!r}"
+                )
 
 
 def action_well_defined(M: FinMulticat, inst: ActionOperad, words: Sequence[OperadElement]) -> ValidationReport:
@@ -505,8 +548,7 @@ def multicat_to_dict(M: FinMulticat) -> dict:
 
 
 def load_multicat(path, name: str | None = None) -> FinMulticat:
-    with open(path) as fh:
-        return multicat_from_dict(json.load(fh), name or str(path))
+    return multicat_from_dict(read_json(path), name or str(path))
 
 
 # ---------------------------------------------------------------------------

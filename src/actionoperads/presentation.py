@@ -22,11 +22,11 @@ rejected at load time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import ActionOperad, DeterministicStream, OperadElement, symmetric_operad
+from .fincat import read_json
 from .perm import Perm, parse_perm
 from .rewrite import EqResult
 
@@ -378,8 +378,7 @@ def presentation_from_dict(doc: dict, name: str = "presentation") -> Presentatio
 
 
 def load_presentation(path, name: str | None = None) -> Presentation:
-    with open(path) as fh:
-        return presentation_from_dict(json.load(fh), name or str(path))
+    return presentation_from_dict(read_json(path), name or str(path))
 
 
 # -- deterministic term corpus ------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 from itertools import accumulate, product
 
 from actionoperads.core import _groups
+from actionoperads.multicat import act_by
 from actionoperads.perm import act_on_positions
 
 
@@ -154,6 +155,68 @@ def reference_chain_walk(M, typed, by_head, rep):
                 rep.violations.append(
                     f"associativity fails: {f!r} over {gs!r} then {hs!r} "
                     f"gives {s!r} vs {M.composition[outer]!r}"
+                )
+
+
+def reference_action_walk(M, inst, typed, by_head, gens, rep):
+    """``validate_multicat``'s two action-law loops as first written: every
+    law instance builds its ``beta``/``delta`` element and folds the
+    actions along that element's generator word through ``act_by``."""
+
+    def note(msg):
+        rep.violations.append(msg)
+
+    # action compatibility law 1: acting on one leg at a time
+    for f, gs, r, sizes in typed:
+        for i, g in enumerate(gs):
+            for name, gen in gens(sizes[i]).items():
+                if (name, g) not in M.actions:
+                    rep.skipped += 1
+                    continue
+                acted = list(gs)
+                acted[i] = M.actions[(name, g)]
+                key = (f, tuple(acted))
+                if key not in M.composition:
+                    rep.skipped += 1
+                    continue
+                shifted = inst.beta(
+                    [gen if j == i else inst.identity(sizes[j]) for j in range(len(gs))]
+                )
+                try:
+                    want = act_by(M, inst, r, shifted)
+                except ValueError:
+                    rep.skipped += 1
+                    continue
+                rep.checked += 1
+                if M.composition[key] != want:
+                    note(
+                        f"leg action law fails at entry ({f!r}, {gs!r}), leg {i + 1}, "
+                        f"generator {name!r}"
+                    )
+
+    # action compatibility law 2: acting on the head; an action whose result
+    # is unknown or of another arity was noted above and states no law
+    for (name, f), h in M.actions.items():
+        if f not in M.elements or h not in M.elements or M.arity(h) != M.arity(f):
+            continue
+        alpha = gens(M.arity(f)).get(name)
+        if alpha is None:
+            continue
+        p = inst.pi(alpha)
+        for gs, s, ks in by_head.get(h, ()):
+            key = (f, act_on_positions(p, gs))
+            if key not in M.composition:
+                rep.skipped += 1
+                continue
+            try:
+                want = act_by(M, inst, M.composition[key], inst.delta(alpha, ks))
+            except ValueError:
+                rep.skipped += 1
+                continue
+            rep.checked += 1
+            if s != want:
+                note(
+                    f"head action law fails: ({name!r} . {f!r}) applied to {gs!r}"
                 )
 
 

@@ -400,6 +400,9 @@ MALFORMED_DOCS = {
     },
 }
 
+# a well-formed presentation: one involutive generator, no relations
+ONE_GENERATOR = {"generators": [{"name": "s", "arity": 2, "pi": [2, 1]}], "relations": []}
+
 # (argv with {placeholders}, exit code): every malformed input is an input
 # error or an ordinary verdict, never a traceback
 MALFORMED_INPUTS = [
@@ -440,6 +443,23 @@ MALFORMED_INPUTS = [
       "--functor", "{not_a_functor}"], 3),
     (["present", "check", "--operad", "cactus", "--file", "{numeric_term}"], 3),
     (["present", "check", "--operad", "cactus", "--file", "{list}"], 3),
+    (["equal", "--operad", "braid", "--n", "3", "--budget", "-5", "b1 b2 b1", "b2 b1 b2"], 3),
+    (["axioms", "--operad", "cactus", "--max-arity", "2", "--budget", "-5"], 3),
+    (["cactus", "coboundary", "--max-total", "2", "--budget", "-5"], 3),
+    (["present", "check", "--operad", "cactus", "--file", "{one_generator}", "--interp", "s=s(1,2)",
+      "--budget", "-5"], 3),
+]
+
+# one argv per subcommand that reads a file, "{file}" standing for the file
+FILE_READERS = [
+    ["equal", "--operad", "cactus", "--n", "3", "--replay", "{file}", "e", "e"],
+    ["borel", "hom", "--operad", "sym", "--category", "{file}", "--src", "a", "--tgt", "a"],
+    ["borel", "compose", "--operad", "sym", "--category", "{file}", "--src", "a", "--mid", "a",
+     "--tgt", "a", "[1]|id_a", "[1]|id_a"],
+    ["club", "pullback", "--operad", "sym", "--n", "2", "--category", "{file}"],
+    ["multicat", "validate", "--operad", "sym", "--file", "{file}"],
+    ["multicat", "lift", "--operad", "sym", "--category-x", "{d2}", "--category-y", "{d2}", "--functor", "{file}"],
+    ["present", "check", "--operad", "cactus", "--file", "{file}"],
 ]
 
 
@@ -449,6 +469,8 @@ class TestMalformedInputs:
         files = {"d2": d2_file, "missing": str(tmp_path / "missing.json")}
         (tmp_path / "notjson.json").write_text("{not json")
         files["notjson"] = str(tmp_path / "notjson.json")
+        (tmp_path / "one_generator.json").write_text(json.dumps(ONE_GENERATOR))
+        files["one_generator"] = str(tmp_path / "one_generator.json")
         for name, doc in MALFORMED_DOCS.items():
             files[name] = str(tmp_path / f"{name}.json")
             (tmp_path / f"{name}.json").write_text(json.dumps(doc))
@@ -456,6 +478,22 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert code == want
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", FILE_READERS, ids=lambda v: " ".join(x for x in v[:2] if not x.startswith("-")))
+    def test_deeply_nested_json_is_an_input_error(self, capsys, tmp_path, d2_file, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        code = main([arg.format(file=deep, d2=d2_file) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err == f"error: {deep}: JSON document nested too deeply\n"
+
+    def test_a_negative_budget_is_one_error_line(self, capsys):
+        assert main(["equal", "--operad", "braid", "--n", "3", "--budget", "-5", "b1 b2 b1", "b2 b1 b2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == ["actionoperads equal: error: argument --budget: expected a whole number >= 0, got '-5'"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -483,8 +521,7 @@ class TestMalformedInputs:
     )
     def test_word_length_cap_is_gone(self, capsys, tmp_path, argv):
         # the state budget is the search's only bound
-        doc = {"generators": [{"name": "s", "arity": 2, "pi": [2, 1]}], "relations": []}
-        (tmp_path / "p.json").write_text(json.dumps(doc))
+        (tmp_path / "p.json").write_text(json.dumps(ONE_GENERATOR))
         argv = [arg.format(file=tmp_path / "p.json") for arg in argv]
         assert main(argv) == 0
         assert main([*argv, "--max-len", "8"]) == 3

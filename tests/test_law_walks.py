@@ -1,10 +1,12 @@
-"""The row-indexed law walks against the walks they replaced.
+"""The row-indexed and memoized law walks against the walks they replaced.
 
 ``validate_multicat``'s associativity walk and ``FinCat.validate``'s triple
-walk look compositions up in one row per head.  Here random corruptions of
-finite tables must give the same ``ValidationReport`` (counts and
-violations in order) and the same first ``FinCat`` failure as the
-reference walks in ``tests/oracles.py``, which probe the whole table.
+walk look compositions up in one row per head, and ``validate_multicat``'s
+action laws build each shape-only element and word once per call.  Here
+random corruptions of finite tables must give the same ``ValidationReport``
+(counts and violations in order) and the same first ``FinCat`` failure as
+the reference walks in ``tests/oracles.py``, which probe the whole table
+and rebuild every element.
 """
 
 from __future__ import annotations
@@ -13,15 +15,17 @@ from dataclasses import replace
 from functools import cache
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from actionoperads import multicat
 from actionoperads.borel import borel_realization
+from actionoperads.cactus import cactus_operad
 from actionoperads.core import symmetric_operad
 from actionoperads.fincat import arrow_category, discrete_category, z2_category
 from actionoperads.multicat import operad_as_multicat, validate_multicat
-from oracles import reference_chain_walk, reference_fincat_validate
+from oracles import reference_action_walk, reference_chain_walk, reference_fincat_validate
+from planted import UnreducedCactus
 from test_validator_golden import _colored_terminal, _partly_listed, _swapped_actions
 
 SYM = symmetric_operad()
@@ -47,6 +51,24 @@ def _other(pool, current, j):
 def multicats() -> tuple:
     colored = _colored_terminal(2)
     return (operad_as_multicat(SYM, 3), colored, _partly_listed(colored), _swapped_actions(colored))
+
+
+@cache
+def acted_multicats() -> tuple:
+    """(table, instance) pairs for the action laws.  The planted cactus
+    instance reads the honest cactus table.  In sym 3 at most one leg of an
+    entry has a generator, so the sym-4 table cut to heads of arity <= 2
+    adds entries with two legs of arity 2."""
+    cactus = cactus_operad()
+    cactus_table = operad_as_multicat(cactus, 2)
+    sym4 = operad_as_multicat(SYM, 4)
+    two_legs = {key: r for key, r in sym4.composition.items() if sym4.arity(key[0]) <= 2}
+    return (
+        (operad_as_multicat(SYM, 3), SYM),
+        (replace(sym4, composition=two_legs), SYM),
+        (cactus_table, cactus),
+        (cactus_table, UnreducedCactus()),
+    )
 
 
 @cache
@@ -79,6 +101,27 @@ def _corrupt_multicat(M, edits):
     return replace(M, composition=comp)
 
 
+def _corrupt_actions(M, edits):
+    """An action target moved within its signature ("same") or anywhere
+    ("any"), an action dropped, or a target that is no element ("ghost")."""
+    acts = dict(M.actions)
+    names = list(M.elements)
+    for kind, i, j in edits:
+        if not acts:
+            break
+        keys = list(acts)
+        key = keys[i % len(keys)]
+        if kind == "drop":
+            del acts[key]
+        elif kind == "ghost":
+            acts[key] = "ghost"
+        elif kind == "any":
+            acts[key] = names[j % len(names)]
+        elif acts[key] in M.elements:
+            acts[key] = _other(M.homs[M.elements[acts[key]]], acts[key], j)
+    return replace(M, actions=acts)
+
+
 def _corrupt_fincat(cat, edits):
     """A composite moved within its hom-set ("same") or anywhere ("any"),
     an entry dropped, or a composite that is no morphism ("ghost")."""
@@ -106,8 +149,8 @@ def _first_failure(validate) -> str | None:
     return None
 
 
-def _report(M):
-    rep = validate_multicat(M, SYM)
+def _report(M, inst=SYM):
+    rep = validate_multicat(M, inst)
     return rep.checked, rep.skipped, rep.violations
 
 
@@ -121,11 +164,34 @@ def test_chain_walk_matches_the_reference(which, edits):
     assert got == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.one_of(st.just([]), corruptions(same=3)),
+    st.one_of(st.just([]), corruptions(same=3)),
+)
+@example(0, [], [])
+@example(1, [], [])
+def test_action_walk_matches_the_reference(which, composition_edits, action_edits):
+    M, inst = acted_multicats()[which]
+    M = _corrupt_actions(_corrupt_multicat(M, composition_edits), action_edits)
+    got = _report(M, inst)
+    with mock.patch.object(multicat, "_check_action_laws", reference_action_walk):
+        want = _report(M, inst)
+    assert got == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 3), corruptions(same=12))
 def test_triple_walk_matches_the_reference(which, edits):
     cat = _corrupt_fincat(realizations()[which], edits)
     assert _first_failure(cat.validate) == _first_failure(lambda: reference_fincat_validate(cat))
+
+
+def test_the_corruptions_reach_the_action_laws():
+    M, inst = acted_multicats()[0]
+    M = _corrupt_actions(M, [("same", 5, 1)])
+    assert any(v.startswith(("leg action law fails", "head action law fails")) for v in _report(M, inst)[2])
 
 
 def test_the_corruptions_reach_the_associativity_walks():

@@ -3,10 +3,15 @@ mutation rejection, coend composition, and the Borel lift."""
 
 from __future__ import annotations
 
+import gc
+from functools import cache
+from unittest import mock
+
 import pytest
 
 from actionoperads.cactus import cactus_operad
-from actionoperads.core import symmetric_operad, trivial_operad
+from actionoperads import multicat
+from actionoperads.core import SymmetricOperad, symmetric_operad, trivial_operad
 from actionoperads.fincat import arrow_category, discrete_category, translation_category, z2_category
 from actionoperads.multicat import (
     FinMulticat,
@@ -29,7 +34,7 @@ from actionoperads.multicat import (
     validate_multifunctor,
     validate_profunctor,
 )
-from oracles import zigzag_orbit_count
+from oracles import reference_action_walk, zigzag_orbit_count
 from planted import UnreducedCactus
 
 SYM = symmetric_operad()
@@ -79,6 +84,82 @@ class TestValidator:
         doc = multicat_to_dict(M)
         back = multicat_from_dict(doc, M.name)
         assert validate_multicat(back, CACT).passed
+
+
+class CountingSym(SymmetricOperad):
+    """Records the arguments of every ``beta`` and ``delta`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.beta_calls: list[tuple] = []
+        self.delta_calls: list[tuple] = []
+
+    def beta(self, els):
+        self.beta_calls.append(tuple(e.key() for e in els))
+        return super().beta(els)
+
+    def delta(self, a, sizes):
+        self.delta_calls.append((a.key(), tuple(sizes)))
+        return super().delta(a, sizes)
+
+
+class RaisingBeta(SymmetricOperad):
+    def beta(self, els):
+        raise ValueError("planted beta failure")
+
+
+class RaisingWord(SymmetricOperad):
+    def generator_word(self, a):
+        raise ValueError("planted word failure")
+
+
+class TestActionLawMemos:
+    """The action laws build what depends only on shapes once per call."""
+
+    def test_beta_once_per_leg_shape_and_delta_once_per_head_shape(self, sym_multicat):
+        M = sym_multicat
+        legs = {
+            (tuple(map(M.arity, gs)), i, name)
+            for _, gs in M.composition
+            for i, g in enumerate(gs)
+            for name, _ in SYM.generators(M.arity(g))
+        }
+        heads = {
+            (name, tuple(map(M.arity, gs)))
+            for f, gs in M.composition
+            for name, _ in SYM.generators(M.arity(f))
+        }
+        inst = CountingSym()
+        for _ in range(2):  # nothing is kept from one call to the next
+            inst.beta_calls.clear()
+            inst.delta_calls.clear()
+            rep = validate_multicat(M, inst)
+            assert (rep.checked, rep.skipped, rep.passed) == (13029, 0, True)
+            assert len(inst.beta_calls) == len(set(inst.beta_calls)) == len(legs)
+            assert len(inst.delta_calls) == len(set(inst.delta_calls)) == len(heads)
+
+    def test_a_raising_beta_propagates(self, sym_multicat):
+        with pytest.raises(ValueError, match="planted beta failure"):
+            validate_multicat(sym_multicat, RaisingBeta())
+
+    def test_a_raising_generator_word_skips_the_law(self, sym_multicat):
+        honest = validate_multicat(sym_multicat, SYM)
+        rep = validate_multicat(sym_multicat, RaisingWord())
+        with mock.patch.object(multicat, "_check_action_laws", reference_action_walk):
+            want = validate_multicat(sym_multicat, RaisingWord())
+        assert (rep.checked, rep.skipped, rep.violations) == (want.checked, want.skipped, [])
+        assert rep.skipped > 0 and rep.checked + rep.skipped == honest.checked
+
+    def test_the_memos_are_freed_when_the_call_returns(self, sym_multicat):
+        rep = validate_multicat(sym_multicat, SYM)  # the report is kept: it must not hold the memos
+        gc.collect()
+        memos = [
+            o
+            for o in gc.get_objects()
+            if isinstance(o, type(cache(len)))
+            and o.__qualname__.startswith(("validate_multicat.", "_check_action_laws."))
+        ]
+        assert not memos, rep
 
 
 def _mutations(M: FinMulticat):
