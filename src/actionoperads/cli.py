@@ -420,8 +420,8 @@ def cmd_present_check(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _budget(text: str) -> int:
-    """A state budget: a whole number >= 0."""
+def _whole_number(text: str) -> int:
+    """A whole number >= 0: a state budget, a sample count, an arity bound."""
     try:
         value = int(text)
     except ValueError:
@@ -435,7 +435,7 @@ def _add_common(p, operad=True, oracle=False, strict=False):
     if operad:
         p.add_argument("--operad", required=True, choices=["trivial", "sym", "braid", "cactus"])
     if oracle:
-        p.add_argument("--budget", type=_budget, default=None)
+        p.add_argument("--budget", type=_whole_number, default=None)
     if strict:
         p.add_argument("--strict", action="store_true")
     p.add_argument("--format", choices=["text", "structured"], default="text")
@@ -494,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("axioms", help="run the axiom suite")
     _add_common(p, oracle=True, strict=True)
     p.add_argument("--max-arity", type=int, default=5, dest="max_arity")
-    p.add_argument("--samples", type=int, default=24)
+    p.add_argument("--samples", type=_whole_number, default=24)
     p.add_argument("--word-len", type=int, default=2, dest="word_len")
     p.add_argument("--block-size", type=int, default=2, dest="block_size")
     p.add_argument("--result-arity", type=int, default=6, dest="result_arity")
@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cactus_relations)
     p = csub.add_parser("coboundary", help="verify the coboundary laws")
     _add_common(p, operad=False, oracle=True, strict=True)
-    p.add_argument("--max-total", type=int, default=6, dest="max_total")
+    p.add_argument("--max-total", type=_whole_number, default=6, dest="max_total")
     p.set_defaults(func=cmd_cactus_coboundary)
 
     bor = sub.add_parser("borel", help="Borel construction over a finite category")

@@ -85,9 +85,10 @@ def operad_from_club(club: ActionOperad, max_arity: int = 3) -> ClubBackedOperad
                 raise ValueError(
                     f"club {club.name!r} is not a groupoid: {club.format(g)} has no left inverse"
                 )
-        for g in els:
-            for h in els:
-                if club.pi(club.mul(g, h)) != compose(club.pi(g), club.pi(h)):
+        pis = [club.pi(g) for g in els]
+        for g, pg in zip(els, pis):
+            for h, ph in zip(els, pis):
+                if club.pi(club.mul(g, h)) != compose(pg, ph):
                     raise ValueError(
                         f"club {club.name!r} does not lie over the base: pi is not functorial"
                     )

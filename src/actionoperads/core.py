@@ -88,6 +88,20 @@ class OperadElement:
         return (self.operad, self.n, body)
 
 
+_set_operad = OperadElement.operad.__set__
+_set_n = OperadElement.n.__set__
+_set_payload = OperadElement.payload.__set__
+
+
+def _element(operad: str, n: int, payload) -> OperadElement:
+    """``OperadElement(operad, n, payload)`` without the frozen dataclass's ``__init__``."""
+    a = object.__new__(OperadElement)
+    _set_operad(a, operad)
+    _set_n(a, n)
+    _set_payload(a, payload)
+    return a
+
+
 class ActionOperad:
     """Operation table of one action operad instance.
 
@@ -184,7 +198,7 @@ class SymmetricOperad(ActionOperad):
         self._element_cache: dict[int, tuple[OperadElement, ...]] = {}
 
     def _wrap(self, p: Perm) -> OperadElement:
-        return OperadElement(self.name, p.n, p)
+        return _element(self.name, len(p.images), p)
 
     def identity(self, n: int) -> OperadElement:
         return self._wrap(identity(n))
@@ -338,7 +352,7 @@ class WordOperad(ActionOperad):
         return RelationSystem(f"{self.name}_{n}", n, gens, (), frozenset(gens if self.involutive else ()))
 
     def _wrap(self, n: int, letters) -> OperadElement:
-        return OperadElement(self.name, n, self.alphabet(n).word(letters))
+        return _element(self.name, n, self.alphabet(n).word(letters))
 
     def identity(self, n):
         return self._wrap(n, ())
@@ -493,8 +507,10 @@ class AxiomCheckConfig:
     budget: int | None = None
 
     def __post_init__(self):
-        if self.max_total_arity < 0:
-            raise ValueError(f"max_total_arity must be >= 0, got {self.max_total_arity}")
+        for name, low in (("max_total_arity", 0), ("samples_per_axiom", 0), ("max_word_length", 0),
+                          ("max_block_size", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -833,14 +849,15 @@ def check_axioms(inst: ActionOperad, config: AxiomCheckConfig | None = None) -> 
     return AxiomReport(inst.name, "exhaustive" if exhaustive else "sampled", outcomes)
 
 
-# Each case states one law once, on kernel indices.
+# Each case states one law once, on kernel indices.  A helper that states
+# one case returns it; the two that state two cases are generators.
 
 
 def _case_pi_mul(C, g, h):
     lhs = C.pi(C.mul(g, h))
     rhs = compose(C.pi(g), C.pi(h))
-    yield ("perm", "pi_homomorphism",
-           (lhs, rhs, lambda: f"mul: {C.format(g)} * {C.format(h)} @ {C.arity(g)}"))
+    return ("perm", "pi_homomorphism",
+            (lhs, rhs, lambda: f"mul: {C.format(g)} * {C.format(h)} @ {C.arity(g)}"))
 
 
 def _case_pi_inv_unit(C, g):
@@ -864,7 +881,7 @@ def _case_beta_homomorphism(C, gs, hs):
             + f") at arities {tuple(C.arity(g) for g in gs)}"
         )
 
-    yield ("pair", "beta_homomorphism", (lhs, rhs, inputs))
+    return ("pair", "beta_homomorphism", (lhs, rhs, inputs))
 
 
 def _case_beta_naturality(C, hs):
@@ -874,25 +891,25 @@ def _case_beta_naturality(C, hs):
     def inputs():
         return "beta(" + ", ".join(C.format(h) for h in hs) + f") at arities {tuple(C.arity(h) for h in hs)}"
 
-    yield ("perm", "beta_naturality", (lhs, rhs, inputs))
+    return ("perm", "beta_naturality", (lhs, rhs, inputs))
 
 
 def _case_beta_unary(C, g):
-    yield ("pair", "beta_unary_identity", (C.beta([g]), g, lambda: f"{C.format(g)} @ {C.arity(g)}"))
+    return ("pair", "beta_unary_identity", (C.beta([g]), g, lambda: f"{C.format(g)} @ {C.arity(g)}"))
 
 
 def _case_beta_assoc(C, groups):
     flat = [e for grp in groups for e in grp]
     lhs = C.beta(flat)
     rhs = C.beta([C.beta(list(grp)) for grp in groups])
-    yield ("pair", "beta_associativity",
-           (lhs, rhs, lambda: "groups " + str(tuple(tuple(C.arity(e) for e in grp) for grp in groups))))
+    return ("pair", "beta_associativity",
+            (lhs, rhs, lambda: "groups " + str(tuple(tuple(C.arity(e) for e in grp) for grp in groups))))
 
 
 def _case_delta_naturality(C, g, sizes):
     lhs = C.pi(C.delta(g, sizes))
     rhs = block_perm(C.pi(g), sizes)
-    yield ("perm", "delta_naturality", (lhs, rhs, lambda: f"{C.format(g)} @ {C.arity(g)}; sizes {sizes}"))
+    return ("perm", "delta_naturality", (lhs, rhs, lambda: f"{C.format(g)} @ {C.arity(g)}; sizes {sizes}"))
 
 
 def _case_delta_units(C, g, n_for_unit):
@@ -917,8 +934,8 @@ def _case_delta_product(C, g, h, jsizes):
     ksizes = act_on_positions(C.pi(h), jsizes)
     lhs = C.mul(C.delta(g, ksizes), C.delta(h, jsizes))
     rhs = C.delta(C.mul(g, h), jsizes)
-    yield ("pair", "delta_product_twist",
-           (lhs, rhs, lambda: f"{C.format(g)} * {C.format(h)} @ {C.arity(g)}; sizes {tuple(jsizes)}"))
+    return ("pair", "delta_product_twist",
+            (lhs, rhs, lambda: f"{C.format(g)} * {C.format(h)} @ {C.arity(g)}; sizes {tuple(jsizes)}"))
 
 
 def _case_delta_nesting(C, f, msizes, plists):
@@ -927,8 +944,8 @@ def _case_delta_nesting(C, f, msizes, plists):
     lhs = C.delta(inner, flat)
     totals = tuple(sum(pl) for pl in plists)
     rhs = C.delta(f, totals)
-    yield ("pair", "delta_nesting",
-           (lhs, rhs, lambda: f"{C.format(f)} @ {C.arity(f)}; m {tuple(msizes)}; p {tuple(plists)}"))
+    return ("pair", "delta_nesting",
+            (lhs, rhs, lambda: f"{C.format(f)} @ {C.arity(f)}; m {tuple(msizes)}; p {tuple(plists)}"))
 
 
 def _case_delta_beta_twist(C, g, hs):
@@ -942,7 +959,7 @@ def _case_delta_beta_twist(C, g, hs):
             f"{C.format(h)}@{C.arity(h)}" for h in hs
         )
 
-    yield ("pair", "delta_beta_twist", (lhs, rhs, inputs))
+    return ("pair", "delta_beta_twist", (lhs, rhs, inputs))
 
 
 def _case_beta_delta_interchange(C, gs, mlists):
@@ -953,7 +970,7 @@ def _case_beta_delta_interchange(C, gs, mlists):
     def inputs():
         return "; ".join(f"{C.format(g)}@{C.arity(g)} sizes {tuple(ml)}" for g, ml in zip(gs, mlists))
 
-    yield ("pair", "beta_delta_interchange", (lhs, rhs, inputs))
+    return ("pair", "beta_delta_interchange", (lhs, rhs, inputs))
 
 
 def _interchange_cases(C, g, gp, fps_choices, fs_choices):
@@ -990,36 +1007,36 @@ def _exhaustive_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
         for g in els(n):
             yield from _case_pi_inv_unit(K, g)
             for h in els(n):
-                yield from _case_pi_mul(K, g, h)
+                yield _case_pi_mul(K, g, h)
 
     for v in vectors:
         tuple_space = [els(k) for k in v]
         for hs in itertools.product(*tuple_space):
-            yield from _case_beta_naturality(K, hs)
+            yield _case_beta_naturality(K, hs)
         for gs in itertools.product(*tuple_space):
             for hs in itertools.product(*tuple_space):
-                yield from _case_beta_homomorphism(K, gs, hs)
+                yield _case_beta_homomorphism(K, gs, hs)
 
     for n in range(0, A + 1):
         for g in els(n):
-            yield from _case_beta_unary(K, g)
+            yield _case_beta_unary(K, g)
             yield from _case_delta_units(K, g, n)
 
     for groups in nested_size_vectors(A):
         spaces = [[els(k) for k in grp] for grp in groups]
         for flat_choice in itertools.product(*(itertools.product(*sp) for sp in spaces)):
-            yield from _case_beta_assoc(K, flat_choice)
+            yield _case_beta_assoc(K, flat_choice)
 
     for v in vectors:
         n = len(v)
         for g in els(n):
-            yield from _case_delta_naturality(K, g, v)
+            yield _case_delta_naturality(K, g, v)
 
     for v in positive_vectors:
         n = len(v)
         for g in els(n):
             for h in els(n):
-                yield from _case_delta_product(K, g, h, v)
+                yield _case_delta_product(K, g, h, v)
 
     # nesting: m-vector then one positive width per strand, total capped
     for msizes in positive_vectors:
@@ -1028,18 +1045,18 @@ def _exhaustive_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
             for flat_p in compositions_of(ptotal, M):
                 plists = _groups(flat_p, itertools.accumulate(msizes))
                 for f in els(len(msizes)):
-                    yield from _case_delta_nesting(K, f, msizes, plists)
+                    yield _case_delta_nesting(K, f, msizes, plists)
 
     for v in positive_vectors:
         n = len(v)
         for g in els(n):
             for hs in itertools.product(*[els(k) for k in v]):
-                yield from _case_delta_beta_twist(K, g, hs)
+                yield _case_delta_beta_twist(K, g, hs)
 
     for groups in nested_size_vectors(A):
         ks = tuple(len(grp) for grp in groups)
         for gs in itertools.product(*[els(k) for k in ks]):
-            yield from _case_beta_delta_interchange(K, gs, groups)
+            yield _case_beta_delta_interchange(K, gs, groups)
 
     for v in positive_vectors:
         n = len(v)
@@ -1064,20 +1081,20 @@ def _sampled_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
         n = source.sample_arity()
         g = source.sample_element(n)
         h = source.sample_element(n)
-        yield from _case_pi_mul(K, g, h)
+        yield _case_pi_mul(K, g, h)
         yield from _case_pi_inv_unit(K, g)
 
     for _ in range(N):
         v = arity_vector()
         hs = [source.sample_element(k) for k in v]
         gs = [source.sample_element(k) for k in v]
-        yield from _case_beta_naturality(K, hs)
-        yield from _case_beta_homomorphism(K, gs, hs)
+        yield _case_beta_naturality(K, hs)
+        yield _case_beta_homomorphism(K, gs, hs)
 
     for _ in range(N):
         n = source.sample_arity()
         g = source.sample_element(n)
-        yield from _case_beta_unary(K, g)
+        yield _case_beta_unary(K, g)
         yield from _case_delta_units(K, g, n)
 
     for _ in range(N):
@@ -1085,15 +1102,15 @@ def _sampled_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
         cuts = [source.stream.next_int(2) for _ in range(len(flat) - 1)]
         groups = _groups(flat, itertools.compress(itertools.count(1), (*cuts, 1)))
         flat_els = [[source.sample_element(k) for k in grp] for grp in groups]
-        yield from _case_beta_assoc(K, flat_els)
+        yield _case_beta_assoc(K, flat_els)
 
     for _ in range(N):
         n = source.sample_arity()
         g = source.sample_element(n)
         v = source.sample_sizes(n, max_total=cap)
-        yield from _case_delta_naturality(K, g, v)
+        yield _case_delta_naturality(K, g, v)
         h = source.sample_element(n)
-        yield from _case_delta_product(K, g, h, v)
+        yield _case_delta_product(K, g, h, v)
 
     for _ in range(N):
         n = 1 + source.stream.next_int(2)
@@ -1101,14 +1118,14 @@ def _sampled_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
         M = sum(msizes)
         plists = _groups(source.sample_sizes(M, max_total=cap), itertools.accumulate(msizes))
         f = source.sample_element(n)
-        yield from _case_delta_nesting(K, f, msizes, plists)
+        yield _case_delta_nesting(K, f, msizes, plists)
 
     for _ in range(N):
         n = source.sample_arity()
         g = source.sample_element(n)
         v = source.sample_sizes(n, max_total=cap)
         hs = [source.sample_element(k) for k in v]
-        yield from _case_delta_beta_twist(K, g, hs)
+        yield _case_delta_beta_twist(K, g, hs)
 
     for _ in range(N):
         parts = 1 + source.stream.next_int(2)
@@ -1121,7 +1138,7 @@ def _sampled_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
             total += sum(ml)
             mlists.append(ml)
         gs = [source.sample_element(len(ml)) for ml in mlists]
-        yield from _case_beta_delta_interchange(K, gs, mlists)
+        yield _case_beta_delta_interchange(K, gs, mlists)
 
     for _ in range(N):
         n = 1 + source.stream.next_int(2)

@@ -30,15 +30,16 @@ from typing import Sequence
 
 
 def is_permutation(images: Sequence[int]) -> bool:
-    """Check that ``images`` lists each of 1..n exactly once.
+    """Check that ``images`` lists each of 1..n exactly once, as ints
+    (``True`` is not the entry 1).
 
-    >>> [is_permutation(w) for w in [(), (1,), (2, 1), (1, 1), (0, 1)]]
-    [True, True, True, False, False]
+    >>> [is_permutation(w) for w in [(), (1,), (2, 1), (1, 1), (0, 1), (2, True)]]
+    [True, True, True, False, False, False]
     """
     n = len(images)
     seen = [False] * n
     for v in images:
-        if not isinstance(v, int) or not 1 <= v <= n or seen[v - 1]:
+        if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n or seen[v - 1]:
             return False
         seen[v - 1] = True
     return True
@@ -78,10 +79,13 @@ class Perm:
         return format_perm(self)
 
 
+_set_images = Perm.images.__set__
+
+
 def _valid(images: tuple[int, ...]) -> Perm:
     """Wrap images known to be a permutation, skipping re-validation."""
     p = object.__new__(Perm)
-    object.__setattr__(p, "images", images)
+    _set_images(p, images)
     return p
 
 
@@ -102,10 +106,11 @@ def compose(p: Perm, q: Perm) -> Perm:
     >>> compose(Perm((3, 2, 1)), Perm((2, 1, 3))).images
     (2, 3, 1)
     """
-    if p.n != q.n:
-        raise ValueError(f"arity mismatch composing {p} with {q}")
     pi = p.images
-    return _valid(tuple(pi[v - 1] for v in q.images))
+    qi = q.images
+    if len(pi) != len(qi):
+        raise ValueError(f"arity mismatch composing {p} with {q}")
+    return _valid(tuple([pi[v - 1] for v in qi]))
 
 
 def inverse(p: Perm) -> Perm:
@@ -114,9 +119,10 @@ def inverse(p: Perm) -> Perm:
     >>> inverse(Perm((2, 3, 1))).images
     (3, 1, 2)
     """
-    images = [0] * p.n
-    for i, v in enumerate(p.images):
-        images[v - 1] = i + 1
+    pi = p.images
+    images = [0] * len(pi)
+    for i, v in enumerate(pi, 1):
+        images[v - 1] = i
     return _valid(tuple(images))
 
 
@@ -131,8 +137,9 @@ def block_sum(ps: Sequence[Perm]) -> Perm:
     images: list[int] = []
     offset = 0
     for p in ps:
-        images.extend(v + offset for v in p.images)
-        offset += p.n
+        pi = p.images
+        images += [v + offset for v in pi]
+        offset += len(pi)
     return _valid(tuple(images))
 
 
@@ -148,23 +155,20 @@ def block_perm(p: Perm, sizes: Sequence[int]) -> Perm:
     >>> block_perm(Perm((1, 3, 2)), [1, 2, 1]).images
     (1, 3, 4, 2)
     """
-    if p.n != len(sizes):
-        raise ValueError(f"arity mismatch: permutation of {p.n} block(s) against {len(sizes)} size(s)")
-    if any(k < 0 for k in sizes):
+    pi = p.images
+    n = len(pi)
+    if n != len(sizes):
+        raise ValueError(f"arity mismatch: permutation of {n} block(s) against {len(sizes)} size(s)")
+    if min(sizes, default=0) < 0:
         raise ValueError(f"block sizes must be >= 0: {sizes!r}")
-    n = p.n
-    pinv = inverse(p)
-    in_off = [0] * (n + 1)
-    for i in range(n):
-        in_off[i + 1] = in_off[i] + sizes[i]
-    out_off = [0] * (n + 1)
-    for j in range(n):
-        out_off[j + 1] = out_off[j] + sizes[pinv.images[j] - 1]
-    images = [0] * in_off[n]
-    for i in range(n):
-        slot = p.images[i] - 1
-        for t in range(sizes[i]):
-            images[in_off[i] + t] = out_off[slot] + t + 1
+    # the width landing in each output slot, then the point before each slot
+    moved = [0] * n
+    for i, v in enumerate(pi):
+        moved[v - 1] = sizes[i]
+    before = list(itertools.accumulate(moved, initial=0))
+    images: list[int] = []
+    for i, v in enumerate(pi):
+        images += range(before[v - 1] + 1, before[v - 1] + sizes[i] + 1)
     return _valid(tuple(images))
 
 
@@ -176,10 +180,11 @@ def act_on_positions(p: Perm, items: Sequence) -> tuple:
     >>> act_on_positions(Perm((2, 3, 1)), ("a", "b", "c"))
     ('c', 'a', 'b')
     """
-    if p.n != len(items):
-        raise ValueError(f"arity mismatch: permutation of {p.n} against {len(items)} item(s)")
-    out = [None] * p.n
-    for i, v in enumerate(p.images):
+    pi = p.images
+    if len(pi) != len(items):
+        raise ValueError(f"arity mismatch: permutation of {len(pi)} against {len(items)} item(s)")
+    out = [None] * len(pi)
+    for i, v in enumerate(pi):
         out[v - 1] = items[i]
     return tuple(out)
 

@@ -285,3 +285,60 @@ def burau(n, letters):
             else:
                 row[gen - 1], row[gen] = comb((1, -1, y)), comb((1, 0, x), (1, 0, y), (-1, -1, y))
     return tuple(tuple(tuple(sorted(p.items())) for p in row) for row in rows)
+
+
+# -- the permutation kernel, point by point ----------------------------------
+# Each reference reads the permutation only through ``p(i)`` and raises the
+# library's arity errors word for word, so the fast kernel can be checked
+# against it on values and on messages.
+
+
+def pointwise_compose(p, q) -> tuple[int, ...]:
+    """``compose``: evaluate p(q(i)) point by point."""
+    if p.n != q.n:
+        raise ValueError(f"arity mismatch composing {p} with {q}")
+    return tuple(p(q(i)) for i in range(1, q.n + 1))
+
+
+def pointwise_inverse(p) -> tuple[int, ...]:
+    """``inverse``: solve p(j) = i for each i."""
+    points = range(1, p.n + 1)
+    return tuple(next(j for j in points if p(j) == i) for i in points)
+
+
+def shifted_union(ps) -> tuple[int, ...]:
+    """``block_sum``: shift images block by block."""
+    images = []
+    offset = 0
+    for p in ps:
+        images.extend(p(i) + offset for i in range(1, p.n + 1))
+        offset += p.n
+    return tuple(images)
+
+
+def blockwise_expansion(p, sizes) -> tuple[int, ...]:
+    """``block_perm``: lay out destination blocks first, then read off
+    each point's landing position."""
+    n = p.n
+    if n != len(sizes):
+        raise ValueError(f"arity mismatch: permutation of {n} block(s) against {len(sizes)} size(s)")
+    if any(k < 0 for k in sizes):
+        raise ValueError(f"block sizes must be >= 0: {sizes!r}")
+    dest_start = {}
+    pos = 1
+    for slot in range(1, n + 1):
+        src = next(i for i in range(1, n + 1) if p(i) == slot)
+        dest_start[src] = pos
+        pos += sizes[src - 1]
+    images = []
+    for i in range(1, n + 1):
+        images.extend(dest_start[i] + t for t in range(sizes[i - 1]))
+    return tuple(images)
+
+
+def pointwise_action(p, items) -> tuple:
+    """``act_on_positions``: the entry in slot i lands in slot p(i)."""
+    if p.n != len(items):
+        raise ValueError(f"arity mismatch: permutation of {p.n} against {len(items)} item(s)")
+    out = {p(i): items[i - 1] for i in range(1, p.n + 1)}
+    return tuple(out[j] for j in range(1, p.n + 1))

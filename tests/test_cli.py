@@ -398,6 +398,7 @@ MALFORMED_DOCS = {
     "numeric_term": {
         "generators": [{"name": "s", "arity": 2, "pi": [2, 1]}], "relations": [{"lhs": 5, "rhs": "id(2)"}]
     },
+    "boolean_pi": {"generators": [{"name": "s", "arity": 2, "pi": [2, True]}], "relations": []},
 }
 
 # a well-formed presentation: one involutive generator, no relations
@@ -421,9 +422,13 @@ MALFORMED_INPUTS = [
     (["equal", "--operad", "cactus", "--n", "3", "--replay", "{untyped_path}", "e", "e"], 3),
     (["axioms", "--operad", "sym", "--max-arity", "-1"], 3),
     (["axioms", "--operad", "cactus", "--max-arity", "3", "--block-size", "0", "--samples", "2"], 3),
+    (["axioms", "--operad", "braid", "--samples", "-3"], 3),
+    (["axioms", "--operad", "braid", "--word-len", "-2"], 3),
+    (["axioms", "--operad", "braid", "--block-size", "0"], 3),
     (["cactus", "shat", "--p", "3", "--q", "1", "--n", "3"], 3),
     (["cactus", "commutor", "--m", "0", "--n", "-1"], 3),
     (["cactus", "coboundary", "--max-total", "0"], 0),
+    (["cactus", "coboundary", "--max-total", "-1"], 3),
     (["borel", "hom", "--operad", "sym", "--category", "{nested_objects}", "--src", "a", "--tgt", "a"], 3),
     (["borel", "hom", "--operad", "braid", "--category", "{d2}", "--src", "a,b", "--tgt", "a,b"], 3),
     (["borel", "hom", "--operad", "sym", "--category", "{d2}", "--src", "zz", "--tgt", "zz"], 3),
@@ -443,6 +448,7 @@ MALFORMED_INPUTS = [
       "--functor", "{not_a_functor}"], 3),
     (["present", "check", "--operad", "cactus", "--file", "{numeric_term}"], 3),
     (["present", "check", "--operad", "cactus", "--file", "{list}"], 3),
+    (["present", "check", "--operad", "sym", "--file", "{boolean_pi}", "--interp", "s=[2,1]"], 3),
     (["equal", "--operad", "braid", "--n", "3", "--budget", "-5", "b1 b2 b1", "b2 b1 b2"], 3),
     (["axioms", "--operad", "cactus", "--max-arity", "2", "--budget", "-5"], 3),
     (["cactus", "coboundary", "--max-total", "2", "--budget", "-5"], 3),
@@ -494,6 +500,24 @@ class TestMalformedInputs:
         assert captured.out == ""
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert errors == ["actionoperads equal: error: argument --budget: expected a whole number >= 0, got '-5'"]
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["axioms", "--operad", "braid", "--samples", "-3"],
+             "actionoperads axioms: error: argument --samples: expected a whole number >= 0, got '-3'"),
+            (["cactus", "coboundary", "--max-total", "-1"],
+             "actionoperads cactus coboundary: error: argument --max-total: expected a whole number >= 0, got '-1'"),
+            (["axioms", "--operad", "braid", "--word-len", "-2"], "error: max_word_length must be >= 0, got -2"),
+            (["axioms", "--operad", "braid", "--block-size", "0"], "error: max_block_size must be >= 1, got 0"),
+        ],
+        ids=["samples", "max-total", "word-len", "block-size"],
+    )
+    def test_a_bound_out_of_range_is_one_error_line(self, capsys, argv, error):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if "error:" in line] == [error]
 
     @pytest.mark.parametrize(
         "argv",

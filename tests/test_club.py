@@ -9,7 +9,7 @@ import pytest
 from actionoperads.braid import braid_operad
 from actionoperads.cactus import cactus_operad
 from actionoperads.club import check_pullback, operad_from_club, roundtrip_check
-from actionoperads.core import AxiomCheckConfig, check_axioms, symmetric_operad, trivial_operad
+from actionoperads.core import AxiomCheckConfig, SymmetricOperad, check_axioms, symmetric_operad, trivial_operad
 from actionoperads.fincat import discrete_category, z2_category
 from planted import SwapPi, UnreducedCactus
 
@@ -86,6 +86,19 @@ class TestShapeHypotheses:
     def test_pi_functoriality_enforced(self):
         with pytest.raises(ValueError, match="does not lie over the base"):
             operad_from_club(SwapPi())
+
+    def test_pi_once_per_element_plus_once_per_pair(self):
+        class CountingPi(SymmetricOperad):
+            calls = 0
+
+            def pi(self, a):
+                self.calls += 1
+                return super().pi(a)
+
+        inst = CountingPi()
+        operad_from_club(inst, max_arity=3)
+        orders = [1, 1, 2, 6]
+        assert inst.calls == sum(orders) + sum(k * k for k in orders)
 
 
 class TestPullback:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 from collections import Counter
 
@@ -13,6 +14,7 @@ from actionoperads.core import (
     DeterministicStream,
     OperadElement,
     SymmetricOperad,
+    _element,
     _Kernel,
     check_axioms,
     get_operad,
@@ -21,7 +23,7 @@ from actionoperads.core import (
 )
 from actionoperads.fincat import discrete_category
 from actionoperads.multicat import identity_prof, lift_prof, operad_as_multicat
-from actionoperads.perm import Perm, identity
+from actionoperads.perm import Perm, all_perms, identity
 from planted import IdentityDelta, UnreducedCactus
 
 SYM = symmetric_operad()
@@ -96,6 +98,27 @@ class TestSymmetricInstance:
             SYM.parse("[2,1]", 3)
 
 
+class TestElementHelper:
+    def test_same_value_as_the_dataclass_init(self):
+        braid = get_operad("braid")
+        payloads = [("sym", p.n, p) for n in range(4) for p in all_perms(n)]
+        payloads += [("braid", 3, braid.parse(w, 3).payload) for w in ("e", "b1 B2", "b2 b1 b2")]
+        payloads.append(("trivial", 2, None))
+        for operad, n, payload in payloads:
+            built, want = _element(operad, n, payload), OperadElement(operad, n, payload)
+            assert type(built) is OperadElement
+            assert built == want and hash(built) == hash(want) and built.key() == want.key()
+            assert repr(built) == repr(want)
+
+    def test_stays_frozen(self):
+        a = SYM.mul(sym_el(2, 1), sym_el(2, 1))
+        for field in ("operad", "n", "payload"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, field, None)
+        with pytest.raises((AttributeError, TypeError)):
+            a.extra = 1
+
+
 class TestTrivialInstance:
     def test_everything_is_the_unit(self):
         e = TRIV.identity(3)
@@ -143,6 +166,16 @@ class TestCheckAxioms:
         r2 = check_axioms(braid, cfg)
         assert r1.to_dict() == r2.to_dict()
         assert r1.mode == "sampled"
+
+    @pytest.mark.parametrize(
+        "field, value, low",
+        [("max_total_arity", -1, 0), ("samples_per_axiom", -3, 0), ("max_word_length", -2, 0),
+         ("max_block_size", 0, 1)],
+    )
+    def test_config_bounds_name_the_field(self, field, value, low):
+        with pytest.raises(ValueError) as info:
+            AxiomCheckConfig(**{field: value})
+        assert str(info.value) == f"{field} must be >= {low}, got {value}"
 
     def test_report_formats(self):
         rep = check_axioms(TRIV, AxiomCheckConfig(max_total_arity=2))

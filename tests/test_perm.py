@@ -23,48 +23,17 @@ from actionoperads.perm import (
     is_permutation,
     parse_perm,
 )
+from oracles import blockwise_expansion, pointwise_action, pointwise_compose, pointwise_inverse, shifted_union
 
 
-def pointwise_compose(p: Perm, q: Perm) -> tuple[int, ...]:
-    """Independent oracle: evaluate p(q(i)) point by point."""
-    return tuple(p(q(i)) for i in range(1, q.n + 1))
+def perms_up_to(n: int):
+    return [p for k in range(n + 1) for p in all_perms(k)]
 
 
-def pointwise_inverse(p: Perm) -> tuple[int, ...]:
-    """Independent oracle: solve p(j) = i for each i."""
-    out = []
-    for i in range(1, p.n + 1):
-        for j in range(1, p.n + 1):
-            if p(j) == i:
-                out.append(j)
-                break
-    return tuple(out)
-
-
-def shifted_union(ps) -> tuple[int, ...]:
-    """Independent oracle for block sums: shift images block by block."""
-    images = []
-    offset = 0
-    for p in ps:
-        images.extend(v + offset for v in p.images)
-        offset += p.n
-    return tuple(images)
-
-
-def blockwise_expansion(p: Perm, sizes) -> tuple[int, ...]:
-    """Independent oracle for block permutation: lay out destination
-    blocks first, then read off each point's landing position."""
-    n = p.n
-    dest_start = {}
-    pos = 1
-    for slot in range(1, n + 1):
-        src = next(i for i in range(1, n + 1) if p(i) == slot)
-        dest_start[src] = pos
-        pos += sizes[src - 1]
-    images = []
-    for i in range(1, n + 1):
-        images.extend(dest_start[i] + t for t in range(sizes[i - 1]))
-    return tuple(images)
+def raised(fn, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
 
 
 perm_strategy = st.integers(min_value=0, max_value=6).flatmap(
@@ -83,9 +52,10 @@ class TestBasics:
         assert compose(Perm((3, 2, 1)), Perm((2, 1, 3))).images == (2, 3, 1)
 
     def test_compose_matches_pointwise_oracle(self):
-        for p in all_perms(4):
-            for q in all_perms(4):
-                assert compose(p, q).images == pointwise_compose(p, q)
+        for n in range(5):
+            for p in all_perms(n):
+                for q in all_perms(n):
+                    assert compose(p, q).images == pointwise_compose(p, q)
 
     def test_compose_arity_mismatch(self):
         with pytest.raises(ValueError):
@@ -99,7 +69,7 @@ class TestBasics:
         assert inverse(Perm((2, 3, 1))).images == (3, 1, 2)
 
     def test_inverse_matches_pointwise_oracle(self):
-        for p in all_perms(4):
+        for p in perms_up_to(4):
             assert inverse(p).images == pointwise_inverse(p)
 
     def test_rejects_non_bijection(self):
@@ -107,6 +77,22 @@ class TestBasics:
             Perm((1, 1))
         with pytest.raises(ValueError):
             Perm((0, 1))
+
+    def test_rejects_boolean_entries(self):
+        # bool is an int subclass, but True is not the point 1
+        assert not is_permutation((2, True))
+        assert not is_permutation((True,))
+        with pytest.raises(ValueError, match="not a permutation of 1..2"):
+            Perm((2, True))
+
+    def test_arity_mismatch_messages_match_reference(self):
+        p, q = Perm((2, 1)), Perm((3, 1, 2))
+        assert raised(compose, p, q) == raised(pointwise_compose, p, q)
+        assert raised(compose, identity(0), p) == raised(pointwise_compose, identity(0), p)
+        for sizes in ([1, 1, 1], [2], [], (1, -1)):
+            assert raised(block_perm, p, sizes) == raised(blockwise_expansion, p, sizes)
+        for items in ("abc", (), ("a",)):
+            assert raised(act_on_positions, p, items) == raised(pointwise_action, p, items)
 
 
 class TestBlockOps:
@@ -124,9 +110,10 @@ class TestBlockOps:
         assert block_sum([]).n == 0
 
     def test_block_sum_matches_shift_oracle(self):
-        for p in all_perms(2):
-            for q in all_perms(3):
-                assert block_sum([p, q]).images == shifted_union([p, q])
+        for length in range(4):
+            for ps in itertools.product(perms_up_to(4), repeat=length):
+                if sum(p.n for p in ps) <= 4:
+                    assert block_sum(ps).images == shifted_union(ps)
 
     def test_block_perm_frozen_values(self):
         assert block_perm(Perm((2, 1)), [2, 1]).images == (2, 3, 1)
@@ -137,10 +124,9 @@ class TestBlockOps:
             assert block_perm(p, [1, 1, 1]) == p
 
     def test_block_perm_matches_blockwise_oracle(self):
-        for n in (1, 2, 3):
-            for p in all_perms(n):
-                for sizes in itertools.product((0, 1, 2), repeat=n):
-                    assert block_perm(p, list(sizes)).images == blockwise_expansion(p, sizes)
+        for p in perms_up_to(4):
+            for sizes in itertools.product((0, 1, 2), repeat=p.n):
+                assert block_perm(p, list(sizes)).images == blockwise_expansion(p, sizes)
 
     def test_block_perm_arity_mismatch(self):
         with pytest.raises(ValueError):
@@ -202,6 +188,11 @@ class TestAlgebraicLaws:
 class TestHelpers:
     def test_act_on_positions(self):
         assert act_on_positions(Perm((2, 3, 1)), ("a", "b", "c")) == ("c", "a", "b")
+
+    def test_act_on_positions_matches_pointwise_oracle(self):
+        for p in perms_up_to(4):
+            items = tuple("abcd"[: p.n])
+            assert act_on_positions(p, items) == pointwise_action(p, items)
 
     def test_descent_word_reconstructs(self):
         for p in all_perms(4):
