@@ -181,10 +181,6 @@ class BraidOperad(WordOperad):
         return gen + offset
 
     def delta_letters(self, gen: int, n: int, sizes: Sequence[int]) -> tuple:
-        if len(sizes) != n:
-            raise ValueError(f"arity mismatch: generator at {n} with {len(sizes)} size(s)")
-        if not 1 <= gen <= n - 1:
-            raise ValueError(f"generator index {gen} out of range at arity {n}")
         start = 1 + sum(sizes[: gen - 1])
         return block_cross_letters(start, sizes[gen - 1], sizes[gen])
 
@@ -193,37 +189,8 @@ class BraidOperad(WordOperad):
             return (self.identity(n),)
         return None
 
-    def parse(self, text: str, n: int) -> OperadElement:
-        return self.from_letters(n, parse_braid_letters(text, n))
-
     def format_letter(self, gen: int, sign: int) -> str:
         return f"b{gen}" if sign == 1 else f"B{gen}"
-
-
-def parse_braid_letters(text: str, n: int) -> tuple:
-    """Parse whitespace-separated ``b<i>`` / ``B<i>`` tokens; ``e`` is empty.
-
-    >>> parse_braid_letters("b1 B2", 3)
-    ((1, 1), (2, -1))
-    """
-    body = text.strip()
-    if body in ("", "e"):
-        return ()
-    letters = []
-    for token in body.split():
-        tok = token.strip()
-        if tok == "e":
-            continue
-        if len(tok) < 2 or tok[0] not in ("b", "B"):
-            raise ValueError(f"malformed braid letter {token!r}; expected b<i> or B<i>")
-        try:
-            idx = int(tok[1:])
-        except ValueError:
-            raise ValueError(f"malformed braid letter {token!r}") from None
-        if not 1 <= idx <= n - 1:
-            raise ValueError(f"letter {token!r} out of range at arity {n}")
-        letters.append((idx, 1 if tok[0] == "b" else -1))
-    return tuple(letters)
 
 
 @lru_cache(maxsize=None)

@@ -119,11 +119,7 @@ class CactusOperad(WordOperad):
         return (gen[0] + offset, gen[1] + offset)
 
     def delta_letters(self, gen: Interval, n: int, sizes: Sequence[int]) -> tuple:
-        if len(sizes) != n:
-            raise ValueError(f"arity mismatch: generator at {n} with {len(sizes)} size(s)")
         p, q = gen
-        if not 1 <= p < q <= n:
-            raise ValueError(f"generator {gen} out of range at arity {n}")
         cum = [0] * (n + 1)
         for i in range(n):
             cum[i + 1] = cum[i] + sizes[i]
@@ -143,37 +139,8 @@ class CactusOperad(WordOperad):
             return (self.identity(2), self.from_letters(2, (((1, 2), 1),)))
         return None
 
-    def parse(self, text: str, n: int) -> OperadElement:
-        return self.from_letters(n, parse_cactus_letters(text, n))
-
     def format_letter(self, gen: Interval, sign: int) -> str:
         return f"s({gen[0]},{gen[1]})"
-
-
-def parse_cactus_letters(text: str, n: int) -> tuple:
-    """Parse whitespace-separated ``s(p,q)`` tokens; ``e`` is the empty word.
-
-    >>> parse_cactus_letters("s(1,3) s(1,2)", 3)
-    (((1, 3), 1), ((1, 2), 1))
-    """
-    body = text.strip()
-    if body in ("", "e"):
-        return ()
-    letters = []
-    for token in body.split():
-        tok = token.strip()
-        if tok == "e":
-            continue
-        if not (tok.startswith("s(") and tok.endswith(")")):
-            raise ValueError(f"malformed cactus letter {token!r}; expected s(p,q)")
-        try:
-            p, q = (int(x) for x in tok[2:-1].split(","))
-        except ValueError:
-            raise ValueError(f"malformed cactus letter {token!r}") from None
-        if not 1 <= p < q <= n:
-            raise ValueError(f"letter {token!r} out of range at arity {n}")
-        letters.append(((p, q), 1))
-    return tuple(letters)
 
 
 @lru_cache(maxsize=None)

@@ -214,7 +214,7 @@ def cmd_cactus_relations(args) -> int:
     lines = [f"generators: {len(sys_.generators)}"]
     lines += [f"{render(lhs)} = {render(rhs)}" for lhs, rhs in sys_.relations]
     payload = {
-        "generators": [f"s({p},{q})" for p, q in sys_.generators],
+        "generators": [inst.format_letter(gen, 1) for gen in sys_.generators],
         "relations": [[render(lhs), render(rhs)] for lhs, rhs in sys_.relations],
     }
     _emit(args, "\n".join(lines), payload)

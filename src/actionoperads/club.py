@@ -56,7 +56,7 @@ class ClubBackedOperad(ActionOperad):
     def delta(self, a, sizes):
         return self.club.mu(a, [self.club.identity(k) for k in sizes])
 
-    def equal(self, a, b, _=None, budget=None):
+    def equal_at_arity(self, a, b, budget):
         return self.club.equal(a, b, budget=budget)
 
     def elements(self, n):

@@ -63,6 +63,8 @@ from .perm import (
 )
 from .rewrite import EqResult, RelationSystem, RewritePath, Word
 
+_SAME = EqResult("equal", path=RewritePath((), (), ()), stop="met")
+
 
 @dataclass(frozen=True, slots=True)
 class OperadElement:
@@ -106,8 +108,9 @@ class ActionOperad:
     """Operation table of one action operad instance.
 
     Subclasses provide the group structure per arity plus ``pi``,
-    ``beta`` and the per-generator ``delta``; everything else (``mu``,
-    the word extension of ``delta``, sampling) is shared.
+    ``beta``, the per-generator ``delta`` and the oracle at one arity;
+    everything else (``mu``, the checks before the oracle, the word
+    extension of ``delta``, sampling) is shared.
     """
 
     name: str = "abstract"
@@ -146,8 +149,17 @@ class ActionOperad:
     # -- oracle / enumeration ----------------------------------------------
     def equal(self, a: OperadElement, b: OperadElement, _=None, budget=None) -> EqResult:
         """The oracle's verdict on ``a == b``, searching at most ``budget``
-        states.  The unused third slot keeps the positional call
-        ``equal(a, b, None, budget)`` of existing callers working."""
+        states: elements of two arities are distinct, and the instance's
+        :meth:`equal_at_arity` decides the rest.  The unused third slot
+        keeps the positional call ``equal(a, b, None, budget)`` working."""
+        self.check_element(a)
+        self.check_element(b)
+        if a.n != b.n:
+            return EqResult("distinct", separating="arity", stop="invariant")
+        return self.equal_at_arity(a, b, budget)
+
+    def equal_at_arity(self, a: OperadElement, b: OperadElement, budget) -> EqResult:
+        """:meth:`equal` on two checked elements of one arity."""
         raise NotImplementedError
 
     def elements(self, n: int) -> tuple[OperadElement, ...] | None:
@@ -225,13 +237,9 @@ class SymmetricOperad(ActionOperad):
         self.check_element(a)
         return self._wrap(block_perm(a.payload, sizes))
 
-    def equal(self, a, b, _=None, budget=None) -> EqResult:
-        self.check_element(a)
-        self.check_element(b)
-        if a.n != b.n:
-            return EqResult("distinct", separating="arity", stop="invariant")
+    def equal_at_arity(self, a, b, budget) -> EqResult:
         if a.payload == b.payload:
-            return EqResult("equal", path=RewritePath((), (), ()), stop="met")
+            return _SAME
         return EqResult("distinct", separating="images", stop="invariant")
 
     def elements(self, n):
@@ -290,12 +298,8 @@ class TrivialOperad(ActionOperad):
             raise ValueError(f"arity mismatch: delta of arity {a.n} with {len(sizes)} size(s)")
         return self.identity(sum(sizes))
 
-    def equal(self, a, b, _=None, budget=None):
-        self.check_element(a)
-        self.check_element(b)
-        if a.n != b.n:
-            return EqResult("distinct", separating="arity", stop="invariant")
-        return EqResult("equal", path=RewritePath((), (), ()), stop="met")
+    def equal_at_arity(self, a, b, budget):
+        return _SAME
 
     def elements(self, n):
         return (self.identity(n),)
@@ -318,7 +322,8 @@ class WordOperad(ActionOperad):
 
     Subclasses supply the alphabet per arity, the relation system, the
     per-generator underlying permutation, the per-generator block
-    diagonal, and the letter shift used by the block sum.
+    diagonal, the letter shift used by the block sum, and the spelling
+    of each letter, which ``format`` writes and ``parse`` reads.
     """
 
     involutive: bool = False
@@ -334,7 +339,9 @@ class WordOperad(ActionOperad):
         raise NotImplementedError
 
     def delta_letters(self, gen, n: int, sizes: Sequence[int]) -> tuple:
-        """The block diagonal of one positive generator, as letters."""
+        """The block diagonal of one positive generator, as letters;
+        ``gen`` is a generator at arity ``n`` and ``sizes`` has ``n``
+        entries, which :meth:`delta` has checked."""
         raise NotImplementedError
 
     def shift_letter(self, gen, offset: int):
@@ -351,25 +358,23 @@ class WordOperad(ActionOperad):
         gens = self.arity_generators(n)
         return RelationSystem(f"{self.name}_{n}", n, gens, (), frozenset(gens if self.involutive else ()))
 
-    def _wrap(self, n: int, letters) -> OperadElement:
+    def from_letters(self, n: int, letters) -> OperadElement:
         return _element(self.name, n, self.alphabet(n).word(letters))
 
     def identity(self, n):
-        return self._wrap(n, ())
-
-    def from_letters(self, n: int, letters) -> OperadElement:
-        return self._wrap(n, letters)
+        return self.from_letters(n, ())
 
     def mul(self, a, b):
         self.check_element(a)
         self.check_element(b)
         if a.n != b.n:
             raise ValueError(f"arity mismatch multiplying at {a.n} and {b.n}")
-        return self._wrap(a.n, a.payload.letters + b.payload.letters)
+        return self.from_letters(a.n, a.payload.letters + b.payload.letters)
 
     def inv(self, a):
         self.check_element(a)
-        return self._wrap(a.n, rewrite.invert_letters(a.payload.letters, self.alphabet(a.n).involutive))
+        letters = rewrite.invert_letters(a.payload.letters, self.alphabet(a.n).involutive)
+        return self.from_letters(a.n, letters)
 
     @lru_cache(maxsize=None)
     def letter_images(self, gen, sign: int, n: int) -> tuple[int, ...]:
@@ -402,7 +407,7 @@ class WordOperad(ActionOperad):
                 (self.shift_letter(gen, offset), sign) for gen, sign in e.payload.letters
             )
             offset += e.n
-        return self._wrap(total, letters)
+        return self.from_letters(total, letters)
 
     def delta(self, a, sizes):
         self.check_element(a)
@@ -431,24 +436,34 @@ class WordOperad(ActionOperad):
             else:
                 factors.append(rewrite.invert_letters(self.delta_letters(gen, n, moved), involutive))
             sizes = moved
-        return self._wrap(total, [letter for f in reversed(factors) for letter in f])
+        return self.from_letters(total, [letter for f in reversed(factors) for letter in f])
 
-    def equal(self, a, b, _=None, budget=None):
-        self.check_element(a)
-        self.check_element(b)
-        if a.n != b.n:
-            return EqResult("distinct", separating="arity", stop="invariant")
+    def equal_at_arity(self, a, b, budget):
         return rewrite.equal(a.payload, b.payload, self.relation_system(a.n), budget)
 
     def generators(self, n):
         return tuple(
-            (self.format_letter(gen, 1), self._wrap(n, ((gen, 1),)))
+            (self.format_letter(gen, 1), self.from_letters(n, ((gen, 1),)))
             for gen in self.arity_generators(n)
         )
 
     def generator_word(self, a):
         self.check_element(a)
         return tuple((self.format_letter(gen, 1), sign) for gen, sign in a.payload.letters)
+
+    def parse(self, text, n):
+        """The inverse of :meth:`format`: whitespace-separated letters
+        spelt as :meth:`format_letter` spells them; ``e`` is the empty word."""
+        table = {"e": ()}
+        for gen in self.arity_generators(n):
+            for sign in (1,) if self.involutive else (1, -1):
+                table[self.format_letter(gen, sign)] = ((gen, sign),)
+        letters = []
+        for token in text.split():
+            if token not in table:
+                raise ValueError(f"{token!r} is not a {self.name} letter at arity {n}")
+            letters.extend(table[token])
+        return self.from_letters(n, letters)
 
     def format(self, a):
         self.check_element(a)
@@ -494,7 +509,10 @@ class AxiomCheckConfig:
     fixed handful of vectors containing zero-width blocks).  In sampled
     mode, shapes and elements come from a seeded deterministic stream,
     with word lengths bounded by ``max_word_length``, block sizes by
-    ``max_block_size`` and composite arities by ``max_result_arity``.
+    ``max_block_size`` and composite arities by ``max_result_arity``;
+    there ``max_total_arity`` caps only the draw of one arity for the
+    pi-homomorphism, unit, delta-naturality and delta-beta cases (at 0,
+    those cases run at arity 0).
     """
 
     max_total_arity: int = 5
@@ -650,38 +668,6 @@ def _groups(flat: Sequence, ends: Iterable[int]) -> tuple:
     where a group ends."""
     bounds = [0, *ends]
     return tuple(flat[a:b] for a, b in zip(bounds, bounds[1:]))
-
-
-class _CaseSource:
-    """Shapes and elements for sampled mode, drawn from one seeded stream;
-    each drawn element is interned in the kernel."""
-
-    def __init__(self, K: _Kernel, config: AxiomCheckConfig):
-        self.K = K
-        self.config = config
-        self.stream = DeterministicStream(config.seed)
-
-    def sample_element(self, n: int) -> int:
-        return self.K.intern(self.K.inst.sample(n, self.stream, self.config.max_word_length))
-
-    def sample_sizes(self, parts: int, max_total: int) -> tuple[int, ...]:
-        cap = self.config.max_block_size
-        if parts > max_total:
-            raise ValueError(
-                f"cannot fit {parts} positive blocks under a composite-arity cap of {max_total}; "
-                "lower max_total_arity or raise max_result_arity"
-            )
-        while True:
-            v = tuple(1 + self.stream.next_int(cap) for _ in range(parts))
-            if sum(v) <= max_total:
-                return v
-
-    def sample_arity(self) -> int:
-        hi = min(self.config.max_total_arity, self.config.max_result_arity)
-        return 1 + self.stream.next_int(max(1, hi))
-
-
-_SAME = EqResult("equal", path=RewritePath((), (), ()), stop="met")
 
 
 def finite_group(inst: ActionOperad, n: int) -> tuple[OperadElement, ...]:
@@ -1069,86 +1055,106 @@ def _exhaustive_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
 
 
 def _sampled_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
-    source = _CaseSource(K, config)
+    """Shapes and elements drawn from one seeded stream; each drawn
+    element is interned in the kernel."""
+    stream = DeterministicStream(config.seed)
     N = config.samples_per_axiom
     cap = config.max_result_arity
 
+    def sample_element(n: int) -> int:
+        return K.intern(K.inst.sample(n, stream, config.max_word_length))
+
+    def sample_sizes(parts: int, max_total: int) -> tuple[int, ...]:
+        if parts > max_total:
+            raise ValueError(
+                f"cannot fit {parts} positive blocks under a composite-arity cap of {max_total}; "
+                "lower max_total_arity or raise max_result_arity"
+            )
+        while True:
+            v = tuple(1 + stream.next_int(config.max_block_size) for _ in range(parts))
+            if sum(v) <= max_total:
+                return v
+
+    def sample_arity() -> int:
+        hi = min(config.max_total_arity, cap)
+        return 1 + stream.next_int(hi) if hi > 0 else 0
+
     def arity_vector(parts_lo=1):
-        parts = parts_lo + source.stream.next_int(3)
-        return source.sample_sizes(parts, max_total=cap)
+        parts = parts_lo + stream.next_int(3)
+        return sample_sizes(parts, max_total=cap)
 
     for _ in range(N):
-        n = source.sample_arity()
-        g = source.sample_element(n)
-        h = source.sample_element(n)
+        n = sample_arity()
+        g = sample_element(n)
+        h = sample_element(n)
         yield _case_pi_mul(K, g, h)
         yield from _case_pi_inv_unit(K, g)
 
     for _ in range(N):
         v = arity_vector()
-        hs = [source.sample_element(k) for k in v]
-        gs = [source.sample_element(k) for k in v]
+        hs = [sample_element(k) for k in v]
+        gs = [sample_element(k) for k in v]
         yield _case_beta_naturality(K, hs)
         yield _case_beta_homomorphism(K, gs, hs)
 
     for _ in range(N):
-        n = source.sample_arity()
-        g = source.sample_element(n)
+        n = sample_arity()
+        g = sample_element(n)
         yield _case_beta_unary(K, g)
         yield from _case_delta_units(K, g, n)
 
     for _ in range(N):
         flat = arity_vector()
-        cuts = [source.stream.next_int(2) for _ in range(len(flat) - 1)]
+        cuts = [stream.next_int(2) for _ in range(len(flat) - 1)]
         groups = _groups(flat, itertools.compress(itertools.count(1), (*cuts, 1)))
-        flat_els = [[source.sample_element(k) for k in grp] for grp in groups]
+        flat_els = [[sample_element(k) for k in grp] for grp in groups]
         yield _case_beta_assoc(K, flat_els)
 
     for _ in range(N):
-        n = source.sample_arity()
-        g = source.sample_element(n)
-        v = source.sample_sizes(n, max_total=cap)
+        n = sample_arity()
+        g = sample_element(n)
+        v = sample_sizes(n, max_total=cap)
         yield _case_delta_naturality(K, g, v)
-        h = source.sample_element(n)
+        h = sample_element(n)
         yield _case_delta_product(K, g, h, v)
 
     for _ in range(N):
-        n = 1 + source.stream.next_int(2)
-        msizes = source.sample_sizes(n, max_total=3)
+        n = 1 + stream.next_int(2)
+        msizes = sample_sizes(n, max_total=3)
         M = sum(msizes)
-        plists = _groups(source.sample_sizes(M, max_total=cap), itertools.accumulate(msizes))
-        f = source.sample_element(n)
+        plists = _groups(sample_sizes(M, max_total=cap), itertools.accumulate(msizes))
+        f = sample_element(n)
         yield _case_delta_nesting(K, f, msizes, plists)
 
     for _ in range(N):
-        n = source.sample_arity()
-        g = source.sample_element(n)
-        v = source.sample_sizes(n, max_total=cap)
-        hs = [source.sample_element(k) for k in v]
+        n = sample_arity()
+        g = sample_element(n)
+        v = sample_sizes(n, max_total=cap)
+        hs = [sample_element(k) for k in v]
         yield _case_delta_beta_twist(K, g, hs)
 
     for _ in range(N):
-        parts = 1 + source.stream.next_int(2)
+        parts = 1 + stream.next_int(2)
         mlists = []
         total = 0
         for _ in range(parts):
             remaining = max(1, cap - total)
-            ln = min(1 + source.stream.next_int(2), remaining)
-            ml = source.sample_sizes(ln, max_total=remaining)
+            ln = min(1 + stream.next_int(2), remaining)
+            ml = sample_sizes(ln, max_total=remaining)
             total += sum(ml)
             mlists.append(ml)
-        gs = [source.sample_element(len(ml)) for ml in mlists]
+        gs = [sample_element(len(ml)) for ml in mlists]
         yield _case_beta_delta_interchange(K, gs, mlists)
 
     for _ in range(N):
-        n = 1 + source.stream.next_int(2)
-        v = source.sample_sizes(n, max_total=cap)
-        gp = source.sample_element(n)
-        g = source.sample_element(n)
+        n = 1 + stream.next_int(2)
+        v = sample_sizes(n, max_total=cap)
+        gp = sample_element(n)
+        g = sample_element(n)
         pgp_inv = inverse(K.pi(gp))
         f_arities = tuple(v[pgp_inv.images[i] - 1] for i in range(n))
-        fps = [source.sample_element(k) for k in v]
-        fs = [source.sample_element(k) for k in f_arities]
+        fps = [sample_element(k) for k in v]
+        fs = [sample_element(k) for k in f_arities]
         yield from _interchange_cases(K, g, gp, [fps], [fs])
 
 

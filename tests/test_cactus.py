@@ -7,6 +7,7 @@ import itertools
 
 import pytest
 
+from actionoperads.braid import braid_operad
 from actionoperads.cactus import (
     cactus_operad,
     cactus_relations,
@@ -107,8 +108,16 @@ class TestBetaDelta:
             assert C.pi(d) == block_perm(s_hat(1, 2, 2), list(sizes)), sizes
 
     def test_delta_gen_bounds(self):
-        with pytest.raises(ValueError):
-            C.delta_letters((2, 2), 3, (1, 1, 1))
+        # the public delta of both word families rejects sizes that do
+        # not fit the element before any per-generator diagonal is built
+        for inst, word in ((C, "s(1,3)"), (braid_operad(), "b1 B2")):
+            a = inst.parse(word, 3)
+            with pytest.raises(ValueError, match="arity mismatch: delta of arity 3 with 2 size"):
+                inst.delta(a, (1, 1))
+            with pytest.raises(ValueError, match="arity mismatch: delta of arity 3 with 4 size"):
+                inst.delta(a, (1, 1, 1, 1))
+            with pytest.raises(ValueError, match=r"block sizes must be >= 0: \(1, -1, 2\)"):
+                inst.delta(a, (1, -1, 2))
 
     def test_pi_compatibility_of_beta(self):
         words = [C.identity(1), C.parse("s(1,2)", 2), C.parse("s(1,3) s(1,2)", 3)]

@@ -411,6 +411,9 @@ MALFORMED_INPUTS = [
     (["pi", "--operad", "sym", "--n", "3", "[1,1,2]"], 3),
     (["pi", "--operad", "cactus", "--n", "3", "s(2,1)"], 3),
     (["pi", "--operad", "braid", "--n", "-1", "e"], 3),
+    (["pi", "--operad", "braid", "--n", "3", "b01"], 3),
+    (["pi", "--operad", "braid", "--n", "3", "b+1"], 3),
+    (["pi", "--operad", "cactus", "--n", "3", "s(01,2)"], 3),
     (["mul", "--operad", "sym", "--n", "x", "[1]", "[1]"], 3),
     (["beta", "--operad", "sym", "--n", "2,a", "[2,1]", "[1]"], 3),
     (["delta", "--operad", "cactus", "--n", "2", "--sizes", "1", "s(1,2)"], 3),

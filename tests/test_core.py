@@ -9,6 +9,8 @@ from collections import Counter
 import pytest
 
 from actionoperads.borel import borel_realization, contractible_free_check
+from actionoperads.braid import BraidOperad
+from actionoperads.club import operad_from_club
 from actionoperads.core import (
     AxiomCheckConfig,
     DeterministicStream,
@@ -177,6 +179,21 @@ class TestCheckAxioms:
             AxiomCheckConfig(**{field: value})
         assert str(info.value) == f"{field} must be >= {low}, got {value}"
 
+    def test_sampled_arity_cap_of_zero(self):
+        # the one capped draw gives arity 0; every other draw is >= 1
+        class Recording(BraidOperad):
+            def sample(self, n, stream, max_word_len):
+                drawn.append(n)
+                return super().sample(n, stream, max_word_len)
+
+        drawn = []
+        config = AxiomCheckConfig(max_total_arity=0, exhaustive=False, samples_per_axiom=3)
+        rep = check_axioms(Recording(), config)
+        assert rep.mode == "sampled" and rep.passed(strict=True)
+        # per round: two for pi_homomorphism, one for the unit laws, two
+        # for delta naturality and the product twist, one for delta_beta_twist
+        assert drawn.count(0) == 6 * 3
+
     def test_report_formats(self):
         rep = check_axioms(TRIV, AxiomCheckConfig(max_total_arity=2))
         text = rep.format_text()
@@ -328,3 +345,55 @@ def test_generator_word_uses_generator_names(operad, n, word):
     for name, sign in inst.generator_word(a):
         prod = inst.mul(prod, gens[name] if sign == 1 else inst.inv(gens[name]))
     assert prod == a
+
+
+EQUAL_INSTANCES = {
+    "sym": symmetric_operad,
+    "trivial": trivial_operad,
+    "braid": lambda: get_operad("braid"),
+    "cactus": lambda: get_operad("cactus"),
+    "club_sym": lambda: operad_from_club(symmetric_operad()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUAL_INSTANCES))
+def test_equality_prologue(name):
+    # every instance checks both elements and separates arities before its own oracle
+    inst = EQUAL_INSTANCES[name]()
+    foreign = (SYM if inst.name == "trivial" else TRIV).identity(2)
+    for a, b in ((foreign, inst.identity(2)), (inst.identity(2), foreign)):
+        with pytest.raises(ValueError, match="mixed instances"):
+            inst.equal(a, b)
+    res = inst.equal(inst.identity(2), inst.identity(3))
+    assert (res.verdict, res.separating, res.stop, res.states) == ("distinct", "arity", "invariant", 0)
+    assert inst.equal(inst.identity(3), inst.identity(3)).is_equal
+
+
+def _spellings(operad: str, n: int) -> list:
+    if operad == "braid":
+        return [(f"{c}{i}", (i, sign)) for c, sign in (("b", 1), ("B", -1)) for i in range(1, n)]
+    return [(f"s({p},{q})", ((p, q), 1)) for p in range(1, n + 1) for q in range(p + 1, n + 1)]
+
+
+@pytest.mark.parametrize("operad", ["braid", "cactus"])
+@pytest.mark.parametrize("n", range(9))
+def test_every_letter_reads_back(operad, n):
+    # a word is read with exactly the letters the formatter prints
+    inst = get_operad(operad)
+    spellings = _spellings(operad, n)
+    for token, letter in spellings:
+        assert inst.format_letter(*letter) == token
+        assert inst.parse(token, n).payload.letters == (letter,)
+    word = inst.from_letters(n, [letter for _, letter in spellings])
+    assert inst.parse(inst.format(word), n) == word
+    assert inst.parse("e", n) == inst.parse("", n) == inst.identity(n)
+
+
+@pytest.mark.parametrize(
+    "operad, token",
+    [("braid", "b0"), ("braid", "b3"), ("braid", "B"), ("braid", "b01"), ("braid", "b+1"),
+     ("cactus", "s(2,2)"), ("cactus", "s(1,2"), ("cactus", "s"), ("cactus", "s(01,2)")],
+)
+def test_malformed_letters_are_rejected(operad, token):
+    with pytest.raises(ValueError, match=f"is not a {operad} letter at arity 3"):
+        get_operad(operad).parse(f"e {token}", 3)
