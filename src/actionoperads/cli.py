@@ -112,13 +112,36 @@ def _letters_doc(letters) -> list:
 
 
 def _letters_from_doc(doc) -> tuple:
-    return tuple((tuple(g) if isinstance(g, list) else g, s) for g, s in doc)
+    """Letters ``[gen, sign]`` of a path document: ``gen`` a whole number
+    or a list of them, ``sign`` 1 or -1, none of them a JSON ``true`` or
+    ``false`` (which would compare equal to 1 and 0)."""
+    letters = []
+    for gen, sign in doc:
+        parts = gen if isinstance(gen, list) else [gen]
+        if type(sign) is not int or sign not in (1, -1) or any(type(x) is not int for x in parts):
+            raise ValueError(f"malformed path document: letter {[gen, sign]!r}")
+        letters.append((tuple(gen) if isinstance(gen, list) else gen, sign))
+    return tuple(letters)
+
+
+def _step_field(step, name: str) -> int:
+    """A path step's ``rel``, ``orient`` or ``pos``: a whole number >= 0
+    in the JSON, and 0 or 1 for ``orient``; anything else is malformed."""
+    value = step[name]
+    if type(value) is not int or value < 0 or (name == "orient" and value > 1):
+        raise ValueError(f"malformed path document: step {name} {value!r}")
+    return value
 
 
 def _path_from_doc(doc) -> RewritePath:
     def steps(items):
         return tuple(
-            Step(int(s["rel"]), int(s["orient"]), int(s["pos"]), _letters_from_doc(s["result"]))
+            Step(
+                _step_field(s, "rel"),
+                _step_field(s, "orient"),
+                _step_field(s, "pos"),
+                _letters_from_doc(s["result"]),
+            )
             for s in items
         )
 

@@ -1054,6 +1054,10 @@ def _exhaustive_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
                 yield from _interchange_cases(K, g, gp, itertools.product(*[els(k) for k in v]), f_choices)
 
 
+# whole block-size vectors a sampled check draws before it draws width by width
+SIZE_DRAWS = 64
+
+
 def _sampled_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
     """Shapes and elements drawn from one seeded stream; each drawn
     element is interned in the kernel."""
@@ -1070,10 +1074,18 @@ def _sampled_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
                 f"cannot fit {parts} positive blocks under a composite-arity cap of {max_total}; "
                 "lower max_total_arity or raise max_result_arity"
             )
-        while True:
+        for _ in range(SIZE_DRAWS):
             v = tuple(1 + stream.next_int(config.max_block_size) for _ in range(parts))
             if sum(v) <= max_total:
                 return v
+        # whole vectors keep overshooting: draw each width within what the
+        # parts still to come leave of the cap
+        widths: list[int] = []
+        room = max_total
+        for later in range(parts - 1, -1, -1):
+            widths.append(1 + stream.next_int(min(config.max_block_size, room - later)))
+            room -= widths[-1]
+        return tuple(widths)
 
     def sample_arity() -> int:
         hi = min(config.max_total_arity, cap)

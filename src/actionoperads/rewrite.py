@@ -8,10 +8,9 @@ away, and adjacent equal involutive letters cancel during free
 reduction).  Words are kept freely reduced at all times.
 
 Equality is a *semidecision* procedure, not a normal form.  ``equal``
-runs a bidirectional breadth-first search over single-relation rewrites
-(a relation may be applied in either orientation at any position,
-followed by free reduction), bounded by a state budget alone.  The
-three possible outcomes are:
+runs a bidirectional breadth-first search whose states are commutation
+classes of words, bounded by a state budget alone.  The three possible
+outcomes are:
 
 - ``equal`` -- the two search frontiers met; the result carries a
   replayable path that :func:`replay_path` re-validates step by step;
@@ -20,32 +19,34 @@ three possible outcomes are:
   :func:`validate_invariants` checks);
 - ``inconclusive`` -- the search stopped undecided, either because the
   state budget ran out or because the frontier emptied (no rewrite
-  reaches a new word); never coerced to a verdict.
+  reaches a new class); never coerced to a verdict.
 
 ``EqResult.stop`` says which way the search ended: ``met`` (the frontiers
 met, or the inputs were identical), ``invariant``, ``budget`` or
 ``space_exhausted``.
 
-The search codes each letter as one character, so its states are
-strings, and looks rewrites up by the letters of a word: one lookup per
-position, in the row of rules of the letter there and under the next
-few letters (as many as the longest left side has past its first),
-finds exactly the oriented relations whose whole left side starts
-there.  Right sides are freely reduced once, when the tables are built,
-so a successor is the word with the left side replaced: as it is when
-neither seam cancels, which two compares tell, and with free
-cancellation worked out only at the two seams otherwise, never over the
-whole word.  Orientations whose left side is empty are skipped: they
-splice a relator next to nothing and free reduction undoes them
-immediately, so they can never produce a new state.
+The search works modulo the commutations the system lists.  Two letters
+are independent when their commutation ``(x y) = (y x)`` is a relation
+in every sign of both; words that differ by swapping adjacent
+independent letters form one class, a trace (Cartier and Foata 1969;
+Diekert and Rozenberg, *The Book of Traces*, 1995).  A class is reduced
+as in a free partially commutative group: a letter cancels the nearest
+earlier letter it depends on when that letter is its inverse (Wrathall
+1988), and is keyed by its Foata normal form, which the search's states
+are.  A commutation is never an edge.  Every other orientation of a
+relation applies wherever its left side is a factor of the class: its
+letters sit at positions of the key, convex in the dependence order, so
+that the letters between them can be commuted out of the way.  The
+successor is the class of the word with the left side replaced, reduced.
 
-A state's rewrites that lie wholly before the letters changed by the
-rewrite that produced it, with a letter between, commute with that
-rewrite, so the parent's expansion has already reached their results
-(a diamond).  The search skips them before building their strings; the
-comment at the test in :func:`equal` gives the argument.  It expands
-the same states in the same order as a search that builds and drops
-them.
+Only the final path is written out as ordinary steps.  For each class
+edge they are the commutations that gather the left side, the relation,
+the commutations that bring each cancelling pair together (the one that
+makes them adjacent cancels them, as its own free reduction), and the
+commutations into the next class word.  Every step's result is the free
+reduction of its splice, so :func:`replay_path` checks the path as it
+checks any other.  A swap that no listed relation makes ends the
+expansion, and the search does not answer ``equal`` from it.
 """
 
 from __future__ import annotations
@@ -188,56 +189,35 @@ class EqResult:
 DEFAULT_BUDGET = 100_000
 
 
-class _Row(dict):
-    """The rules of one letter, keyed by the letters after it.
-
-    A key is the next ``width`` letters of a word, fewer at its end.  Its
-    bucket holds, in relation order, the entries whose left side after its
-    first letter is a prefix of the key, so every entry in it matches; the
-    bucket is built on the key's first lookup.
-    """
-
-    __slots__ = ("rests", "entries")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.rests: list[str] = []  # each entry's left side past its first letter
-        self.entries: list[tuple] = []
-
-    def __missing__(self, key: str) -> tuple:
-        bucket = self[key] = tuple(
-            entry for rest, entry in zip(self.rests, self.entries) if key.startswith(rest)
-        )
-        return bucket
-
-
 class _SearchTables:
-    """Interned form of a relation system for the inner search loop.
+    """Interned form of a relation system for the class search.
 
     Each letter is coded as one character, ``chr`` of its rank in the
-    alphabet, so states and right sides are ``str``: a ``str`` caches its
-    hash, so a successor is hashed once however many dictionaries it is
-    looked up in.  ``decode`` gives back letter tuples.  ``cancels[c]`` is
-    the character that cancels ``c``.
+    alphabet (generator order, ``+1`` before ``-1``), so states are
+    ``str``: a ``str`` caches its hash, so a state is hashed once however
+    many dictionaries it is looked up in.  ``decode`` gives back letter
+    tuples.  ``inverse[c]`` is the code of ``c``'s inverse and ``bit[c]``
+    is ``1 << ord(c)``.
 
-    ``rows[c]`` holds the rules of the letter ``c``, keyed by the
-    ``width`` letters after it, where ``width`` is the longest left side
-    less one (2 for braid, 1 for cactus): one lookup per position finds
-    exactly the oriented relations whose whole left side starts there,
-    one-letter left sides and matches at a word's end included, since a
-    key is cut short there.  Each bucket keeps relation order, so
-    successors come out in the order a scan of every orientation would
-    give.  Buckets are built on first lookup (:class:`_Row`): a search
-    looks up a few hundred windows, where filling every row would build
-    one bucket per window of ``width`` letters.  Every letter has a row.
-    Orientations with an empty left side are left out: splicing a
-    relator next to nothing is undone by the immediate free reduction.
+    ``swaps`` maps each ordered pair of independent letters ``x + y`` (two
+    codes) to ``2 * ridx + orient``, the listed relation and orientation
+    that rewrite ``x y`` to ``y x``.
+    A pair counts as independent when ``x != y``, ``y`` is not ``x``'s
+    inverse, and the commutation is listed for every sign of both letters,
+    so that a letter and its inverse have the same dependence; a
+    commutation listed in some signs only stays an ordinary relation.
+    ``dep[c]`` is the mask of the letters ``c`` depends on: every letter
+    but those independent of it, ``c`` and its inverse included.
 
-    An entry is ``(b, lb, la, head, foot, move)``: the right side, freely
-    reduced once here, and its length; the left side's length; ``head``
-    and ``foot``, the letters that cancel the right side's first and last
-    letter (``""`` when it is empty), so two compares tell whether either
-    seam of a splice cancels; and ``move``, ``2 * ridx + orient``.
+    ``trie`` holds every other orientation with a non-empty left side,
+    keyed by the left side's letters: a node is ``[children, entries,
+    after]``, ``children`` ``None`` at a leaf, an entry ``(b, move)`` is
+    the coded right side and ``2 * ridx + orient``, in relation order,
+    and ``after`` says that every next letter depends on the node's own,
+    so that a match of it lies after the node's position.  Commutations of
+    independent letters are not in it: they map a class to itself.
+    Orientations with an empty left side are left out too: splicing a
+    relator next to nothing is undone by the reduction.
     """
 
     def __init__(self, sys: RelationSystem):
@@ -249,29 +229,283 @@ class _SearchTables:
                 code = chr(len(self.code_to_letter))
                 self.letter_to_code[(gen, sign)] = code
                 self.code_to_letter[code] = (gen, sign)
-        self.cancels = {
+        self.inverse = {
             code: self.letter_to_code[(gen, sign if gen in sys.involutive else -sign)]
             for code, (gen, sign) in self.code_to_letter.items()
         }
-        self.width = max((len(side) for sides in sys.relations for side in sides), default=1) - 1
-        self.rows: dict[str, _Row] = {c: _Row() for c in self.code_to_letter}
-        for ridx, sides in enumerate(sys.relations):
-            codes = tuple(map(self.encode, sides))
+        self.bit = {code: 1 << ord(code) for code in self.code_to_letter}
+
+        coded = [(self.encode(lhs), self.encode(rhs)) for lhs, rhs in sys.relations]
+        listed: dict[str, int] = {}
+        for ridx, (lhs, rhs) in enumerate(coded):
+            if len(lhs) == 2 and lhs[0] != lhs[1] and rhs == lhs[::-1]:
+                listed.setdefault(lhs, 2 * ridx)
+                listed.setdefault(rhs, 2 * ridx + 1)
+        inverse = self.inverse
+        self.swaps = {
+            xy: move
+            for xy, move in listed.items()
+            if xy[1] != inverse[xy[0]]
+            and all(u + v in listed for u in (xy[0], inverse[xy[0]]) for v in (xy[1], inverse[xy[1]]))
+        }
+        everything = (1 << len(self.code_to_letter)) - 1
+        self.dep = dict.fromkeys(self.code_to_letter, everything)
+        for x, y in self.swaps:
+            self.dep[x] &= ~self.bit[y]
+
+        self.trie: dict[str, list] = {}
+        for ridx, sides in enumerate(coded):
+            if sides[0] in self.swaps and sides[1] == sides[0][::-1]:
+                continue
             for orient in (0, 1):
-                a = codes[orient]
-                if a:
-                    rb = free_reduce(sides[1 - orient], sys.involutive)
-                    b = codes[1 - orient] if rb == sides[1 - orient] else self.encode(rb)
-                    head, foot = (self.cancels[b[0]], self.cancels[b[-1]]) if b else ("", "")
-                    row = self.rows[a[0]]
-                    row.rests.append(a[1:])
-                    row.entries.append((b, len(b), len(a), head, foot, 2 * ridx + orient))
+                a = sides[orient]
+                if not a:
+                    continue
+                node = [self.trie]
+                for c in a:
+                    if node[0] is None:
+                        node[0] = {}
+                    node = node[0].setdefault(c, [None, [], False])
+                node[1].append((sides[1 - orient], 2 * ridx + orient))
+        nodes = list(self.trie.items())
+        for c, node in nodes:
+            if node[0]:
+                # where every next letter depends on c, it lies after c's position
+                node[2] = all(self.dep[c] & self.bit[x] for x in node[0])
+                nodes.extend(node[0].items())
 
     def encode(self, letters: Letters) -> str:
         return "".join(map(self.letter_to_code.__getitem__, letters))
 
     def decode(self, codes: str) -> Letters:
         return tuple(map(self.code_to_letter.__getitem__, codes))
+
+    def canon(self, word: str) -> str:
+        """The key of the class of ``word`` after reduction: its Foata
+        normal form.
+
+        Each letter goes one level above the highest level that holds a
+        letter it depends on; if that level holds the letter's inverse,
+        the two cancel instead, which is the stack reduction of a free
+        partially commutative group (the inverse is the nearest earlier
+        letter the new one depends on, and nothing above it depends on
+        it).  The key is the levels in order, each sorted by code.
+        """
+        dep, bit, inverse = self.dep, self.bit, self.inverse
+        masks: list[int] = []
+        levels: list[str] = []  # each kept sorted
+        top = -1
+        for c in word:
+            d = dep[c]
+            h = top
+            while h >= 0 and not masks[h] & d:
+                h -= 1
+            if h >= 0:
+                x = inverse[c]
+                if masks[h] & bit[x]:
+                    # only the top level can empty: a letter one level up
+                    # depends on x, so on c, and h was the highest such level
+                    masks[h] ^= bit[x]
+                    levels[h] = levels[h].replace(x, "", 1)
+                    if h == top and not masks[h]:
+                        masks.pop()
+                        levels.pop()
+                        top -= 1
+                    continue
+            if h == top:
+                masks.append(bit[c])
+                levels.append(c)
+                top += 1
+            else:
+                h += 1
+                masks[h] |= bit[c]
+                level = levels[h]
+                levels[h] = level + c if c > level[-1] else "".join(sorted(level + c))
+        return "".join(levels)
+
+    def lower(self, state: str) -> list[int]:
+        """The dependence order of a word's letters: ``lower[r]`` is the
+        mask of the positions below ``r``, those from which a chain of
+        dependent letters leads up to ``r``."""
+        n = len(state)
+        deps = [self.dep[c] for c in state]
+        bits = [self.bit[c] for c in state]
+        lower = [0] * n
+        for r in range(n):
+            d, m = deps[r], 0
+            rest = (1 << r) - 1  # earlier positions not yet known to be below
+            while rest:
+                j = rest.bit_length() - 1
+                rest ^= 1 << j
+                if d & bits[j]:
+                    m |= lower[j] | 1 << j
+                    rest &= ~m
+            lower[r] = m
+        return lower
+
+    @staticmethod
+    def split(state: str, ps: int, down: int, lo: int, hi: int) -> tuple[str, str]:
+        """``(head, tail)`` around a convex factor at the position mask
+        ``ps``, first position ``lo`` and last ``hi``, with ``down`` the
+        positions below it: ``state`` equals, modulo commutations, ``head``,
+        the factor's letters, ``tail``.  Only letters between ``lo`` and
+        ``hi`` move: those below the factor go to ``head``, the others to
+        ``tail``."""
+        left, right = [], []
+        for r in range(lo + 1, hi):
+            if not ps >> r & 1:
+                (left if down >> r & 1 else right).append(state[r])
+        return state[:lo] + "".join(left), "".join(right) + state[hi + 1 :]
+
+    def successors(self, state: str) -> list[tuple[str, int, str, str]]:
+        """Every class one rewrite away from the class word ``state``, as
+        ``(key, move, head, tail)``: the class of ``head``, the right side,
+        ``tail``, where ``state`` is ``head``, the left side, ``tail``
+        modulo commutations (:meth:`split`).
+
+        A match assigns the left side's letters, in order, to positions of
+        ``state`` holding them, none below an earlier one, such that no
+        other letter is above one of the positions and below another
+        (they are convex).  Each prefix of a match is convex too (a prefix
+        of the left side is a down-set of the factor), so the walk stops
+        at the first prefix that is not.  Matches come in the
+        lexicographic order of their position tuples, a left side before
+        its extensions, and one left side's orientations in relation
+        order.
+        """
+        canon = self.canon
+        lower = self.lower(state)
+        out: list[tuple[str, int, str, str]] = []
+
+        def walk(children: dict, start: int, size: int, mask: int, down: int, lo: int, hi: int) -> None:
+            taken = mask | down
+            for q in range(start, n):
+                c = state[q]
+                if c not in children or taken >> q & 1:
+                    continue
+                grown_down, grown = down | lower[q], mask | 1 << q
+                low = lo if lo < q else q
+                high = hi if hi > q else q
+                if high - low > size:
+                    # convex: no other letter between first and last is both
+                    # below one of the positions and above another
+                    between = grown_down & ~grown & (1 << high) - (2 << low)
+                    while between:
+                        r = between & -between
+                        if lower[r.bit_length() - 1] & grown:
+                            break
+                        between ^= r
+                    if between:
+                        continue
+                below, entries, after = children[c]
+                if entries:
+                    if high - low == size:
+                        head, tail = state[:low], state[high + 1 :]
+                    else:
+                        head, tail = self.split(state, grown, grown_down, low, high)
+                    for b, move in entries:
+                        out.append((canon(head + b + tail), move, head, tail))
+                if below:
+                    walk(below, q + 1 if after else 0, size + 1, grown, grown_down, low, high)
+
+        n = len(state)
+        walk(self.trie, 0, 0, 0, 0, n, -1)
+        return out
+
+
+def _apply(sys: RelationSystem, word: Letters, rel: int, orient: int, pos: int) -> Letters | None:
+    """One step as :func:`replay_path` checks it, or ``None`` when the
+    left side is not at ``pos``."""
+    a, b = sys.relations[rel][orient], sys.relations[rel][1 - orient]
+    if word[pos : pos + len(a)] != a:
+        return None
+    return free_reduce(word[:pos] + b + word[pos + len(a) :], sys.involutive)
+
+
+class _Expansion:
+    """Writes a chain of class edges out as ordinary steps on words, each
+    ``free_reduce`` of its splice, so that :func:`replay_path` accepts
+    it.  It works on coded words and gives up (``None``) at any step it
+    cannot find."""
+
+    def __init__(self, sys: RelationSystem, tab: _SearchTables):
+        self.sys = sys
+        self.tab = tab
+        self.steps: list[Step] = []
+
+    def step(self, rel: int, orient: int, pos: int, result: str) -> str:
+        self.steps.append(Step(rel, orient, pos, self.tab.decode(result)))
+        return result
+
+    def swap(self, word: str, k: int) -> str | None:
+        """Exchange the letters at ``k`` and ``k + 1`` by their listed
+        commutation.  The word is freely reduced and the two letters are
+        not inverse, so only the two seams can cancel."""
+        tab = self.tab
+        x, y = word[k], word[k + 1]
+        move = tab.swaps.get(x + y)
+        if move is None:
+            return None
+        result = word[:k] + y + x + word[k + 2 :]
+        if (k and word[k - 1] == tab.inverse[y]) or word[k + 2 : k + 3] == tab.inverse[x]:
+            result = tab.encode(free_reduce(tab.decode(result), self.sys.involutive))
+        return self.step(move >> 1, move & 1, k, result)
+
+    def sort(self, word: str | None, target: str) -> str | None:
+        """Commute ``word`` into ``target``, moving each letter that is out
+        of place left one swap at a time; ``None`` if some swap is not a
+        listed commutation or the two are not the same class word."""
+        t = 0
+        while word is not None and word != target:
+            if len(word) != len(target):
+                return None
+            while word[t] == target[t]:
+                t += 1
+            found = word.find(target[t], t + 1)
+            if found < 0:
+                return None
+            for k in range(found - 1, t - 1, -1):
+                word = self.swap(word, k)
+                if word is None:
+                    return None
+        return word
+
+    def settle(self, word: str | None, key: str) -> str | None:
+        """Reduce ``word`` as the class search does and commute it into the
+        class word ``key``: while some letter's nearest earlier letter that
+        it depends on is its inverse, move it left one swap at a time; the
+        swap that makes the two adjacent cancels them."""
+        while word is not None and len(word) > len(key):
+            j = self.cancelling(word)
+            if j is None:
+                break
+            word = self.swap(word, j - 1)
+        return self.sort(word, key)
+
+    def cancelling(self, word: str) -> int | None:
+        """The position of the first letter whose nearest earlier letter
+        that it depends on is its inverse."""
+        dep, bit, inverse = self.tab.dep, self.tab.bit, self.tab.inverse
+        for j, y in enumerate(word):
+            for x in reversed(word[:j]):
+                if dep[y] & bit[x]:
+                    if x == inverse[y]:
+                        return j
+                    break
+        return None
+
+    def edge(self, word: str | None, move: int, head: str, tail: str, child: str) -> str | None:
+        """One class edge: commute the left side together between ``head``
+        and ``tail``, apply the relation, and settle into ``child``."""
+        tab = self.tab
+        rel, orient = move >> 1, move & 1
+        word = self.sort(word, head + tab.encode(self.sys.relations[rel][orient]) + tail)
+        if word is None:
+            return None
+        result = _apply(self.sys, tab.decode(word), rel, orient, len(head))
+        if result is None:
+            return None
+        return self.settle(self.step(rel, orient, len(head), tab.encode(result)), child)
 
 
 def equal(
@@ -284,7 +518,8 @@ def equal(
 
     Returns ``equal`` only when a rewrite path exists (and attaches it),
     ``distinct`` only when a declared invariant separates the inputs.
-    Identical inputs cost zero states.
+    Inputs in one commutation class, identical ones included, cost zero
+    states.
     """
     if w1.n != w2.n or w1.n != sys.n:
         raise ValueError(f"arity mismatch: words at {w1.n}/{w2.n}, system at {sys.n}")
@@ -299,80 +534,55 @@ def equal(
         budget = DEFAULT_BUDGET
 
     tab = sys.search_tables
-    rows = tab.rows
-    cancels = tab.cancels
-    span = tab.width + 1  # the key at pos is state[pos + 1 : pos + span]
-    start = tab.encode(start_letters)
-    goal = tab.encode(goal_letters)
+    start = tab.canon(tab.encode(start_letters))
+    goal = tab.canon(tab.encode(goal_letters))
 
-    # parent maps: state -> (previous state, 2 * rel + orient, pos, edge),
-    # where edge is the left end of the letters the rewrite changed, after
-    # seam cancellation; roots -> None
+    # parent maps: class key -> (parent key, 2 * rel + orient, head, tail),
+    # the parent being head, the left side, tail modulo commutations;
+    # roots -> None
     seen: tuple[dict, dict] = ({start: None}, {goal: None})
     queues = (deque([start]), deque([goal]))
     expanded = 0
 
-    def build_path(meet) -> RewritePath:
-        chains: list[list[Step]] = [[], []]
-        for s in (0, 1):
+    def build_path(meet: str) -> RewritePath | None:
+        chains = []
+        for side, word in ((0, start_letters), (1, goal_letters)):
+            edges = []
             node = meet
-            while seen[s][node] is not None:
-                parent, move, pos, _ = seen[s][node]
-                chains[s].append(Step(move >> 1, move & 1, pos, tab.decode(node)))
+            while seen[side][node] is not None:
+                parent, move, head, tail = seen[side][node]
+                edges.append((move, head, tail, node))
                 node = parent
-        return RewritePath(
-            tab.decode(meet), tuple(reversed(chains[0])), tuple(reversed(chains[1]))
-        )
+            expansion = _Expansion(sys, tab)
+            word = expansion.settle(tab.encode(word), node)
+            for edge in reversed(edges):
+                word = expansion.edge(word, *edge)
+            if word is None:
+                return None
+            chains.append(tuple(expansion.steps))
+        return RewritePath(tab.decode(meet), chains[0], chains[1])
 
+    if start == goal:
+        path = build_path(start)
+        if path is not None:
+            return EqResult("equal", states=0, path=path, stop="met")
+
+    successors = tab.successors
     while (queues[0] or queues[1]) and expanded < budget:
         side = 0 if queues[0] and (not queues[1] or len(queues[0]) <= len(queues[1])) else 1
         mine, other = seen[side], seen[1 - side]
         queue = queues[side]
         state = queue.popleft()
         expanded += 1
-        ln = len(state)
-        record = mine[state]
-        # Diamond moves.  Let u be the rewrite that produced this state from
-        # its parent; it changed no letter before edge.  A move t whose final
-        # j (seams included) is < edge reads and changes only letters before
-        # j, and letter j < edge stays untouched between t and u.  So t does
-        # the same in the parent, the two commute, and state.t == parent.t.u.
-        # The parent's scan reached t before u, so parent.t was queued before
-        # this state or was already seen, and was expanded first.  That
-        # expansion built parent.t.u or skipped it by this same rule, so the
-        # string is already in mine and need not be built.
-        edge = 0 if record is None else record[3]
-        for pos in range(ln):
-            for b, m, la, head, foot, move in rows[state[pos]][state[pos + 1 : pos + span]]:
-                j = pos + la
-                if m and (not pos or state[pos - 1] != head) and (j == ln or state[j] != foot):
-                    # neither seam cancels: the splice is reduced as it is
-                    if j < edge:
-                        continue
-                    i = pos
-                    nxt = state[:pos] + b + state[j:]
-                else:
-                    # state and b are reduced: letters cancel only at the seams
-                    i, k = pos, 0
-                    while i and k < m and cancels[state[i - 1]] == b[k]:
-                        i -= 1
-                        k += 1
-                    while k < m and j < ln and cancels[b[m - 1]] == state[j]:
-                        m -= 1
-                        j += 1
-                    if k == m:
-                        while i and j < ln and cancels[state[i - 1]] == state[j]:
-                            i -= 1
-                            j += 1
-                    if j < edge:
-                        continue
-                    nxt = state[:i] + b[k:m] + state[j:]
-                if nxt in mine:  # the state itself is in mine too
-                    continue
-                mine[nxt] = (state, move, pos, i)
-                if nxt in other:
-                    return EqResult("equal", states=expanded, path=build_path(nxt), stop="met")
-                queue.append(nxt)
+        for nxt, move, head, tail in successors(state):
+            if nxt in mine:  # the state itself is in mine too
+                continue
+            mine[nxt] = (state, move, head, tail)
+            if nxt in other:
+                path = build_path(nxt)
+                if path is not None:
+                    return EqResult("equal", states=expanded, path=path, stop="met")
+            queue.append(nxt)
     stop = "budget" if queues[0] or queues[1] else "space_exhausted"
     return EqResult("inconclusive", states=expanded, stop=stop)
 
@@ -380,23 +590,25 @@ def equal(
 def replay_path(sys: RelationSystem, w1: Word, w2: Word, path: RewritePath) -> bool:
     """Re-validate an equality path step by step.
 
-    Each step must be the recorded relation applied at the recorded
-    position in the recorded orientation, followed by free reduction, and
-    both chains must end at the meet word.
+    Each step must name a relation of ``sys`` (``rel`` an ``int``, not a
+    ``bool``), an orientation 0 or 1 and a position from 0 to the length
+    of the word it applies to, and be that relation applied there in that
+    orientation, followed by free reduction; both chains must end at the
+    meet word.
     """
-    involutive = sys.involutive
 
     def run(start: Letters, steps: Sequence[Step]) -> Letters | None:
-        state = free_reduce(start, involutive)
+        state: Letters | None = free_reduce(start, sys.involutive)
         for step in steps:
-            if not 0 <= step.rel < len(sys.relations):
+            if not (
+                type(step.rel) is type(step.orient) is type(step.pos) is int
+                and 0 <= step.rel < len(sys.relations)
+                and step.orient in (0, 1)
+                and 0 <= step.pos <= len(state)
+            ):
                 return None
-            lhs, rhs = sys.relations[step.rel]
-            a, b = (lhs, rhs) if step.orient == 0 else (rhs, lhs)
-            if state[step.pos : step.pos + len(a)] != a:
-                return None
-            state = free_reduce(state[: step.pos] + b + state[step.pos + len(a) :], involutive)
-            if state != step.result:
+            state = _apply(sys, state, step.rel, step.orient, step.pos)
+            if state is None or state != step.result:
                 return None
         return state
 

@@ -342,3 +342,209 @@ def pointwise_action(p, items) -> tuple:
         raise ValueError(f"arity mismatch: permutation of {p.n} against {len(items)} item(s)")
     out = {p(i): items[i - 1] for i in range(1, p.n + 1)}
     return tuple(out[j] for j in range(1, p.n + 1))
+
+
+# -- the word oracle over commutation classes ----------------------------------
+
+
+def reference_class_equal(w1, w2, sys, budget=None):
+    """``rewrite.equal`` written plainly, on letter tuples.
+
+    Two letters are independent when they differ, are not inverse, and
+    their commutation is listed in every sign.  A state is the Foata form
+    of a class after the stack reduction (a letter cancels the nearest
+    earlier letter it depends on when that is its inverse); every match of
+    a left side is found by trying every assignment of positions; the
+    final path is expanded into swaps, relation steps and cancellations,
+    each applied by slicing.  The definitions are the library's, the code
+    is not, so whole results must agree.
+    """
+    from collections import deque
+    from functools import lru_cache
+
+    from actionoperads.rewrite import DEFAULT_BUDGET, EqResult, RewritePath, Step, Word, free_reduce
+
+    start = free_reduce(w1.letters, sys.involutive)
+    goal = free_reduce(w2.letters, sys.involutive)
+    if start == goal:
+        return EqResult("equal", path=RewritePath(start, (), ()), stop="met")
+    for name, evaluate in sys.invariants:
+        if evaluate(Word(sys.n, start)) != evaluate(Word(sys.n, goal)):
+            return EqResult("distinct", separating=name, stop="invariant")
+    budget = DEFAULT_BUDGET if budget is None else budget
+
+    alphabet = [(g, s) for g in sys.generators for s in ((1,) if g in sys.involutive else (1, -1))]
+    rank = {x: i for i, x in enumerate(alphabet)}
+
+    def inverse(x):
+        return x if x[0] in sys.involutive else (x[0], -x[1])
+
+    listed = {}
+    for ridx, (lhs, rhs) in enumerate(sys.relations):
+        if len(lhs) == 2 and lhs[0] != lhs[1] and rhs == lhs[::-1]:
+            listed.setdefault(lhs, (ridx, 0))
+            listed.setdefault(rhs, (ridx, 1))
+
+    @lru_cache(maxsize=None)
+    def independent(x, y):
+        return y != inverse(x) and all(
+            (u, v) in listed for u in (x, inverse(x)) for v in (y, inverse(y))
+        )
+
+    def nearest_dependent(word, j, y):
+        return next((i for i in range(j - 1, -1, -1) if not independent(word[i], y)), None)
+
+    def key(word):
+        reduced = []
+        for y in word:
+            i = nearest_dependent(reduced, len(reduced), y)
+            if i is not None and reduced[i] == inverse(y):
+                del reduced[i]
+            else:
+                reduced.append(y)
+        # a letter's level is one above the highest level of a letter it
+        # depends on; the last occurrence of a letter is its highest
+        level, top = [], {}
+        for y in reduced:
+            level.append(1 + max((top[x] for x in top if not independent(x, y)), default=-1))
+            top[y] = level[-1]
+        return tuple(reduced[i] for i in sorted(range(len(reduced)), key=lambda i: (level[i], rank[reduced[i]])))
+
+    def below(word):
+        """Position sets as int masks: bit j of below[r] when a chain of
+        dependent letters leads from j up to r; the last earlier
+        occurrence of each letter carries the ones before it."""
+        masks, last = [], {}
+        for r, y in enumerate(word):
+            masks.append(0)
+            for x, j in last.items():
+                if not independent(x, y):
+                    masks[r] |= masks[j] | 1 << j
+            last[y] = r
+        return masks
+
+    orientations = []
+    for ridx, (lhs, rhs) in enumerate(sys.relations):
+        if len(lhs) == 2 and lhs[0] != lhs[1] and rhs == lhs[::-1] and independent(*lhs):
+            continue
+        for orient, (a, b) in enumerate(((lhs, rhs), (rhs, lhs))):
+            if a:
+                orientations.append((a, b, 2 * ridx + orient))
+
+    def convex(ps, low):
+        """No other position is above one of ``ps`` and below another; such
+        a position lies between the first and the last."""
+        inside = sum(1 << p for p in ps)
+        down = 0
+        for p in ps:
+            down |= low[p]
+        return not any(
+            down >> r & 1 and low[r] & inside for r in range(min(ps) + 1, max(ps)) if not inside >> r & 1
+        )
+
+    def assignments(state, a, low, ps=()):
+        """Positions for the letters of ``a``, in order, none below an
+        earlier one and every prefix convex (a prefix of a convex factor is
+        a down-set of it, so it is convex too), in lexicographic order."""
+        if len(ps) == len(a):
+            yield ps
+            return
+        for q, y in enumerate(state):
+            if y == a[len(ps)] and q not in ps and not any(low[p] >> q & 1 for p in ps) and convex(ps + (q,), low):
+                yield from assignments(state, a, low, ps + (q,))
+
+    def successors(state):
+        low = below(state)
+        found = []
+        for a, b, move in orientations:
+            for ps in assignments(state, a, low):
+                down = 0
+                for p in ps:
+                    down |= low[p]
+                lo, hi = min(ps), max(ps)
+                window = [r for r in range(lo + 1, hi) if r not in ps]
+                head = state[:lo] + tuple(state[r] for r in window if down >> r & 1)
+                tail = tuple(state[r] for r in window if not down >> r & 1) + state[hi + 1 :]
+                found.append((ps, move, key(head + b + tail), head, tail))
+        found.sort(key=lambda m: (m[0], m[1]))
+        return [m[2:] + (m[1],) for m in found]
+
+    def apply(word, ridx, orient, pos, steps):
+        a, b = sys.relations[ridx][orient], sys.relations[ridx][1 - orient]
+        if word is None or word[pos : pos + len(a)] != a:
+            return None
+        word = free_reduce(word[:pos] + b + word[pos + len(a) :], sys.involutive)
+        steps.append(Step(ridx, orient, pos, word))
+        return word
+
+    def swap(word, k, steps):
+        pair = word[k : k + 2]
+        if pair not in listed or not independent(*pair):
+            return None
+        return apply(word, *listed[pair], k, steps)
+
+    def sort_into(word, target, steps):
+        while word is not None and word != target:
+            if len(word) != len(target):
+                return None
+            t = next(i for i in range(len(word)) if word[i] != target[i])
+            if target[t] not in word[t + 1 :]:
+                return None
+            word = swap(word, word.index(target[t], t + 1) - 1, steps)
+        return word
+
+    def settle(word, target, steps):
+        while word is not None and len(word) > len(target):
+            j = next(
+                (j for j in range(len(word))
+                 if (i := nearest_dependent(word, j, word[j])) is not None and word[i] == inverse(word[j])),
+                None,
+            )
+            if j is None:
+                break
+            word = swap(word, j - 1, steps)
+        return sort_into(word, target, steps)
+
+    seen = ({key(start): None}, {key(goal): None})
+
+    def build_path(meet):
+        chains = []
+        for side, word in ((0, start), (1, goal)):
+            edges, node = [], meet
+            while seen[side][node] is not None:
+                parent, move, head, tail = seen[side][node]
+                edges.append((parent, move, head, tail, node))
+                node = parent
+            steps = []
+            word = settle(word, node, steps)
+            for parent, move, head, tail, child in reversed(edges):
+                ridx, orient = divmod(move, 2)
+                word = sort_into(word, head + sys.relations[ridx][orient] + tail, steps)
+                word = settle(apply(word, ridx, orient, len(head), steps), child, steps)
+            if word is None:
+                return None
+            chains.append(tuple(steps))
+        return RewritePath(meet, chains[0], chains[1])
+
+    roots = [next(iter(seen[0])), next(iter(seen[1]))]
+    if roots[0] == roots[1]:
+        path = build_path(roots[0])
+        if path is not None:
+            return EqResult("equal", path=path, stop="met")
+    queues = (deque([roots[0]]), deque([roots[1]]))
+    expanded = 0
+    while (queues[0] or queues[1]) and expanded < budget:
+        side = 0 if queues[0] and (not queues[1] or len(queues[0]) <= len(queues[1])) else 1
+        state = queues[side].popleft()
+        expanded += 1
+        for nxt, head, tail, move in successors(state):
+            if nxt in seen[side]:
+                continue
+            seen[side][nxt] = (state, move, head, tail)
+            if nxt in seen[1 - side]:
+                path = build_path(nxt)
+                if path is not None:
+                    return EqResult("equal", states=expanded, path=path, stop="met")
+            queues[side].append(nxt)
+    stop = "budget" if queues[0] or queues[1] else "space_exhausted"
+    return EqResult("inconclusive", states=expanded, stop=stop)

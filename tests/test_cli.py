@@ -4,6 +4,7 @@ structured output, and path replay."""
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -381,6 +382,27 @@ MALFORMED_DOCS = {
     "untyped_path": {
         "path": {"meet": [], "forward": [{"rel": "a", "orient": "b", "pos": "c", "result": []}], "backward": []}
     },
+    # steps whose fields int() or a truth test would have read as valid
+    **{
+        f"{name}_step": {
+            "path": {
+                "meet": [],
+                "forward": [{"rel": 0, "orient": 0, "pos": 0, "result": [], **fields}],
+                "backward": [],
+            }
+        }
+        for name, fields in (
+            ("float_rel", {"rel": 3.9}),
+            ("string_orient", {"orient": "7"}),
+            ("bool_orient", {"orient": True}),
+            ("large_orient", {"orient": 7}),
+            ("negative_orient", {"orient": -1}),
+            ("negative_pos", {"pos": -2}),
+            ("null_pos", {"pos": None}),
+            ("boolean_sign", {"result": [[1, True]]}),
+            ("boolean_generator", {"result": [[True, 1]]}),
+        )
+    },
     "list_mapping": {
         "objects": ["*"], "homs": [], "identities": {}, "compose": [],
         "actions": [{"arity": 1, "generator": "t", "mapping": []}],
@@ -423,6 +445,14 @@ MALFORMED_INPUTS = [
     (["equal", "--operad", "cactus", "--n", "3", "--replay", "{list}", "e", "e"], 3),
     (["equal", "--operad", "cactus", "--n", "3", "--replay", "{no_path}", "e", "e"], 3),
     (["equal", "--operad", "cactus", "--n", "3", "--replay", "{untyped_path}", "e", "e"], 3),
+    *(
+        (["equal", "--operad", "braid", "--n", "3", "--replay", f"{{{name}_step}}", "b1 b2 b1", "b2 b1 b2"], 3)
+        for name in (
+            "float_rel", "string_orient", "bool_orient", "large_orient", "negative_orient", "negative_pos", "null_pos",
+            "boolean_sign", "boolean_generator",
+        )
+    ),
+    (["axioms", "--operad", "braid", "--max-arity", "3", "--block-size", "1000", "--samples", "1"], 0),
     (["axioms", "--operad", "sym", "--max-arity", "-1"], 3),
     (["axioms", "--operad", "cactus", "--max-arity", "3", "--block-size", "0", "--samples", "2"], 3),
     (["axioms", "--operad", "braid", "--samples", "-3"], 3),
@@ -496,6 +526,36 @@ class TestMalformedInputs:
         captured = capsys.readouterr()
         assert code == 3 and captured.out == ""
         assert captured.err == f"error: {deep}: JSON document nested too deeply\n"
+
+    @pytest.mark.parametrize("field, value", [("rel", 3.9), ("orient", "7"), ("orient", True), ("orient", 7)])
+    def test_a_malformed_path_step_is_one_error_line(self, capsys, tmp_path, field, value):
+        step = {"rel": 0, "orient": 0, "pos": 0, "result": [], field: value}
+        doc = tmp_path / "path.json"
+        doc.write_text(json.dumps({"path": {"meet": [], "forward": [step], "backward": []}}))
+        assert main(["equal", "--operad", "braid", "--n", "3", "--replay", str(doc), "b1 b2 b1", "b2 b1 b2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed path document: step {field} {value!r}\n"
+
+    @pytest.mark.parametrize("letter", [[2, True], [True, 1], [2, 2], [[1, True], 1]])
+    def test_a_malformed_path_letter_is_one_error_line(self, capsys, tmp_path, letter):
+        # JSON true equals 1 in Python, so [2, true] would read as b2
+        step = {"rel": 0, "orient": 0, "pos": 0, "result": [letter]}
+        doc = tmp_path / "path.json"
+        doc.write_text(json.dumps({"path": {"meet": [], "forward": [step], "backward": []}}))
+        assert main(["equal", "--operad", "braid", "--n", "3", "--replay", str(doc), "b1 b2 b1", "b2 b1 b2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed path document: letter {letter!r}\n"
+
+    def test_sampled_axioms_with_wide_blocks_finish(self, capsys):
+        # a 3-part block vector of widths up to 1000 fits a cap of 6 about
+        # once in 5e7 whole draws; past a fixed number the widths are drawn
+        # one by one within what is left
+        start = time.monotonic()
+        assert main(["axioms", "--operad", "braid", "--max-arity", "3", "--block-size", "1000", "--samples", "1"]) == 0
+        assert time.monotonic() - start < 5
+        assert "total: checked=15 failed=0 inconclusive=0" in capsys.readouterr().out
 
     def test_a_negative_budget_is_one_error_line(self, capsys):
         assert main(["equal", "--operad", "braid", "--n", "3", "--budget", "-5", "b1 b2 b1", "b2 b1 b2"]) == 3

@@ -26,6 +26,7 @@ from actionoperads.rewrite import (
     replay_path,
     validate_invariants,
 )
+from oracles import reference_class_equal
 
 
 def cactus_word(n, *intervals):
@@ -140,17 +141,22 @@ class TestEqual:
         gc.collect()
         assert ref() is None
 
-    def test_buckets_are_built_on_first_lookup(self):
-        # filling every row of braid n = 24 up front builds 99,498 buckets
+    def test_tables_are_bounded_by_the_relations(self):
+        # braid n = 24: 924 far commutations, every pair independent, and
+        # 132 braid relations whose left sides make up the trie
         sys = replace(braid_relations(24))
-        odd = [(i, 1) for i in range(1, 16, 2)]
-        lhs, rhs = braid_word(24, *odd), braid_word(24, *reversed(odd))
-        res = equal(lhs, rhs, sys, budget=200)
-        rows = sys.search_tables.rows
-        buckets = sum(map(len, rows.values()))
-        # at most one lookup per position of each expanded state
-        assert 0 < buckets <= res.states * len(lhs)
-        assert all(len(key) <= sys.search_tables.width for row in rows.values() for key in row)
+        tab = sys.search_tables
+        commutations = [lhs for lhs, rhs in sys.relations if len(lhs) == 2 and rhs == lhs[::-1]]
+        assert len(commutations) == 924
+        assert len(tab.swaps) == 2 * len(commutations)
+        nodes, stack = 0, list(tab.trie.values())
+        while stack:
+            children, entries, _ = stack.pop()
+            nodes += 1
+            stack.extend((children or {}).values())
+        left_letters = sum(len(lhs) + len(rhs) for lhs, rhs in sys.relations) - 4 * len(commutations)
+        assert 0 < nodes <= left_letters
+        assert len(tab.dep) == len(tab.bit) == len(tab.code_to_letter) == 2 * 23
 
     def test_stop_met_and_invariant(self):
         sys = cactus_relations(3)
@@ -169,15 +175,15 @@ class TestEqual:
 
     def test_stop_budget_on_long_braid_pair(self):
         # a distinct pair that pi and the exponent sum cannot separate: the
-        # search without the normal form runs out of budget, the shipped
-        # system refutes it before searching
+        # search without the normal form runs out of budget (its class space
+        # has 2,882 states), the shipped system refutes it before searching
         B = braid_operad()
         delta = "b1 b2 b3 b1 b2 b1"
         lhs, rhs = B.parse(f"{delta} {delta} b1 b1", 4), B.parse(f"{delta} {delta} b3 b3", 4)
         shipped = braid_relations(4)
         no_garside = replace(shipped, invariants=shipped.invariants[:2])
-        res = equal(lhs.payload, rhs.payload, no_garside, 4000)
-        assert res.is_inconclusive and res.states == 4000 and res.stop == "budget"
+        res = equal(lhs.payload, rhs.payload, no_garside, 500)
+        assert res.is_inconclusive and res.states == 500 and res.stop == "budget"
         res = B.equal(lhs, rhs, None, 4000)
         assert res.is_distinct and res.separating == "garside"
         assert res.states == 0 and res.stop == "invariant"
@@ -365,24 +371,52 @@ FOUR = RelationSystem(
 )
 
 
+def _commuting(x, y):
+    """The commutation of generators x and y in every sign."""
+    return tuple((((x, s), (y, t)), ((y, t), (x, s))) for s in (1, -1) for t in (1, -1))
+
+
+# a and x commute, b does not commute with x: in the class of a x b the
+# left side a b is a factor only by moving a right past x
+SLIDE = RelationSystem(
+    name="slide",
+    n=1,
+    generators=("a", "b", "c", "x"),
+    relations=_commuting("a", "x") + (((("a", 1), ("b", 1)), (("c", 1),)),),
+)
+
+# TOY and FOUR with their commutation listed in every sign, so that a, b
+# (TOY) and c, d (FOUR) are independent letters of the class search
+TOY_FREE = replace(TOY, name="toy_free", relations=TOY.relations[:5] + _commuting("a", "b"))
+FOUR_FREE = replace(FOUR, name="four_free", relations=FOUR.relations[:1] + _commuting("c", "d") + FOUR.relations[2:])
+
+
 def _letters(sys):
     return [
         (g, sign) for g in sys.generators for sign in ((1,) if g in sys.involutive else (1, -1))
     ]
 
 
+OTHERS = {sys.name: sys for sys in (TOY, EMPTY_RIGHT, WIDE, FOUR, SLIDE, TOY_FREE, FOUR_FREE)}
+
+
+# the toy systems with independent letters, where the class reduction can
+# cancel a letter that a word-level path rewrites (see test_known_gaps)
+REDUCING = ("slide", "toy_free", "four_free")
+
+
 @st.composite
-def search_queries(draw):
+def search_queries(draw, families=("cactus", "braid", *OTHERS)):
     """A system, two words and a state budget.  The second word is either
     independent of the first or one relation away from it, possibly with a
     relator inserted, so that the search has work to do."""
-    family = draw(st.sampled_from(["cactus", "braid", "toy", "empty_right", "wide", "four"]))
+    family = draw(st.sampled_from(families))
     if family == "cactus":
         sys = cactus_relations(draw(st.integers(2, 6)))
     elif family == "braid":
         sys = braid_relations(draw(st.integers(2, 5)))
     else:
-        sys = {"toy": TOY, "empty_right": EMPTY_RIGHT, "wide": WIDE, "four": FOUR}[family]
+        sys = OTHERS[family]
     words = st.lists(st.sampled_from(_letters(sys)), max_size=5).map(tuple)
     x, y = draw(words), draw(words)
     if sys.relations and draw(st.booleans()):
@@ -404,30 +438,68 @@ def _toy(*letters):
     return Word(1, tuple((g.lower(), 1 if g.islower() else -1) for g in letters))
 
 
+def _braid(n, text):
+    return braid_operad().parse(text, n).payload
+
+
 class TestAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(search_queries())
-    # toy pairs whose result depends on the folded buckets keeping
-    # relation order
+    # toy pairs whose result depends on the trie keeping relation order
     @example((TOY, _toy("a"), _toy("B", "a", "b"), 200))
     @example((TOY, _toy("a", "b", "c"), _toy("a", "c", "c"), 200))
-    # the diamond skip: a move may be skipped only when an untouched letter
-    # separates it from the rewrite that produced the state (final right
-    # index < left edge)
     @example((TOY, _toy(), _toy("s", "a", "s", "a"), 15))
-    def test_same_result_as_the_plain_scan(self, query):
+    # a factor whose first letter moves right, and a left side matched in
+    # the reverse order of its positions
+    @example((SLIDE, _toy("a", "x", "b"), _toy("x", "c"), 20))
+    @example((FOUR_FREE, _toy("a", "b", "d", "c"), _toy("d", "a"), 20))
+    def test_same_result_as_the_reference_class_search(self, query):
         sys, w1, w2, budget = query
         res = equal(w1, w2, sys, budget)
-        assert res == reference_equal(w1, w2, sys, budget)
+        assert res == reference_class_equal(w1, w2, sys, budget)
         if res.is_equal:
             assert replay_path(sys, w1, w2, res.path)
 
-    def test_toy_system_needs_the_fold_and_the_pre_reduction(self):
-        # a -> b b only through the one-letter left side and its reduced
-        # right side; the word ends in the letter, so the one-letter key is used
+    @settings(max_examples=300, deadline=None)
+    @given(search_queries(("cactus", "braid", *(name for name in OTHERS if name not in REDUCING))))
+    def test_verdicts_agree_with_the_plain_scan(self, query):
+        # Distinct comes from the same invariants; where the word-level scan
+        # finds a path, the class search finds one with the default budget.
+        # This is not a theorem: test_known_gaps pins where it fails.
+        sys, w1, w2, budget = query
+        scan = reference_equal(w1, w2, sys, budget)
+        assert equal(w1, w2, sys, 0).is_distinct == scan.is_distinct
+        if scan.is_equal:
+            res = equal(w1, w2, sys)
+            assert res.is_equal and replay_path(sys, w1, w2, res.path)
+
+    @pytest.mark.parametrize(
+        "sys, w1, w2",
+        [
+            # D C d a D C reduces to C a D C (d cancels the first D across
+            # C); the scan rewrites that d a to a b c d and reaches D C a b
+            (FOUR_FREE, _toy("D", "C", "d", "a", "D", "C"), _toy("D", "C", "a", "b")),
+            # A b a B C reduces to C (a cancels A, then B cancels b, across
+            # letters independent of them); the scan rewrites that a to
+            # b c C b and reaches A b b C
+            (TOY_FREE, _toy("A", "b", "b", "C"), _toy("A", "b", "a", "B", "C")),
+        ],
+        ids=["four_free", "toy_free"],
+    )
+    def test_known_gaps(self, sys, w1, w2):
+        # equal pairs the word-level scan proves and the class search does
+        # not: the reduction cancels a letter that the scan's path rewrites,
+        # and no class edge brings it back
+        assert reference_equal(w1, w2, sys, 300).is_equal
+        res = equal(w1, w2, sys)
+        assert res.is_inconclusive and res.stop == "space_exhausted"
+
+    def test_one_letter_left_side_at_the_word_end(self):
+        # a -> b b only through the one-letter left side, whose right side
+        # b c C b reduces to b b, at the word's last letter
         w1, w2 = _toy("c", "a"), _toy("c", "b", "b")
         res = equal(w1, w2, TOY, budget=50)
-        assert res == reference_equal(w1, w2, TOY, budget=50)
+        assert res == reference_class_equal(w1, w2, TOY, budget=50)
         assert res.is_equal and replay_path(TOY, w1, w2, res.path)
 
     @pytest.mark.parametrize(
@@ -441,16 +513,87 @@ class TestAgainstReference:
                 Word(1, ((250, 1), (298, 1), (299, 1), (298, 1))),
                 Word(1, ((299, 1), (298, 1), (299, 1), (250, 1))),
             ),
-            # keys cut short at a word's end: a two-letter left side in the
-            # last two letters, a one-letter one in the last letter, and the
-            # four-letter one under a full key
+            # a two-letter left side in the last two letters, a one-letter
+            # one in the last letter, and the four-letter one
             (FOUR, _toy("a", "c", "d"), _toy("a", "d", "c")),
             (FOUR, _toy("c", "b"), _toy("c", "d", "d")),
             (FOUR, _toy("c", "a", "b", "c", "d"), _toy("c", "d", "a")),
+            # a0 x a1 with x independent of a0 only: a0 moves right past x
+            (SLIDE, _toy("a", "x", "b"), _toy("x", "c")),
+            (SLIDE, _toy("b", "a", "x", "b"), _toy("b", "x", "c")),
+            # x ... X cancel across a letter independent of both
+            (braid_relations(4), _braid(4, "b1 b3 B1"), _braid(4, "b3")),
+            (braid_relations(4), _braid(4, "b2 b1 b2 b3 B1"), _braid(4, "b1 b2 b3")),
+            # one-letter left sides on independent letters (a, b commute)
+            (TOY_FREE, _toy("a", "b"), _toy("b", "b", "b")),
+            (TOY_FREE, _toy("c", "a"), _toy("c", "b", "b")),
+            # the four-letter left side with its last two letters commuted
+            (FOUR_FREE, _toy("a", "b", "d", "c"), _toy("d", "a")),
+            (FOUR_FREE, _toy("c", "a", "b", "d", "c", "b"), _toy("c", "d", "a", "d", "d")),
         ],
-        ids=["empty_right", "wide", "four_last_two", "four_last_one", "four_whole"],
+        ids=[
+            "empty_right", "wide", "four_last_two", "four_last_one", "four_whole",
+            "slide", "slide_in_context", "cancel_across", "cancel_after_rewrite",
+            "toy_free_one_letter", "toy_free_last", "four_free_commuted", "four_free_in_context",
+        ],
     )
     def test_pinned_pairs_are_equal(self, sys, w1, w2):
         res = equal(w1, w2, sys, budget=200)
-        assert res == reference_equal(w1, w2, sys, budget=200)
+        assert res == reference_class_equal(w1, w2, sys, budget=200)
         assert res.is_equal and replay_path(sys, w1, w2, res.path)
+
+    def test_commutations_are_not_edges(self):
+        # b1 b3 and b3 b1 are one class: equal in 0 states, by one swap
+        sys = braid_relations(4)
+        w1, w2 = _braid(4, "b1 b3"), _braid(4, "b3 b1")
+        res = equal(w1, w2, sys)
+        assert res.is_equal and res.states == 0
+        assert len(res.path.forward) + len(res.path.backward) == 1
+        assert replay_path(sys, w1, w2, res.path)
+
+    def test_an_independence_that_is_no_relation_gives_no_equal(self):
+        # planted defect: b1 and b2 marked independent although no relation
+        # swaps them; the two words then share a class key, but the path
+        # cannot be expanded, so the search must not answer Equal
+        sys = replace(braid_relations(3), invariants=())
+        tab = sys.search_tables
+        b1, b2 = tab.letter_to_code[(1, 1)], tab.letter_to_code[(2, 1)]
+        tab.dep[b1] &= ~tab.bit[b2]
+        tab.dep[b2] &= ~tab.bit[b1]
+        w1, w2 = _braid(3, "b1 b2"), _braid(3, "b2 b1")
+        assert tab.canon(tab.encode(w1.letters)) == tab.canon(tab.encode(w2.letters))
+        res = equal(w1, w2, sys, budget=50)
+        assert not res.is_equal
+
+
+class TestReplay:
+    def _orient_one_step(self):
+        sys = braid_relations(3)
+        w1, w2 = _braid(3, "b2 b1 b2"), _braid(3, "b1 b2 b1")
+        res = equal(w1, w2, sys)
+        (step,) = res.path.forward
+        assert step.orient == 1 and replay_path(sys, w1, w2, res.path)
+        return sys, w1, w2, res.path, step
+
+    @pytest.mark.parametrize("orient", [7, -1, True, 1.0])
+    def test_orient_must_be_zero_or_one(self, orient):
+        sys, w1, w2, path, step = self._orient_one_step()
+        bad = replace(path, forward=(replace(step, orient=orient),))
+        assert not replay_path(sys, w1, w2, bad)
+
+    @pytest.mark.parametrize("field, value", [("rel", True), ("rel", 1.0), ("pos", False), ("pos", -3), ("pos", 4)])
+    def test_rel_and_pos_must_be_whole_numbers_in_range(self, field, value):
+        sys, w1, w2, path, step = self._orient_one_step()
+        bad = replace(path, forward=(replace(step, **{field: value}),))
+        assert not replay_path(sys, w1, w2, bad)
+
+    def test_a_negative_position_does_not_wrap(self):
+        # b2 b1 b2 is the first three letters of the word: read from the end,
+        # pos -4 finds the same letters and the same splice
+        sys = braid_relations(3)
+        w1, w2 = _braid(3, "b2 b1 b2 b2"), _braid(3, "b1 b2 b1 b2")
+        good = equal(w1, w2, sys)
+        (step,) = good.path.forward
+        assert step.pos == 0 and replay_path(sys, w1, w2, good.path)
+        bad = replace(good.path, forward=(replace(step, pos=-4),))
+        assert not replay_path(sys, w1, w2, bad)
