@@ -184,11 +184,6 @@ class BraidOperad(WordOperad):
         start = 1 + sum(sizes[: gen - 1])
         return block_cross_letters(start, sizes[gen - 1], sizes[gen])
 
-    def elements(self, n: int):
-        if n <= 1:
-            return (self.identity(n),)
-        return None
-
     def format_letter(self, gen: int, sign: int) -> str:
         return f"b{gen}" if sign == 1 else f"B{gen}"
 

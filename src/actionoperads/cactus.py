@@ -133,11 +133,9 @@ class CactusOperad(WordOperad):
         return tuple(letters)
 
     def elements(self, n: int):
-        if n <= 1:
-            return (self.identity(n),)
         if n == 2:
             return (self.identity(2), self.from_letters(2, (((1, 2), 1),)))
-        return None
+        return super().elements(n)
 
     def format_letter(self, gen: Interval, sign: int) -> str:
         return f"s({gen[0]},{gen[1]})"

@@ -444,7 +444,7 @@ def cmd_present_check(args) -> int:
 
 
 def _whole_number(text: str) -> int:
-    """A whole number >= 0: a state budget, a sample count, an arity bound."""
+    """A whole number >= 0: an arity, a count, a bound or a state budget."""
     try:
         value = int(text)
     except ValueError:
@@ -473,13 +473,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pi", help="underlying permutation of an element")
     _add_common(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_whole_number, required=True)
     p.add_argument("word")
     p.set_defaults(func=cmd_pi)
 
     p = sub.add_parser("mul", help="group product of two elements")
     _add_common(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_whole_number, required=True)
     p.add_argument("left")
     p.add_argument("right")
     p.set_defaults(func=cmd_mul)
@@ -492,14 +492,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delta", help="block diagonal of an element")
     _add_common(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_whole_number, required=True)
     p.add_argument("--sizes", required=True, help="comma-separated block widths")
     p.add_argument("word")
     p.set_defaults(func=cmd_delta)
 
     p = sub.add_parser("mu", help="operadic composition")
     _add_common(p)
-    p.add_argument("--n", type=int, required=True, help="arity of the head")
+    p.add_argument("--n", type=_whole_number, required=True, help="arity of the head")
     p.add_argument("--arities", required=True, help="comma-separated arities of the arguments")
     p.add_argument("head")
     p.add_argument("args", nargs="*")
@@ -507,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equal", help="bounded equality check")
     _add_common(p, oracle=True, strict=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_whole_number, required=True)
     p.add_argument("--explain", action="store_true", help="print the rewrite path")
     p.add_argument("--replay", default=None, help="validate a structured path file")
     p.add_argument("left")
@@ -516,11 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("axioms", help="run the axiom suite")
     _add_common(p, oracle=True, strict=True)
-    p.add_argument("--max-arity", type=int, default=5, dest="max_arity")
+    p.add_argument("--max-arity", type=_whole_number, default=5, dest="max_arity")
     p.add_argument("--samples", type=_whole_number, default=24)
-    p.add_argument("--word-len", type=int, default=2, dest="word_len")
-    p.add_argument("--block-size", type=int, default=2, dest="block_size")
-    p.add_argument("--result-arity", type=int, default=6, dest="result_arity")
+    p.add_argument("--word-len", type=_whole_number, default=2, dest="word_len")
+    p.add_argument("--block-size", type=_whole_number, default=2, dest="block_size")
+    p.add_argument("--result-arity", type=_whole_number, default=6, dest="result_arity")
     p.add_argument("--seed", type=int, default=2026)
     p.set_defaults(func=cmd_axioms)
 
@@ -528,18 +528,18 @@ def build_parser() -> argparse.ArgumentParser:
     csub = cact.add_subparsers(dest="subcommand", required=True)
     p = csub.add_parser("shat", help="interval-reversal permutation")
     _add_common(p, operad=False)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--p", type=_whole_number, required=True)
+    p.add_argument("--q", type=_whole_number, required=True)
+    p.add_argument("--n", type=_whole_number, required=True)
     p.set_defaults(func=cmd_cactus_shat)
     p = csub.add_parser("commutor", help="the commutor word at two block widths")
     _add_common(p, operad=False)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=_whole_number, required=True)
+    p.add_argument("--n", type=_whole_number, required=True)
     p.set_defaults(func=cmd_cactus_commutor)
     p = csub.add_parser("relations", help="print the relation system at one arity")
     _add_common(p, operad=False)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_whole_number, required=True)
     p.set_defaults(func=cmd_cactus_relations)
     p = csub.add_parser("coboundary", help="verify the coboundary laws")
     _add_common(p, operad=False, oracle=True, strict=True)
@@ -553,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--category", required=True)
     p.add_argument("--src", required=True, help="comma-separated object tuple")
     p.add_argument("--tgt", required=True)
-    p.add_argument("--bound", type=int, default=None)
+    p.add_argument("--bound", type=_whole_number, default=None)
     p.set_defaults(func=cmd_borel_hom)
     p = bsub.add_parser("compose", help="compose two morphisms (second after first)")
     _add_common(p)
@@ -566,18 +566,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_borel_compose)
     p = bsub.add_parser("infinity", help="contractible and free checks at one arity")
     _add_common(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_whole_number, required=True)
     p.set_defaults(func=cmd_borel_infinity)
 
     cl = sub.add_parser("club", help="club correspondence checks")
     clsub = cl.add_subparsers(dest="subcommand", required=True)
     p = clsub.add_parser("check", help="operad -> club -> operad roundtrip")
     _add_common(p)
-    p.add_argument("--max-arity", type=int, default=3, dest="max_arity")
+    p.add_argument("--max-arity", type=_whole_number, default=3, dest="max_arity")
     p.set_defaults(func=cmd_club_check)
     p = clsub.add_parser("pullback", help="comparison square at one arity")
     _add_common(p)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_whole_number, required=True)
     p.add_argument("--category", required=True)
     p.set_defaults(func=cmd_club_pullback)
 
@@ -592,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--category-x", required=True, dest="category_x")
     p.add_argument("--category-y", required=True, dest="category_y")
     p.add_argument("--functor", required=True)
-    p.add_argument("--max-arity", type=int, default=2, dest="max_arity")
+    p.add_argument("--max-arity", type=_whole_number, default=2, dest="max_arity")
     p.set_defaults(func=cmd_multicat_lift)
 
     pr = sub.add_parser("present", help="presentation checking")

@@ -62,6 +62,15 @@ class ClubBackedOperad(ActionOperad):
     def elements(self, n):
         return self.club.elements(n)
 
+    def generators(self, n):
+        return self.club.generators(n)
+
+    def generator_word(self, a):
+        return self.club.generator_word(a)
+
+    def parse(self, text, n):
+        return self.club.parse(text, n)
+
     def format(self, a):
         return self.club.format(a)
 

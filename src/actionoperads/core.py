@@ -70,9 +70,8 @@ _SAME = EqResult("equal", path=RewritePath((), (), ()), stop="met")
 class OperadElement:
     """A tagged element of one arity group of one instance.
 
-    ``payload`` is a :class:`Perm` for the symmetric instance, ``None``
-    for the trivial instance, and a :class:`Word` for word-backed
-    instances (braid, cactus).
+    ``payload`` is a :class:`Perm` for the symmetric instance and a
+    :class:`Word` for the word-backed instances (braid, cactus, trivial).
     """
 
     operad: str
@@ -138,9 +137,6 @@ class ActionOperad:
     def mu(self, g: OperadElement, hs: Sequence[OperadElement]) -> OperadElement:
         """Operadic composition: block diagonal of the head times the
         block sum of the arguments."""
-        self.check_element(g)
-        for h in hs:
-            self.check_element(h)
         if g.n != len(hs):
             raise ValueError(f"arity mismatch: head of arity {g.n} applied to {len(hs)} argument(s)")
         sizes = [h.n for h in hs]
@@ -264,59 +260,6 @@ class SymmetricOperad(ActionOperad):
         return format_perm(a.payload)
 
 
-class TrivialOperad(ActionOperad):
-    """One-element groups at every arity; everything is an identity."""
-
-    name = "trivial"
-
-    def identity(self, n):
-        return OperadElement(self.name, n, None)
-
-    def mul(self, a, b):
-        self.check_element(a)
-        self.check_element(b)
-        if a.n != b.n:
-            raise ValueError(f"arity mismatch multiplying at {a.n} and {b.n}")
-        return a
-
-    def inv(self, a):
-        self.check_element(a)
-        return a
-
-    def pi(self, a):
-        self.check_element(a)
-        return identity(a.n)
-
-    def beta(self, els):
-        for e in els:
-            self.check_element(e)
-        return self.identity(sum(e.n for e in els))
-
-    def delta(self, a, sizes):
-        self.check_element(a)
-        if a.n != len(sizes):
-            raise ValueError(f"arity mismatch: delta of arity {a.n} with {len(sizes)} size(s)")
-        return self.identity(sum(sizes))
-
-    def equal_at_arity(self, a, b, budget):
-        return _SAME
-
-    def elements(self, n):
-        return (self.identity(n),)
-
-    def generator_word(self, a):
-        self.check_element(a)
-        return ()
-
-    def parse(self, text, n):
-        if text.strip() != "e":
-            raise ValueError(f"the trivial instance only has the element 'e', got {text!r}")
-        return self.identity(n)
-
-    def format(self, a):
-        return "e"
-
-
 class WordOperad(ActionOperad):
     """Shared machinery for instances whose elements are generator words.
 
@@ -355,6 +298,8 @@ class WordOperad(ActionOperad):
     def alphabet(self, n: int) -> RelationSystem:
         """The letters at arity ``n`` without the relations, which only the
         equality search reads and which grow at least quadratically in ``n``."""
+        if n < 0:
+            raise ValueError(f"arity must be >= 0, got {n}")
         gens = self.arity_generators(n)
         return RelationSystem(f"{self.name}_{n}", n, gens, (), frozenset(gens if self.involutive else ()))
 
@@ -441,6 +386,10 @@ class WordOperad(ActionOperad):
     def equal_at_arity(self, a, b, budget):
         return rewrite.equal(a.payload, b.payload, self.relation_system(a.n), budget)
 
+    def elements(self, n):
+        """The one element at an arity without letters; ``None`` elsewhere."""
+        return None if self.alphabet(n).generators else (self.identity(n),)
+
     def generators(self, n):
         return tuple(
             (self.format_letter(gen, 1), self.from_letters(n, ((gen, 1),)))
@@ -470,6 +419,19 @@ class WordOperad(ActionOperad):
         if not a.payload.letters:
             return "e"
         return " ".join(self.format_letter(gen, sign) for gen, sign in a.payload.letters)
+
+
+class TrivialOperad(WordOperad):
+    """The word instance with no letters: one-element groups at every
+    arity, so its operads are the plain non-symmetric ones."""
+
+    name = "trivial"
+
+    def arity_generators(self, n):
+        return ()
+
+    def relation_system(self, n):
+        return self.alphabet(n)
 
 
 # ---------------------------------------------------------------------------

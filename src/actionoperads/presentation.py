@@ -133,9 +133,10 @@ def term_arity(t: Term, gens: GeneratorCollection) -> int:
 def term_pi(t: Term, gens: GeneratorCollection) -> Perm:
     """The underlying permutation: evaluate in the symmetric groups, each
     generator at its assigned permutation."""
+    term_arity(t, gens)
     sym = symmetric_operad()
     interp = {g.name: OperadElement(sym.name, g.arity, g.perm) for g in gens}
-    return eval_term(t, interp, sym, gens).payload
+    return _eval(t, interp, sym).payload
 
 
 def check_interpretation(
@@ -163,28 +164,27 @@ def eval_term(
     interp: Mapping[str, OperadElement],
     inst: ActionOperad,
     gens: GeneratorCollection,
-    _checked: bool = False,
 ) -> OperadElement:
     """Homomorphic evaluation; the interpretation is validated first."""
-    if not _checked:
-        check_interpretation(gens, interp, inst)
-        term_arity(t, gens)
+    check_interpretation(gens, interp, inst)
+    term_arity(t, gens)
+    return _eval(t, interp, inst)
+
+
+def _eval(t: Term, interp: Mapping[str, OperadElement], inst: ActionOperad) -> OperadElement:
+    """:func:`eval_term` on a checked term and interpretation."""
     if isinstance(t, Gen):
         return interp[t.name]
     if isinstance(t, IdT):
         return inst.identity(t.n)
     if isinstance(t, Mul):
-        return inst.mul(
-            eval_term(t.left, interp, inst, gens, True),
-            eval_term(t.right, interp, inst, gens, True),
-        )
+        return inst.mul(_eval(t.left, interp, inst), _eval(t.right, interp, inst))
     if isinstance(t, Inv):
-        return inst.inv(eval_term(t.body, interp, inst, gens, True))
+        return inst.inv(_eval(t.body, interp, inst))
     if isinstance(t, BetaT):
-        return inst.beta([eval_term(p, interp, inst, gens, True) for p in t.parts])
-    if isinstance(t, DeltaT):
-        return inst.delta(eval_term(t.body, interp, inst, gens, True), t.sizes)
-    raise ValueError(f"not a term: {t!r}")
+        return inst.beta([_eval(p, interp, inst) for p in t.parts])
+    # a delta: term_arity has rejected everything else
+    return inst.delta(_eval(t.body, interp, inst), t.sizes)
 
 
 # -- parsing -----------------------------------------------------------------
@@ -355,8 +355,8 @@ def check_presentation(
     check_interpretation(p.generators, interp, inst)
     outcomes = []
     for idx, (lhs, rhs) in enumerate(p.relations):
-        lv = eval_term(lhs, interp, inst, p.generators, True)
-        rv = eval_term(rhs, interp, inst, p.generators, True)
+        lv = _eval(lhs, interp, inst)
+        rv = _eval(rhs, interp, inst)
         res = inst.equal(lv, rv, budget=budget)
         outcomes.append(RelationOutcome(idx, format_term(lhs), format_term(rhs), res))
     return PresentationReport(p.name, inst.name, outcomes)

@@ -149,6 +149,15 @@ class TestEqual:
         )
         assert code3 == 1 and out3.strip() == "Invalid"
 
+    def test_trivial_explains_and_replays_as_a_word_instance(self, capsys, tmp_path):
+        code, out = run(capsys, "equal", "--operad", "trivial", "--n", "2", "--explain", "--format", "structured", "e", "e e")
+        assert code == 0
+        assert json.loads(out)["path"] == {"meet": [], "forward": [], "backward": []}
+        path_file = tmp_path / "path.json"
+        path_file.write_text(out)
+        code2, out2 = run(capsys, "equal", "--operad", "trivial", "--n", "2", "--replay", str(path_file), "", "e")
+        assert code2 == 0 and out2.strip() == "Valid"
+
 
 class TestReports:
     def test_axioms_sym_small(self, capsys):
@@ -417,6 +426,8 @@ MALFORMED_DOCS = {
         "identities": {}, "compose": [{"head": "f", "inputs": ["f"], "result": "f"}], "actions": [],
     },
     "not_a_functor": {"ob": {"a": "zz"}, "mor": {}},
+    # well formed, so that only the --max-arity beside it is malformed
+    "identity_functor": {"ob": {"a": "a", "b": "b"}, "mor": {"id_a": "id_a", "id_b": "id_b"}},
     "numeric_term": {
         "generators": [{"name": "s", "arity": 2, "pi": [2, 1]}], "relations": [{"lhs": 5, "rhs": "id(2)"}]
     },
@@ -425,6 +436,17 @@ MALFORMED_DOCS = {
 
 # a well-formed presentation: one involutive generator, no relations
 ONE_GENERATOR = {"generators": [{"name": "s", "arity": 2, "pi": [2, 1]}], "relations": []}
+
+# a negative arity, width or bound, each an input error
+NEGATIVE_ARGUMENTS = [
+    ["mul", "--operad", "braid", "--n", "-1", "e", "e"],
+    ["beta", "--operad", "braid", "--n", "-2", "e"],
+    ["borel", "infinity", "--operad", "trivial", "--n", "-1"],
+    ["delta", "--operad", "trivial", "--n", "1", "--sizes", "-1", "e"],
+    ["multicat", "lift", "--operad", "sym", "--category-x", "{d2}", "--category-y", "{d2}",
+     "--functor", "{identity_functor}", "--max-arity", "-1"],
+    ["borel", "hom", "--operad", "braid", "--category", "{d2}", "--src", "a,b", "--tgt", "a,b", "--bound", "-1"],
+]
 
 # (argv with {placeholders}, exit code): every malformed input is an input
 # error or an ordinary verdict, never a traceback
@@ -487,6 +509,7 @@ MALFORMED_INPUTS = [
     (["cactus", "coboundary", "--max-total", "2", "--budget", "-5"], 3),
     (["present", "check", "--operad", "cactus", "--file", "{one_generator}", "--interp", "s=s(1,2)",
       "--budget", "-5"], 3),
+    *((argv, 3) for argv in NEGATIVE_ARGUMENTS),
 ]
 
 # one argv per subcommand that reads a file, "{file}" standing for the file
@@ -571,7 +594,8 @@ class TestMalformedInputs:
              "actionoperads axioms: error: argument --samples: expected a whole number >= 0, got '-3'"),
             (["cactus", "coboundary", "--max-total", "-1"],
              "actionoperads cactus coboundary: error: argument --max-total: expected a whole number >= 0, got '-1'"),
-            (["axioms", "--operad", "braid", "--word-len", "-2"], "error: max_word_length must be >= 0, got -2"),
+            (["axioms", "--operad", "braid", "--word-len", "-2"],
+             "actionoperads axioms: error: argument --word-len: expected a whole number >= 0, got '-2'"),
             (["axioms", "--operad", "braid", "--block-size", "0"], "error: max_block_size must be >= 1, got 0"),
         ],
         ids=["samples", "max-total", "word-len", "block-size"],
@@ -581,6 +605,15 @@ class TestMalformedInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert [line for line in captured.err.splitlines() if "error:" in line] == [error]
+
+    @pytest.mark.parametrize("argv", NEGATIVE_ARGUMENTS, ids=lambda v: " ".join(v[:2]))
+    def test_a_negative_argument_is_one_error_line(self, capsys, tmp_path, d2_file, argv):
+        functor = tmp_path / "functor.json"
+        functor.write_text(json.dumps(MALFORMED_DOCS["identity_functor"]))
+        assert main([arg.format(d2=d2_file, identity_functor=functor) for arg in argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,4 +1,4 @@
-"""The command line pinned byte for byte: stdout and exit code of 49
+"""The command line pinned byte for byte: stdout and exit code of 51
 commands, covering every subcommand, all four ``--operad`` values
 where a subcommand takes one, and both ``--format`` values.
 
@@ -39,6 +39,7 @@ COMMANDS = {
     "mul_trivial_structured": ["mul", "--operad", "trivial", "--n", "2", "e", "e", *S],
     "mul_braid": ["mul", "--operad", "braid", "--n", "3", "b1 b2", "B2 b1"],
     "mul_cactus": ["mul", "--operad", "cactus", "--n", "3", "s(1,2)", "s(1,2) s(2,3)"],
+    "mul_braid_negative_arity": ["mul", "--operad", "braid", "--n", "-1", "e", "e"],
     "beta_sym": ["beta", "--operad", "sym", "--n", "2,1", "[2,1]", "[1]"],
     "beta_braid_structured": ["beta", "--operad", "braid", "--n", "2,3", "b1", "B2 b1", *S],
     "beta_cactus": ["beta", "--operad", "cactus", "--n", "2,2", "s(1,2)", "s(1,2)"],
@@ -48,6 +49,7 @@ COMMANDS = {
     "mu_sym": ["mu", "--operad", "sym", "--n", "2", "--arities", "1,2", "[2,1]", "[1]", "[2,1]"],
     "mu_braid": ["mu", "--operad", "braid", "--n", "2", "--arities", "2,1", "B1", "b1", "e"],
     "equal_trivial": ["equal", "--operad", "trivial", "--n", "2", "e", "e"],
+    "equal_trivial_explain": ["equal", "--operad", "trivial", "--n", "2", "--explain", "e", "e"],
     "equal_sym_distinct": ["equal", "--operad", "sym", "--n", "2", "[2,1]", "[1,2]"],
     "equal_braid_explain": ["equal", "--operad", "braid", "--n", "3", "--explain", "b1 b2 b1", "b2 b1 b2"],
     "equal_braid_garside_structured": [

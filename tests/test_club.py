@@ -9,8 +9,16 @@ import pytest
 from actionoperads.braid import braid_operad
 from actionoperads.cactus import cactus_operad
 from actionoperads.club import check_pullback, operad_from_club, roundtrip_check
-from actionoperads.core import AxiomCheckConfig, SymmetricOperad, check_axioms, symmetric_operad, trivial_operad
+from actionoperads.core import (
+    AxiomCheckConfig,
+    DeterministicStream,
+    SymmetricOperad,
+    check_axioms,
+    symmetric_operad,
+    trivial_operad,
+)
 from actionoperads.fincat import discrete_category, z2_category
+from actionoperads.multicat import operad_as_multicat, validate_multicat
 from planted import SwapPi, UnreducedCactus
 
 SYM = symmetric_operad()
@@ -75,6 +83,35 @@ class TestRebuild:
         assert res == braid.equal(lhs, rhs, None, 0)
         assert res.is_inconclusive and res.states == 0 and res.stop == "budget"
         assert operad_from_club(braid).equal(lhs, rhs, budget=10).is_equal
+
+
+class TestRebuiltForwarding:
+    """The rebuilt instance names, spells and reads elements as its club
+    does, so that the engines reading generators see the same instance."""
+
+    @pytest.mark.parametrize("inst", [SYM, CACT], ids=["sym", "cactus"])
+    def test_rebuilt_validates_the_club_multicategory(self, inst):
+        rep = validate_multicat(operad_as_multicat(inst, 2), operad_from_club(inst, 2))
+        assert rep.passed, rep.violations[:3]
+        assert rep.checked > 0
+
+    def test_rebuilt_cactus_samples_as_cactus(self):
+        rebuilt = operad_from_club(CACT, max_arity=2)
+        for n in (2, 3, 4):
+            assert rebuilt.generators(n) == CACT.generators(n)
+            s1, s2 = DeterministicStream(n), DeterministicStream(n)
+            drawn = [rebuilt.sample(n, s1, 3) for _ in range(6)]
+            assert drawn == [CACT.sample(n, s2, 3) for _ in range(6)]
+            assert any(w.payload.letters for w in drawn)
+
+    @pytest.mark.parametrize(
+        "inst, text, n", [(SYM, "[2,3,1]", 3), (CACT, "s(1,3) s(2,3)", 3), (TRIV, "e", 2)], ids=["sym", "cactus", "trivial"]
+    )
+    def test_rebuilt_parses_and_spells_as_the_club(self, inst, text, n):
+        rebuilt = operad_from_club(inst, max_arity=2)
+        a = rebuilt.parse(text, n)
+        assert a == inst.parse(text, n)
+        assert rebuilt.generator_word(a) == inst.generator_word(a)
 
 
 class TestShapeHypotheses:

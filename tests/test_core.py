@@ -133,6 +133,47 @@ class TestTrivialInstance:
     def test_equal(self):
         assert TRIV.equal(TRIV.identity(2), TRIV.identity(2)).is_equal
 
+    # the one-element groups at arities 0-4, written out
+    PI_IMAGES = {0: (), 1: (1,), 2: (1, 2), 3: (1, 2, 3), 4: (1, 2, 3, 4)}
+    BETA = [((), 0), ((0,), 0), ((1, 0, 2), 3), ((2, 2), 4), ((1, 1, 1, 1), 4), ((4, 0), 4)]
+    DELTA = {0: [((), 0)], 1: [((0,), 0), ((3,), 3)], 2: [((2, 3), 5), ((0, 0), 0)],
+             3: [((1, 1, 1), 3), ((2, 0, 1), 3)], 4: [((1, 0, 2, 1), 4), ((0, 0, 0, 0), 0)]}
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_pinned_values(self, n):
+        e = TRIV.identity(n)
+        assert (e.operad, e.n, TRIV.format(e)) == ("trivial", n, "e")
+        assert TRIV.mul(e, e) == e and TRIV.inv(e) == e
+        assert TRIV.pi(e).images == self.PI_IMAGES[n]
+        for sizes, total in self.DELTA[n]:
+            assert TRIV.format(TRIV.delta(e, sizes)) == "e" and TRIV.delta(e, sizes).n == total
+        res = TRIV.equal(e, e)
+        assert (res.verdict, res.stop, res.states, res.path.meet) == ("equal", "met", 0, ())
+        assert TRIV.elements(n) == (e,)
+        assert TRIV.generators(n) == ()
+        assert TRIV.generator_word(e) == ()
+
+    def test_pinned_block_sums(self):
+        for arities, total in self.BETA:
+            out = TRIV.beta([TRIV.identity(k) for k in arities])
+            assert (out.n, TRIV.format(out)) == (total, "e")
+
+    def test_reads_the_word_syntax(self):
+        for text in ("e", "", "e e"):
+            assert TRIV.parse(text, 2) == TRIV.identity(2)
+        assert TRIV.identity(2).key() == ("trivial", 2, ())
+        with pytest.raises(ValueError, match="'x' is not a trivial letter at arity 2"):
+            TRIV.parse("e x", 2)
+
+    def test_rejects_what_the_word_instances_reject(self):
+        e = TRIV.identity(2)
+        with pytest.raises(ValueError, match="arity mismatch multiplying"):
+            TRIV.mul(e, TRIV.identity(3))
+        with pytest.raises(ValueError, match="arity mismatch: delta of arity 2"):
+            TRIV.delta(e, (1,))
+        with pytest.raises(ValueError, match="block sizes must be >= 0"):
+            TRIV.delta(e, (1, -1))
+
 
 class TestCheckAxioms:
     def test_symmetric_exhaustive_small(self):
@@ -331,6 +372,12 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             get_operad("mystery")
+
+    @pytest.mark.parametrize("name", ["sym", "trivial", "braid", "cactus"])
+    def test_negative_arity_is_rejected(self, name):
+        inst = get_operad(name)
+        with pytest.raises(ValueError, match="arity must be >= 0, got -1"):
+            inst.identity(-1)
 
 
 @pytest.mark.parametrize(
