@@ -17,7 +17,7 @@ from . import borel, cactus as cactus_mod, club as club_mod, multicat as mc, pre
 from .core import AxiomCheckConfig, OperadElement, check_axioms, finite_group, get_operad
 from .fincat import load_fincat, read_json
 from .perm import format_perm
-from .rewrite import RewritePath, Step, Word, replay_path
+from .rewrite import Word, path_from_dict, replay_path
 
 OK, FAIL, INCONCLUSIVE, INPUT_ERROR = 0, 1, 2, 3
 
@@ -32,10 +32,18 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _emit(args, text: str, payload: dict) -> None:
-    if getattr(args, "format", "text") == "structured":
+    if args.format == "structured":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(text)
+
+
+def _outcome(failed, inconclusive, strict: bool) -> int:
+    """The exit code of a check: any failure is FAIL; otherwise an
+    undecided case is INCONCLUSIVE under --strict and OK without it."""
+    if failed:
+        return FAIL
+    return INCONCLUSIVE if inconclusive and strict else OK
 
 
 # -- element commands ---------------------------------------------------------
@@ -93,72 +101,19 @@ def cmd_mu(args) -> int:
     return OK
 
 
-def _path_to_doc(path: RewritePath) -> dict:
-    def steps(chain):
-        return [
-            {"rel": s.rel, "orient": s.orient, "pos": s.pos, "result": _letters_doc(s.result)}
-            for s in chain
-        ]
-
-    return {
-        "meet": _letters_doc(path.meet),
-        "forward": steps(path.forward),
-        "backward": steps(path.backward),
-    }
-
-
-def _letters_doc(letters) -> list:
-    return [[list(g) if isinstance(g, tuple) else g, s] for g, s in letters]
-
-
-def _letters_from_doc(doc) -> tuple:
-    """Letters ``[gen, sign]`` of a path document: ``gen`` a whole number
-    or a list of them, ``sign`` 1 or -1, none of them a JSON ``true`` or
-    ``false`` (which would compare equal to 1 and 0)."""
-    letters = []
-    for gen, sign in doc:
-        parts = gen if isinstance(gen, list) else [gen]
-        if type(sign) is not int or sign not in (1, -1) or any(type(x) is not int for x in parts):
-            raise ValueError(f"malformed path document: letter {[gen, sign]!r}")
-        letters.append((tuple(gen) if isinstance(gen, list) else gen, sign))
-    return tuple(letters)
-
-
-def _step_field(step, name: str) -> int:
-    """A path step's ``rel``, ``orient`` or ``pos``: a whole number >= 0
-    in the JSON, and 0 or 1 for ``orient``; anything else is malformed."""
-    value = step[name]
-    if type(value) is not int or value < 0 or (name == "orient" and value > 1):
-        raise ValueError(f"malformed path document: step {name} {value!r}")
-    return value
-
-
-def _path_from_doc(doc) -> RewritePath:
-    def steps(items):
-        return tuple(
-            Step(
-                _step_field(s, "rel"),
-                _step_field(s, "orient"),
-                _step_field(s, "pos"),
-                _letters_from_doc(s["result"]),
-            )
-            for s in items
-        )
-
-    return RewritePath(_letters_from_doc(doc["meet"]), steps(doc["forward"]), steps(doc["backward"]))
-
-
 def cmd_equal(args) -> int:
     inst = get_operad(args.operad)
     a = inst.parse(args.left, args.n)
     b = inst.parse(args.right, args.n)
+    # rewrite paths only exist for word-backed instances
+    has_paths = hasattr(inst, "relation_system")
 
     if args.replay:
-        if not hasattr(inst, "relation_system"):
+        if not has_paths:
             raise ValueError(f"instance {inst.name!r} has no rewrite paths to replay")
         doc = read_json(args.replay)
         try:
-            path = _path_from_doc(doc["path"])
+            path = path_from_dict(doc["path"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed path document: {exc}") from None
         ok = replay_path(inst.relation_system(args.n), a.payload, b.payload, path)
@@ -169,9 +124,8 @@ def cmd_equal(args) -> int:
     verdict = {"equal": "Equal", "distinct": "Distinct", "inconclusive": "Inconclusive"}[res.verdict]
     lines = [verdict if not res.separating else f"{verdict}({res.separating})"]
     payload = {"verdict": res.verdict, "separating": res.separating, "states": res.states}
-    # rewrite paths only exist for word-backed instances
-    if args.explain and res.is_equal and res.path is not None and hasattr(inst, "relation_system"):
-        payload["path"] = _path_to_doc(res.path)
+    if args.explain and res.is_equal and has_paths:
+        payload["path"] = asdict(res.path)
         lines.append(f"meet: {_render_letters(inst, args.n, res.path.meet)}")
         for label, chain in (("forward", res.path.forward), ("backward", res.path.backward)):
             for s in chain:
@@ -180,11 +134,7 @@ def cmd_equal(args) -> int:
                     f"{_render_letters(inst, args.n, s.result)}"
                 )
     _emit(args, "\n".join(lines), payload)
-    if res.is_equal:
-        return OK
-    if res.is_distinct:
-        return FAIL
-    return INCONCLUSIVE if args.strict else OK
+    return _outcome(res.is_distinct, res.is_inconclusive, args.strict)
 
 
 def _render_letters(inst, n: int, letters) -> str:
@@ -204,11 +154,7 @@ def cmd_axioms(args) -> int:
     )
     rep = check_axioms(inst, config)
     _emit(args, rep.format_text(), rep.to_dict())
-    if not rep.passed():
-        return FAIL
-    if args.strict and rep.total_inconclusive:
-        return INCONCLUSIVE
-    return OK
+    return _outcome(not rep.passed(), rep.total_inconclusive, args.strict)
 
 
 # -- cactus subcommands -------------------------------------------------------
@@ -271,11 +217,7 @@ def cmd_cactus_coboundary(args) -> int:
     failures, inconclusive = verdicts.count("distinct"), verdicts.count("inconclusive")
     lines.append(f"total: {len(results)} checks, {failures} failed, {inconclusive} inconclusive")
     _emit(args, "\n".join(lines), {"checks": results})
-    if failures:
-        return FAIL
-    if args.strict and inconclusive:
-        return INCONCLUSIVE
-    return OK
+    return _outcome(failures, inconclusive, args.strict)
 
 
 # -- borel subcommands --------------------------------------------------------
@@ -433,11 +375,7 @@ def cmd_present_check(args) -> int:
         ],
     }
     _emit(args, rep.format_text(), payload)
-    if any(o.result.is_distinct for o in rep.outcomes):
-        return FAIL
-    if rep.inconclusive:
-        return INCONCLUSIVE if args.strict else OK
-    return OK
+    return _outcome(any(o.result.is_distinct for o in rep.outcomes), rep.inconclusive, args.strict)
 
 
 # -- parser -------------------------------------------------------------------

@@ -136,11 +136,12 @@ def read_json(path):
 def fincat_from_dict(doc: dict, name: str = "fincat") -> FinCat:
     try:
         objects = tuple(map(doc_name, doc["objects"]))
-        morphisms = tuple(m["id"] for m in doc["morphisms"])
-        src = {m["id"]: m["src"] for m in doc["morphisms"]}
-        tgt = {m["id"]: m["tgt"] for m in doc["morphisms"]}
-        identities = dict(doc["identities"])
-        table = {(g, f): h for g, f, h in doc["compose"]}
+        arrows = [tuple(map(doc_name, (m["id"], m["src"], m["tgt"]))) for m in doc["morphisms"]]
+        morphisms = tuple(m for m, _, _ in arrows)
+        src = {m: x for m, x, _ in arrows}
+        tgt = {m: y for m, _, y in arrows}
+        identities = {doc_name(x): doc_name(i) for x, i in dict(doc["identities"]).items()}
+        table = {(g, f): h for g, f, h in (map(doc_name, entry) for entry in doc["compose"])}
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed category document: {exc}") from None
     cat = FinCat(name, objects, morphisms, src, tgt, identities, table)

@@ -6,8 +6,9 @@ Multicategory data is extensional: objects, hom-sets listed per
 signature, identities, a composition table on listed tuples, and one
 action map per group generator per arity.  The action of an arbitrary
 group element is the fold of generator actions along a decomposition
-word, so well-definedness of the listed maps against the group's
-relations is part of validation.  Validation is total over listed data
+word.  ``validate_multicat`` checks the listed generator maps, but not
+that their folds respect the group's relations: ``action_well_defined``
+checks that on given elements.  Validation is total over listed data
 and silent about unlisted signatures.
 
 Convention: acting by a group element alpha of arity n sends an element
@@ -56,9 +57,6 @@ class FinMulticat:
 
     def arity(self, el: str) -> int:
         return len(self.signature(el)[0])
-
-    def hom(self, inputs: Sequence[str], output: str) -> tuple[str, ...]:
-        return self.homs.get((tuple(inputs), output), ())
 
     @cached_property
     def homs(self) -> dict[Signature, tuple[str, ...]]:
@@ -943,15 +941,23 @@ def borel_functor(inst: ActionOperad, G: FinFunctor, max_arity: int):
 def lift_matches_plus(
     inst: ActionOperad, G: FinFunctor, max_arity: int
 ) -> dict[tuple[str, str], dict[str, str]]:
-    """The explicit bijection between the lift of the plus-profunctor of G
-    and the plus-profunctor of the Borel image of G, cell by cell.
-
-    Raises if any cell fails to biject.
-    """
+    """The explicit natural bijection between the lift of the
+    plus-profunctor of G and the plus-profunctor of the Borel image of G,
+    cell by cell; see :func:`match_lift`."""
     EG, rx, ry = borel_functor(inst, G, max_arity)
     lifted = lift_prof(from_functor(G), inst, max_arity, realizations=(rx, ry))
-    plus = from_functor(EG)
+    return match_lift(inst, lifted, from_functor(EG), rx, ry)
 
+
+def match_lift(
+    inst: ActionOperad, lifted: LiftedProf, plus: FinProf, rx, ry
+) -> dict[tuple[str, str], dict[str, str]]:
+    """Match a lifted profunctor with a plus-profunctor over the Borel
+    realizations ``rx`` and ``ry``, cell by cell.
+
+    Raises if any cell fails to biject, or if the bijection does not
+    commute with some source or target action entry of the lift.
+    """
     bijection: dict[tuple[str, str], dict[str, str]] = {}
     for pair, lift_els in lifted.prof.values.items():
         yid, xid = pair
@@ -979,4 +985,13 @@ def lift_matches_plus(
         if plus_content:
             raise ValueError(f"plus side has unmatched elements at {pair!r}")
         bijection[pair] = cell_map
+    to_plus = {lel: pel for cell in bijection.values() for lel, pel in cell.items()}
+    for side, lift_action, plus_action in (
+        ("source", lifted.prof.source_action, plus.source_action),
+        ("target", lifted.prof.target_action, plus.target_action),
+    ):
+        for (mid, lel), out in lift_action.items():
+            image = to_plus.get(out)
+            if image is None or image != plus_action.get((mid, to_plus.get(lel))):
+                raise ValueError(f"{side} action of {mid!r} on lift element {lel!r} does not match the plus side")
     return bijection

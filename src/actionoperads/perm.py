@@ -226,6 +226,8 @@ def descent_word(p: Perm) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def all_perms(n: int) -> tuple[Perm, ...]:
     """Every permutation of arity ``n``, in lexicographic order."""
+    if n < 0:
+        raise ValueError(f"arity must be >= 0, got {n}")
     return tuple(Perm(images) for images in itertools.permutations(range(1, n + 1)))
 
 

@@ -13,7 +13,9 @@ classes of words, bounded by a state budget alone.  The three possible
 outcomes are:
 
 - ``equal`` -- the two search frontiers met; the result carries a
-  replayable path that :func:`replay_path` re-validates step by step;
+  replayable path that :func:`replay_path` re-validates step by step
+  (its JSON document is ``dataclasses.asdict`` of the path, read back by
+  :func:`path_from_dict`);
 - ``distinct`` -- some declared invariant separates the words (sound as
   long as every invariant is constant on each relation pair, which
   :func:`validate_invariants` checks);
@@ -162,6 +164,40 @@ class RewritePath:
     meet: Letters
     forward: tuple[Step, ...]
     backward: tuple[Step, ...]
+
+
+def path_from_dict(doc) -> RewritePath:
+    """Read back a path document, the JSON form of ``asdict(path)``.
+
+    A malformed field raises ``ValueError``; a missing key or a container
+    of the wrong type raises ``KeyError`` or ``TypeError``, which the
+    caller reports as a malformed document.
+    """
+
+    def letters(items) -> Letters:
+        # ``gen`` a whole number or a list of them, ``sign`` 1 or -1, none
+        # of them a JSON ``true`` or ``false`` (which compare equal to 1 and 0)
+        out = []
+        for gen, sign in items:
+            parts = gen if isinstance(gen, list) else [gen]
+            if type(sign) is not int or sign not in (1, -1) or any(type(x) is not int for x in parts):
+                raise ValueError(f"malformed path document: letter {[gen, sign]!r}")
+            out.append((tuple(gen) if isinstance(gen, list) else gen, sign))
+        return tuple(out)
+
+    def field(step, name: str) -> int:
+        # ``rel``, ``orient`` and ``pos`` are whole numbers, ``orient`` 0 or 1
+        value = step[name]
+        if type(value) is not int or value < 0 or (name == "orient" and value > 1):
+            raise ValueError(f"malformed path document: step {name} {value!r}")
+        return value
+
+    def steps(items) -> tuple[Step, ...]:
+        return tuple(
+            Step(field(s, "rel"), field(s, "orient"), field(s, "pos"), letters(s["result"])) for s in items
+        )
+
+    return RewritePath(letters(doc["meet"]), steps(doc["forward"]), steps(doc["backward"]))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from actionoperads.cactus import CactusOperad
 from actionoperads.core import OperadElement, SymmetricOperad
-from actionoperads.perm import Perm, block_sum, identity
+from actionoperads.perm import Perm, adjacent_transposition, block_sum, identity
 from actionoperads.rewrite import Word
 
 
@@ -59,3 +59,22 @@ class SwapPi(SymmetricOperad):
 
     def pi(self, a):
         return Perm((2, 1)) if a.n == 2 else identity(a.n)
+
+
+def _swap_first_two(inst, a):
+    """``a`` times the transposition of its first two points, at arity >= 2."""
+    return inst.mul(a, inst._wrap(adjacent_transposition(a.n, 1))) if a.n >= 2 else a
+
+
+class TwistedDelta(SymmetricOperad):
+    """The block diagonal is followed by a fixed transposition."""
+
+    def delta(self, a, sizes):
+        return _swap_first_two(self, super().delta(a, sizes))
+
+
+class TwistedBlockSum(SymmetricOperad):
+    """The block sum is followed by a fixed transposition."""
+
+    def beta(self, els):
+        return _swap_first_two(self, super().beta(els))

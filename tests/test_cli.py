@@ -387,6 +387,9 @@ class TestLongWords:
 MALFORMED_DOCS = {
     "list": [1, 2],
     "nested_objects": {"objects": [["a"]], "morphisms": [], "identities": {}, "compose": []},
+    "numeric_ids": {
+        "objects": ["a"], "morphisms": [{"id": 1, "src": "a", "tgt": "a"}], "identities": {"a": 1}, "compose": [[1, 1, 1]]
+    },
     "no_path": {"nopath": 1},
     "untyped_path": {
         "path": {"meet": [], "forward": [{"rel": "a", "orient": "b", "pos": "c", "result": []}], "backward": []}
@@ -485,6 +488,7 @@ MALFORMED_INPUTS = [
     (["cactus", "coboundary", "--max-total", "0"], 0),
     (["cactus", "coboundary", "--max-total", "-1"], 3),
     (["borel", "hom", "--operad", "sym", "--category", "{nested_objects}", "--src", "a", "--tgt", "a"], 3),
+    (["borel", "hom", "--operad", "sym", "--category", "{numeric_ids}", "--src", "a", "--tgt", "a"], 3),
     (["borel", "hom", "--operad", "braid", "--category", "{d2}", "--src", "a,b", "--tgt", "a,b"], 3),
     (["borel", "hom", "--operad", "sym", "--category", "{d2}", "--src", "zz", "--tgt", "zz"], 3),
     (["borel", "compose", "--operad", "sym", "--category", "{d2}", "--src", "a,zz", "--mid", "a,b",

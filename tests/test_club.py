@@ -19,7 +19,7 @@ from actionoperads.core import (
 )
 from actionoperads.fincat import discrete_category, z2_category
 from actionoperads.multicat import operad_as_multicat, validate_multicat
-from planted import SwapPi, UnreducedCactus
+from planted import SwapPi, TwistedBlockSum, TwistedDelta, UnreducedCactus
 
 SYM = symmetric_operad()
 TRIV = trivial_operad()
@@ -64,6 +64,15 @@ class TestRebuild:
             rep = roundtrip_check(inst, max_total=4)
             assert rep.passed, rep
             assert rep.beta_checked > 0 and rep.delta_checked > 0 and rep.mu_checked > 0
+
+    @pytest.mark.parametrize("planted", [TwistedDelta, TwistedBlockSum])
+    def test_roundtrip_counts_planted_mismatches(self, planted):
+        # the rebuilt block sum is mu with an identity head, so a twisted
+        # delta breaks the beta and mu arms; the rebuilt block diagonal is
+        # mu with identity legs, so a twisted beta breaks the delta and mu arms
+        rep = roundtrip_check(planted(), max_total=3)
+        assert (rep.beta_checked, rep.delta_checked, rep.mu_checked, rep.mismatches) == (16, 16, 26, 38)
+        assert not rep.passed
 
     def test_rebuilt_instance_passes_axioms(self):
         rebuilt = operad_from_club(SYM)

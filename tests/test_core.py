@@ -379,6 +379,11 @@ class TestRegistry:
         with pytest.raises(ValueError, match="arity must be >= 0, got -1"):
             inst.identity(-1)
 
+    @pytest.mark.parametrize("name", ["sym", "trivial", "braid", "cactus"])
+    def test_negative_arity_has_no_elements(self, name):
+        with pytest.raises(ValueError, match="arity must be >= 0, got -1"):
+            get_operad(name).elements(-1)
+
 
 @pytest.mark.parametrize(
     "operad, n, word", [("braid", 3, "b1 B2 b1"), ("cactus", 3, "s(1,3) s(1,2)"), ("trivial", 2, "e")]

@@ -131,6 +131,23 @@ class TestFiles:
         with pytest.raises(ValueError, match="malformed"):
             fincat_from_dict({"objects": ["a"]})
 
+    @pytest.mark.parametrize(
+        "morphism, identity, entry",
+        [
+            ({"id": 1, "src": "a", "tgt": "a"}, 1, [1, 1, 1]),
+            ({"id": "e", "src": 0, "tgt": "a"}, "e", ["e", "e", "e"]),
+            ({"id": "e", "src": "a", "tgt": "a"}, ["e"], ["e", "e", "e"]),
+            ({"id": "e", "src": "a", "tgt": "a"}, "e", ["e", "e", None]),
+        ],
+        ids=["id", "src", "identity", "composite"],
+    )
+    def test_names_that_are_not_strings_are_malformed(self, morphism, identity, entry):
+        # the first case passes FinCat.validate, and the Borel engine joins
+        # names as strings
+        doc = {"objects": ["a"], "morphisms": [morphism], "identities": {"a": identity}, "compose": [entry]}
+        with pytest.raises(ValueError, match="^malformed category document: expected a name"):
+            fincat_from_dict(doc)
+
     def test_invalid_table_rejected(self):
         doc = {
             "objects": ["a"],

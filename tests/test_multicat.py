@@ -4,11 +4,13 @@ mutation rejection, coend composition, and the Borel lift."""
 from __future__ import annotations
 
 import gc
+from dataclasses import replace
 from functools import cache
 from unittest import mock
 
 import pytest
 
+from actionoperads.braid import braid_operad
 from actionoperads.cactus import cactus_operad
 from actionoperads import multicat
 from actionoperads.core import SymmetricOperad, symmetric_operad, trivial_operad
@@ -19,11 +21,13 @@ from actionoperads.multicat import (
     FinFunctor,
     act_by,
     action_well_defined,
+    borel_functor,
     empty_multicat,
     from_functor,
     identity_prof,
     lift_matches_plus,
     lift_prof,
+    match_lift,
     multicat_from_dict,
     multicat_to_dict,
     operad_as_multicat,
@@ -71,6 +75,24 @@ class TestValidator:
         words = list(SYM.elements(2)) + list(SYM.elements(3))
         rep = action_well_defined(sym_multicat, SYM, words)
         assert rep.passed
+
+    def test_action_well_definedness_on_the_braid_relation(self):
+        braid = braid_operad()
+        words = [braid.parse("b1 b2 b1", 3), braid.parse("b2 b1 b2", 3)]
+        rep = action_well_defined(terminal_multicat(braid, 3), braid, words)
+        assert rep.passed and rep.checked == 2
+        # b1 swaps x and y and b2 fixes both: each listed action is a
+        # bijection, so validate_multicat passes, but b1 b2 b1 fixes x while
+        # b2 b1 b2 moves it
+        sig = (("*",) * 3, "*")
+        M = FinMulticat(
+            "braid_breaker", ("*",), {"u1": (("*",), "*"), "x": sig, "y": sig}, {"*": "u1"}, {},
+            {("b1", "x"): "y", ("b1", "y"): "x", ("b2", "x"): "x", ("b2", "y"): "y"},
+        )
+        rep = validate_multicat(M, braid)
+        assert rep.passed and rep.checked == 10
+        rep = action_well_defined(M, braid, words)
+        assert (rep.checked, len(rep.violations)) == (4, 4)
 
     def test_cactus_one_object_table_is_valid(self):
         # the word-backed family is finite through arity 2, which is
@@ -431,3 +453,21 @@ class TestLift:
         lifted = lift_prof(from_functor(G), SYM, max_arity=2)
         rep = validate_profunctor(lifted.prof)
         assert rep.passed, rep.format_text()
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_corrupted_lift_action_fails_the_comparison(self, side):
+        X = arrow_category()
+        G = FinFunctor("collapse", X, z2_category(), {o: "*" for o in X.objects}, {m: "e" for m in X.morphisms})
+        EG, rx, ry = borel_functor(SYM, G, 2)
+        lifted = lift_prof(from_functor(G), SYM, 2, realizations=(rx, ry))
+        plus = from_functor(EG)
+        assert match_lift(SYM, lifted, plus, rx, ry) == lift_matches_plus(SYM, G, 2)
+        # send one action entry to another element of the same cell: every
+        # cell still bijects, only the actions disagree
+        action = dict(getattr(lifted.prof, f"{side}_action"))
+        values, cell_of = lifted.prof.values, lifted.prof.cell_of()
+        key, out = next((k, o) for k, o in action.items() if len(values[cell_of[o]]) > 1)
+        action[key] = next(e for e in values[cell_of[out]] if e != out)
+        bad = replace(lifted, prof=replace(lifted.prof, **{f"{side}_action": action}))
+        with pytest.raises(ValueError, match=f"^{side} action of .* does not match the plus side$"):
+            match_lift(SYM, bad, plus, rx, ry)
