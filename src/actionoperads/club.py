@@ -179,7 +179,12 @@ def check_pullback(inst: ActionOperad, n: int, X: FinCat) -> PullbackReport:
     """Verify that the comparison square for the Borel construction is a
     pullback at arity ``n`` over ``X``: every pair of a group element and
     a base-construction morphism with matching underlying permutation
-    lifts uniquely."""
+    lifts uniquely.
+
+    Both sides are read from the same ``hom_set``, so only ``collisions``
+    can fail: ``unmatched_pairs`` is always 0, the two object counts are
+    equal, and ``compatible_pairs`` equals the number of upstairs
+    morphisms."""
     els = finite_group(inst, n)
     sym = symmetric_operad()
 

@@ -464,7 +464,9 @@ class DeterministicStream:
 
 @dataclass(frozen=True)
 class AxiomCheckConfig:
-    """Bounds for one axiom-checking run.
+    """Bounds for one axiom-checking run.  The mode is not among them:
+    :func:`check_axioms` is exhaustive exactly when the instance enumerates
+    its group at ``max_total_arity``.
 
     In exhaustive mode every tuple whose composite arity stays within
     ``max_total_arity`` is enumerated (size-vector entries >= 1, plus a
@@ -478,7 +480,6 @@ class AxiomCheckConfig:
     """
 
     max_total_arity: int = 5
-    exhaustive: bool | None = None
     samples_per_axiom: int = 24
     max_word_length: int = 2
     max_block_size: int = 2
@@ -769,9 +770,7 @@ def check_axioms(inst: ActionOperad, config: AxiomCheckConfig | None = None) -> 
     deterministically otherwise.  Both modes run on interned elements.
     """
     config = config or AxiomCheckConfig()
-    exhaustive = config.exhaustive
-    if exhaustive is None:
-        exhaustive = inst.elements(config.max_total_arity) is not None
+    exhaustive = inst.elements(config.max_total_arity) is not None
     K = _Kernel(inst, range(config.max_total_arity + 1) if exhaustive else ())
     cases = (_exhaustive_cases if exhaustive else _sampled_cases)(K, config)
 
@@ -1053,9 +1052,8 @@ def _sampled_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
         hi = min(config.max_total_arity, cap)
         return 1 + stream.next_int(hi) if hi > 0 else 0
 
-    def arity_vector(parts_lo=1):
-        parts = parts_lo + stream.next_int(3)
-        return sample_sizes(parts, max_total=cap)
+    def arity_vector():
+        return sample_sizes(1 + stream.next_int(3), max_total=cap)
 
     for _ in range(N):
         n = sample_arity()

@@ -68,30 +68,31 @@ class FinMulticat:
 
 
 def act_by(M: FinMulticat, inst: ActionOperad, el: str, alpha: OperadElement) -> str:
-    """Fold the listed generator actions along a decomposition of alpha.
-
-    Raises when a needed generator action is not listed.
-    """
+    """Fold the listed generator actions along a decomposition of alpha;
+    raises when they do not determine the result."""
     n = M.arity(el)
     if alpha.n != n:
         raise ValueError(f"arity mismatch: element of arity {n} acted by arity {alpha.n}")
-    return _fold(M, el, inst.generator_word(alpha))
+    out = _fold(M, el, inst.generator_word(alpha))
+    if out is None:
+        raise ValueError(f"the listed actions do not determine {inst.format(alpha)} on {el!r}")
+    return out
 
 
-def _fold(M: FinMulticat, el: str, word: Sequence[tuple[str, int]]) -> str:
+def _fold(M: FinMulticat, el: str, word: Sequence[tuple[str, int]]) -> str | None:
     """Fold the listed generator actions on ``el`` along a signed word of
-    generator names.  Raises when a needed action is not listed."""
+    generator names; ``None`` when a needed action is not listed or an
+    inverse letter has no single preimage."""
     current = el
     for name, sign in word:
         if sign == 1:
-            key = (name, current)
-            if key not in M.actions:
-                raise ValueError(f"action of {name!r} on {current!r} is not listed")
-            current = M.actions[key]
+            current = M.actions.get((name, current))
+            if current is None:
+                return None
         else:
             preimages = [e for (nm, e), out in M.actions.items() if nm == name and out == current]
             if len(preimages) != 1:
-                raise ValueError(f"inverse action of {name!r} on {current!r} is not determined")
+                return None
             current = preimages[0]
     return current
 
@@ -263,31 +264,26 @@ def _check_action_laws(
     """Both composition-action compatibility laws over the typed entries.
     What a law acts by depends only on shapes: (leg arities, leg,
     generator) for the leg law, (generator, arity, leg arities) for the
-    head law.  Each such element and its generator word are computed once
-    per call, at the first check that needs them."""
-
-    def note(msg: str):
-        rep.violations.append(msg)
+    head law.  Each such element's arity and generator word are computed
+    once per call, at the first check that needs them.  A law is skipped
+    only where the table does not list an entry, an action, or a composite
+    of the acted arity that it needs; errors from the instance propagate."""
 
     @cache
-    def leg_shift(sizes: tuple[int, ...], i: int, name: str) -> OperadElement:
+    def leg_shift(sizes: tuple[int, ...], i: int, name: str) -> tuple:
         """The generator ``name`` on leg i and units on the other legs, block-summed."""
-        return inst.beta([gens(k)[name] if j == i else inst.identity(k) for j, k in enumerate(sizes)])
+        alpha = inst.beta([gens(k)[name] if j == i else inst.identity(k) for j, k in enumerate(sizes)])
+        return alpha.n, inst.generator_word(alpha)
 
     @cache
-    def head_shift(name: str, n: int, ks: tuple[int, ...]) -> OperadElement:
-        return inst.delta(gens(n)[name], ks)
+    def head_shift(name: str, n: int, ks: tuple[int, ...]) -> tuple:
+        alpha = inst.delta(gens(n)[name], ks)
+        return alpha.n, inst.generator_word(alpha)
 
-    @cache
-    def word(shift, *key) -> tuple[tuple[str, int], ...]:
-        return inst.generator_word(shift(*key))
-
-    def act(el: str, shift, *key) -> str:
-        """``act_by(M, inst, el, shift(*key))``, from the memos."""
-        alpha, n = shift(*key), M.arity(el)
-        if alpha.n != n:
-            raise ValueError(f"arity mismatch: element of arity {n} acted by arity {alpha.n}")
-        return _fold(M, el, word(shift, *key))
+    def act(el: str, shifted: tuple) -> str | None:
+        """``el`` acted on by a shifted element; ``None`` if the table does not determine it."""
+        n, word = shifted
+        return _fold(M, el, word) if el in M.elements and M.arity(el) == n else None
 
     # law 1: acting on one leg at a time
     for f, gs, r, sizes in typed:
@@ -302,17 +298,14 @@ def _check_action_laws(
                 if key not in M.composition:
                     rep.skipped += 1
                     continue
-                leg_shift(sizes, i, name)  # outside the try: beta's errors propagate
-                try:
-                    want = act(r, leg_shift, sizes, i, name)
-                except ValueError:
+                want = act(r, leg_shift(sizes, i, name))
+                if want is None:
                     rep.skipped += 1
                     continue
                 rep.checked += 1
                 if M.composition[key] != want:
-                    note(
-                        f"leg action law fails at entry ({f!r}, {gs!r}), leg {i + 1}, "
-                        f"generator {name!r}"
+                    rep.violations.append(
+                        f"leg action law fails at entry ({f!r}, {gs!r}), leg {i + 1}, generator {name!r}"
                     )
 
     # law 2: acting on the head; an action whose result is unknown or of
@@ -330,21 +323,19 @@ def _check_action_laws(
             if key not in M.composition:
                 rep.skipped += 1
                 continue
-            try:
-                want = act(M.composition[key], head_shift, name, n, ks)
-            except ValueError:
+            want = act(M.composition[key], head_shift(name, n, ks))
+            if want is None:
                 rep.skipped += 1
                 continue
             rep.checked += 1
             if s != want:
-                note(
-                    f"head action law fails: ({name!r} . {f!r}) applied to {gs!r}"
-                )
+                rep.violations.append(f"head action law fails: ({name!r} . {f!r}) applied to {gs!r}")
 
 
 def action_well_defined(M: FinMulticat, inst: ActionOperad, words: Sequence[OperadElement]) -> ValidationReport:
     """Check that folding generator actions is constant on provably equal
-    group elements (sampled pairs)."""
+    group elements (sampled pairs).  A pair is skipped on an element where
+    the listed actions do not determine both folds."""
     rep = ValidationReport(f"action well-definedness {M.name}")
     by_arity: dict[int, list[str]] = {}
     for el in M.elements:
@@ -355,15 +346,14 @@ def action_well_defined(M: FinMulticat, inst: ActionOperad, words: Sequence[Oper
                 continue
             if not inst.equal(a, b).is_equal:
                 continue
+            wa, wb = inst.generator_word(a), inst.generator_word(b)
             for el in by_arity.get(a.n, ()):
                 rep.checked += 1
-                try:
-                    if act_by(M, inst, el, a) != act_by(M, inst, el, b):
-                        rep.violations.append(
-                            f"equal elements act differently on {el!r}"
-                        )
-                except ValueError:
+                x, y = _fold(M, el, wa), _fold(M, el, wb)
+                if x is None or y is None:
                     rep.skipped += 1
+                elif x != y:
+                    rep.violations.append(f"equal elements act differently on {el!r}")
     return rep
 
 
@@ -374,9 +364,7 @@ class FinMultifunctor:
     element_map: Mapping[str, str]
 
 
-def validate_multifunctor(
-    F: FinMultifunctor, M: FinMulticat, N: FinMulticat, inst: ActionOperad
-) -> ValidationReport:
+def validate_multifunctor(F: FinMultifunctor, M: FinMulticat, N: FinMulticat) -> ValidationReport:
     """Check signature compatibility, identity and composition
     preservation, and equivariance against the listed actions."""
     rep = ValidationReport(f"multifunctor {F.name}")

@@ -69,9 +69,6 @@ class Word:
     n: int
     letters: Letters
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
 
 @dataclass(frozen=True)
 class RelationSystem:
@@ -538,9 +535,8 @@ class _Expansion:
         word = self.sort(word, head + tab.encode(self.sys.relations[rel][orient]) + tail)
         if word is None:
             return None
+        # ``sort`` gives exactly head + left side + tail, so the left side is at len(head)
         result = _apply(self.sys, tab.decode(word), rel, orient, len(head))
-        if result is None:
-            return None
         return self.settle(self.step(rel, orient, len(head), tab.encode(result)), child)
 
 

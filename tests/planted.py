@@ -18,6 +18,14 @@ class ReversedBlockSum(SymmetricOperad):
         return self._wrap(block_sum([e.payload for e in reversed(els)]))
 
 
+class InverseBlockSum(SymmetricOperad):
+    """The block sum lays out the inverse of each block, which reverses
+    the order of products in each block."""
+
+    def beta(self, els):
+        return super().beta([self.inv(e) for e in els])
+
+
 class IdentityDelta(SymmetricOperad):
     """The block diagonal forgets its argument and returns the unit."""
 
@@ -78,3 +86,11 @@ class TwistedBlockSum(SymmetricOperad):
 
     def beta(self, els):
         return _swap_first_two(self, super().beta(els))
+
+
+class UnlistedSym(SymmetricOperad):
+    """The symmetric instance with no enumeration of its groups, so that
+    ``check_axioms`` samples it."""
+
+    def elements(self, n):
+        return None

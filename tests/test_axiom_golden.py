@@ -20,11 +20,11 @@ from actionoperads.braid import braid_operad
 from actionoperads.cactus import cactus_operad
 from actionoperads.club import operad_from_club
 from actionoperads.core import AxiomCheckConfig, check_axioms, symmetric_operad, trivial_operad
-from planted import IdentityDelta, ReversedBlockSum, UnreducedCactus
+from planted import IdentityDelta, InverseBlockSum, ReversedBlockSum, UnlistedSym, UnreducedCactus
 
 GOLDEN = Path(__file__).parent / "data" / "axiom_reports.json"
 
-SAMPLED_3 = AxiomCheckConfig(max_total_arity=3, exhaustive=False, samples_per_axiom=10)
+SAMPLED_3 = AxiomCheckConfig(max_total_arity=3, samples_per_axiom=10)
 
 # name -> (instance factory, config)
 CASES = {
@@ -35,7 +35,8 @@ CASES = {
     "reversed_block_sum_3": (ReversedBlockSum, AxiomCheckConfig(max_total_arity=3)),
     "identity_delta_3": (IdentityDelta, AxiomCheckConfig(max_total_arity=3)),
     "unreduced_cactus_2": (UnreducedCactus, AxiomCheckConfig(max_total_arity=2)),
-    "sym_sampled_3": (symmetric_operad, SAMPLED_3),
+    "inverse_block_sum_3": (InverseBlockSum, AxiomCheckConfig(max_total_arity=3)),
+    "sym_sampled_3": (UnlistedSym, SAMPLED_3),
     "braid_sampled_3": (braid_operad, SAMPLED_3),
     "cactus_sampled_3": (cactus_operad, SAMPLED_3),
 }
@@ -62,7 +63,7 @@ def test_report_matches_golden(golden, name):
 
 def test_planted_defects_fail():
     golden = json.loads(GOLDEN.read_text())
-    for name in ("reversed_block_sum_3", "identity_delta_3", "unreduced_cactus_2"):
+    for name in ("reversed_block_sum_3", "identity_delta_3", "unreduced_cactus_2", "inverse_block_sum_3"):
         axioms = golden[name]["report"]["axioms"]
         assert any(a["failures"] for a in axioms.values()), name
 

@@ -4,15 +4,14 @@ mutation rejection, coend composition, and the Borel lift."""
 from __future__ import annotations
 
 import gc
+import re
 from dataclasses import replace
 from functools import cache
-from unittest import mock
 
 import pytest
 
 from actionoperads.braid import braid_operad
 from actionoperads.cactus import cactus_operad
-from actionoperads import multicat
 from actionoperads.core import SymmetricOperad, symmetric_operad, trivial_operad
 from actionoperads.fincat import arrow_category, discrete_category, translation_category, z2_category
 from actionoperads.multicat import (
@@ -38,7 +37,7 @@ from actionoperads.multicat import (
     validate_multifunctor,
     validate_profunctor,
 )
-from oracles import reference_action_walk, zigzag_orbit_count
+from oracles import zigzag_orbit_count
 from planted import UnreducedCactus
 
 SYM = symmetric_operad()
@@ -94,6 +93,18 @@ class TestValidator:
         rep = action_well_defined(M, braid, words)
         assert (rep.checked, len(rep.violations)) == (4, 4)
 
+    def test_an_inverse_letter_folds_through_its_one_preimage(self):
+        braid = braid_operad()
+        B1 = braid.parse("B1", 3)
+        assert act_by(terminal_multicat(braid, 3), braid, "u3", B1) == "u3"
+        # b1 sends x and y both to y: y has two preimages, x has none, and
+        # b2 is not listed at all
+        sig = (("*",) * 3, "*")
+        M = FinMulticat("collapsing", ("*",), {"x": sig, "y": sig}, {}, {}, {("b1", "x"): "y", ("b1", "y"): "y"})
+        for el, alpha in (("x", B1), ("y", B1), ("x", braid.parse("b2", 3))):
+            with pytest.raises(ValueError, match=f"^the listed actions do not determine .* on {el!r}$"):
+                act_by(M, braid, el, alpha)
+
     def test_cactus_one_object_table_is_valid(self):
         # the word-backed family is finite through arity 2, which is
         # enough to exercise involutive action folding in the validator
@@ -135,6 +146,15 @@ class RaisingWord(SymmetricOperad):
         raise ValueError("planted word failure")
 
 
+class RaisingDelta(SymmetricOperad):
+    """The block diagonal fails at the leg arities (1, 2) only."""
+
+    def delta(self, a, sizes):
+        if tuple(sizes) == (1, 2):
+            raise ValueError("planted delta failure")
+        return super().delta(a, sizes)
+
+
 class TestActionLawMemos:
     """The action laws build what depends only on shapes once per call."""
 
@@ -164,13 +184,15 @@ class TestActionLawMemos:
         with pytest.raises(ValueError, match="planted beta failure"):
             validate_multicat(sym_multicat, RaisingBeta())
 
-    def test_a_raising_generator_word_skips_the_law(self, sym_multicat):
-        honest = validate_multicat(sym_multicat, SYM)
-        rep = validate_multicat(sym_multicat, RaisingWord())
-        with mock.patch.object(multicat, "_check_action_laws", reference_action_walk):
-            want = validate_multicat(sym_multicat, RaisingWord())
-        assert (rep.checked, rep.skipped, rep.violations) == (want.checked, want.skipped, [])
-        assert rep.skipped > 0 and rep.checked + rep.skipped == honest.checked
+    def test_a_raising_generator_word_propagates(self, sym_multicat):
+        with pytest.raises(ValueError, match="planted word failure"):
+            validate_multicat(sym_multicat, RaisingWord())
+
+    def test_a_delta_raising_at_one_shape_propagates(self, sym_multicat):
+        # a skip means the table does not list what a law needs, never that
+        # the instance failed
+        with pytest.raises(ValueError, match="planted delta failure"):
+            validate_multicat(sym_multicat, RaisingDelta())
 
     def test_the_memos_are_freed_when_the_call_returns(self, sym_multicat):
         rep = validate_multicat(sym_multicat, SYM)  # the report is kept: it must not hold the memos
@@ -276,7 +298,7 @@ class TestMultifunctor:
             {x: x for x in sym_multicat.objects},
             {e: e for e in sym_multicat.elements},
         )
-        rep = validate_multifunctor(F, sym_multicat, sym_multicat, SYM)
+        rep = validate_multifunctor(F, sym_multicat, sym_multicat)
         assert rep.passed, rep.format_text()
 
     def test_collapse_to_terminal_valid(self, sym_multicat):
@@ -286,7 +308,7 @@ class TestMultifunctor:
             {x: "*" for x in sym_multicat.objects},
             {e: f"u{len(sig[0])}" for e, sig in sym_multicat.elements.items()},
         )
-        rep = validate_multifunctor(F, sym_multicat, T, SYM)
+        rep = validate_multifunctor(F, sym_multicat, T)
         assert rep.passed, rep.format_text()
 
     def test_equivariance_breaking_relabel_rejected(self, sym_multicat):
@@ -297,7 +319,7 @@ class TestMultifunctor:
         for el, sig in sym_multicat.elements.items():
             emap[el] = e2 if len(sig[0]) == 2 else el
         F = FinMultifunctor("collapse2", {x: x for x in sym_multicat.objects}, emap)
-        rep = validate_multifunctor(F, sym_multicat, sym_multicat, SYM)
+        rep = validate_multifunctor(F, sym_multicat, sym_multicat)
         assert not rep.passed
         assert any("equivariance" in v for v in rep.violations)
 
@@ -313,7 +335,7 @@ class TestMultifunctor:
             else:
                 emap[el] = el
         F = FinMultifunctor("ltrans", {x: x for x in sym_multicat.objects}, emap)
-        rep = validate_multifunctor(F, sym_multicat, sym_multicat, SYM)
+        rep = validate_multifunctor(F, sym_multicat, sym_multicat)
         assert not rep.passed
         assert any("composition" in v for v in rep.violations)
         assert not any("equivariance" in v for v in rep.violations)
@@ -324,7 +346,7 @@ class TestMultifunctor:
         # the element is reported
         emap = {e: e for e in sym_multicat.elements if not e.startswith("3:")}
         F = FinMultifunctor("partial", {x: x for x in sym_multicat.objects}, emap)
-        rep = validate_multifunctor(F, sym_multicat, sym_multicat, SYM)
+        rep = validate_multifunctor(F, sym_multicat, sym_multicat)
         unmapped = set(sym_multicat.elements) - set(emap)
         assert rep.violations == [f"element {e!r} has no image" for e in sym_multicat.elements if e in unmapped]
         comp = sum(1 for (g, fs), r in sym_multicat.composition.items() if unmapped & {g, r, *fs})
@@ -333,7 +355,7 @@ class TestMultifunctor:
 
     def test_empty_object_map_is_reported(self, sym_multicat):
         F = FinMultifunctor("no_objects", {}, {e: e for e in sym_multicat.elements})
-        rep = validate_multifunctor(F, sym_multicat, sym_multicat, SYM)
+        rep = validate_multifunctor(F, sym_multicat, sym_multicat)
         assert rep.violations[0] == "object '*' has no image"
         wrong = [v for v in rep.violations if v.endswith("with the wrong signature")]
         assert len(wrong) == len(sym_multicat.elements)
@@ -454,14 +476,37 @@ class TestLift:
         rep = validate_profunctor(lifted.prof)
         assert rep.passed, rep.format_text()
 
-    @pytest.mark.parametrize("side", ["source", "target"])
-    def test_corrupted_lift_action_fails_the_comparison(self, side):
+    @staticmethod
+    def _collapse_lift():
+        """The lift of the collapse functor's plus-profunctor, the plus
+        profunctor of its Borel image, and the two realizations."""
         X = arrow_category()
         G = FinFunctor("collapse", X, z2_category(), {o: "*" for o in X.objects}, {m: "e" for m in X.morphisms})
         EG, rx, ry = borel_functor(SYM, G, 2)
         lifted = lift_prof(from_functor(G), SYM, 2, realizations=(rx, ry))
         plus = from_functor(EG)
         assert match_lift(SYM, lifted, plus, rx, ry) == lift_matches_plus(SYM, G, 2)
+        return lifted, plus, rx, ry
+
+    def test_a_lifted_cell_missing_an_element_fails_the_comparison(self):
+        lifted, plus, rx, ry = self._collapse_lift()
+        values = dict(lifted.prof.values)
+        pair = next(pair for pair, els in values.items() if els)
+        values[pair] = values[pair][1:]
+        bad = replace(lifted, prof=replace(lifted.prof, values=values))
+        with pytest.raises(ValueError, match=f"^plus side has unmatched elements at {re.escape(repr(pair))}$"):
+            match_lift(SYM, bad, plus, rx, ry)
+
+    def test_a_lifted_element_with_a_junk_component_fails_the_comparison(self):
+        lifted, plus, rx, ry = self._collapse_lift()
+        lel, (gkey, comps) = next((lel, content) for lel, content in lifted.decode.items() if content[1])
+        bad = replace(lifted, decode={**lifted.decode, lel: (gkey, ("junk", *comps[1:]))})
+        with pytest.raises(ValueError, match=f"^lift element {lel!r} has no plus-side partner at "):
+            match_lift(SYM, bad, plus, rx, ry)
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_corrupted_lift_action_fails_the_comparison(self, side):
+        lifted, plus, rx, ry = self._collapse_lift()
         # send one action entry to another element of the same cell: every
         # cell still bijects, only the actions disagree
         action = dict(getattr(lifted.prof, f"{side}_action"))
