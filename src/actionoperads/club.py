@@ -30,49 +30,28 @@ from .fincat import FinCat
 from .perm import compose
 
 
-class ClubBackedOperad(ActionOperad):
+class ClubBackedOperad:
     """An instance rebuilt from its club: block sum via identity heads,
-    block diagonal via identity legs, composition as their product."""
+    block diagonal via identity legs, composition as their product.
+    Every other attribute is the club's."""
+
+    # composition is delta times beta of the rebuilt parts, whatever the club's ``mu``
+    mu = ActionOperad.mu
 
     def __init__(self, club: ActionOperad):
         self.club = club
-        self.name = club.name
 
-    def identity(self, n):
-        return self.club.identity(n)
-
-    def mul(self, a, b):
-        return self.club.mul(a, b)
-
-    def inv(self, a):
-        return self.club.inv(a)
-
-    def pi(self, a):
-        return self.club.pi(a)
+    def __getattr__(self, attr):
+        # ``club`` from the dict, so that an object without one (half built, copied) cannot recurse
+        if "club" not in self.__dict__:
+            raise AttributeError(attr)
+        return getattr(self.__dict__["club"], attr)
 
     def beta(self, els):
         return self.club.mu(self.club.identity(len(els)), els)
 
     def delta(self, a, sizes):
         return self.club.mu(a, [self.club.identity(k) for k in sizes])
-
-    def equal_at_arity(self, a, b, budget):
-        return self.club.equal(a, b, budget=budget)
-
-    def elements(self, n):
-        return self.club.elements(n)
-
-    def generators(self, n):
-        return self.club.generators(n)
-
-    def generator_word(self, a):
-        return self.club.generator_word(a)
-
-    def parse(self, text, n):
-        return self.club.parse(text, n)
-
-    def format(self, a):
-        return self.club.format(a)
 
 
 def operad_from_club(club: ActionOperad, max_arity: int = 3) -> ClubBackedOperad:

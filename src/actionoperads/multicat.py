@@ -348,11 +348,12 @@ def action_well_defined(M: FinMulticat, inst: ActionOperad, words: Sequence[Oper
                 continue
             wa, wb = inst.generator_word(a), inst.generator_word(b)
             for el in by_arity.get(a.n, ()):
-                rep.checked += 1
                 x, y = _fold(M, el, wa), _fold(M, el, wb)
                 if x is None or y is None:
                     rep.skipped += 1
-                elif x != y:
+                    continue
+                rep.checked += 1
+                if x != y:
                     rep.violations.append(f"equal elements act differently on {el!r}")
     return rep
 
@@ -488,7 +489,7 @@ def multicat_from_dict(doc: dict, name: str = "multicat") -> FinMulticat:
         for hom in doc["homs"]:
             sig = (tuple(map(doc_name, hom["inputs"])), doc_name(hom["output"]))
             for el in hom["elements"]:
-                elements[el] = sig
+                elements[doc_name(el)] = sig
         identities = {x: doc_name(i) for x, i in dict(doc["identities"]).items()}
         composition = {
             (doc_name(entry["head"]), tuple(map(doc_name, entry["inputs"]))): doc_name(entry["result"])
@@ -497,7 +498,7 @@ def multicat_from_dict(doc: dict, name: str = "multicat") -> FinMulticat:
         actions = {}
         for act in doc["actions"]:
             for el, out in act["mapping"].items():
-                actions[(act["generator"], el)] = doc_name(out)
+                actions[(doc_name(act["generator"]), el)] = doc_name(out)
     except (AttributeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed multicategory document: {exc}") from None
     return FinMulticat(name, objects, elements, identities, composition, actions)

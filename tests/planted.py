@@ -61,6 +61,16 @@ class StabilizedProduct(SymmetricOperad):
         return super().mul(a, b)
 
 
+class OneSidedInverse(SymmetricOperad):
+    """A product whose left factor is the 3-cycle [3,1,2] is that factor,
+    so [3,1,2] is a right inverse of [2,3,1] but not a left inverse."""
+
+    def mul(self, a, b):
+        if a.payload.images == (3, 1, 2):
+            return a
+        return super().mul(a, b)
+
+
 class SwapPi(SymmetricOperad):
     """``pi`` is the swap at arity 2 and the identity elsewhere, so it is
     not a homomorphism at arity 2 (the unit maps to the swap)."""

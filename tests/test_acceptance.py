@@ -10,14 +10,7 @@ import time
 
 from actionoperads.borel import BorelObject, contractible_free_check, hom_set
 from actionoperads.braid import block_cross, braid_operad, embedded_block_transposition
-from actionoperads.cactus import (
-    cactus_operad,
-    cactus_relations,
-    coboundary_square,
-    commutor,
-    commutor_symmetry,
-    delta_respects_relation,
-)
+from actionoperads.cactus import cactus_operad, cactus_relations, delta_respects_relation
 from actionoperads.cli import main as cli_main
 from actionoperads.club import check_pullback, roundtrip_check
 from actionoperads.core import AxiomCheckConfig, check_axioms, symmetric_operad, trivial_operad
@@ -88,31 +81,17 @@ def test_criterion_02_cactus_delta_well_defined():
            f"{checked} checks, {inconclusive} inconclusive, {elapsed:.1f}s")
 
 
-def test_criterion_03_coboundary_laws():
+def test_criterion_03_coboundary_laws(capsys):
+    # the CLI battery: both laws at each of the 15 pairs m + n <= 6 and the
+    # 20 squares m + n + p <= 6
     t0 = time.monotonic()
-    checked = bad = 0
-    for m in range(1, 6):
-        for n in range(1, 6):
-            if m + n > 6:
-                continue
-            checked += 2
-            if not commutor_symmetry(m, n).is_equal:
-                bad += 1
-            d = CACT.delta(CACT.parse("s(1,2)", 2), (m, n))
-            if not CACT.equal(commutor(m, n), d).is_equal:
-                bad += 1
-    for m in range(1, 5):
-        for n in range(1, 5):
-            for p in range(1, 5):
-                if m + n + p > 6:
-                    continue
-                checked += 1
-                if not coboundary_square(m, n, p).is_equal:
-                    bad += 1
+    code = cli_main(["cactus", "coboundary", "--max-total", "6", "--strict", "--format", "structured"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
     elapsed = time.monotonic() - t0
-    ok = bad == 0 and elapsed < 60.0
-    report(3, "coboundary laws in the cactus family (totals <= 6)", ok,
-           f"{checked} checks in {elapsed:.1f}s")
+    ok = code == 0 and len(checks) == 50 and all(c["verdict"] == "equal" for c in checks) and elapsed < 60.0
+    with capsys.disabled():
+        report(3, "coboundary laws in the cactus family (totals <= 6)", ok,
+               f"{len(checks)} checks in {elapsed:.1f}s")
 
 
 def test_criterion_04_borel_hom_sets_match_quotient_oracle():

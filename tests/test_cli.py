@@ -428,6 +428,17 @@ MALFORMED_DOCS = {
         "objects": ["*"], "homs": [{"inputs": ["x"], "output": "*", "elements": ["f"]}],
         "identities": {}, "compose": [{"head": "f", "inputs": ["f"], "result": "f"}], "actions": [],
     },
+    # a valid table but for one name that is not a string
+    "numeric_element": {
+        "objects": ["*"], "homs": [{"inputs": ["*"], "output": "*", "elements": ["u"]},
+                                   {"inputs": [], "output": "*", "elements": [1]}],
+        "identities": {"*": "u"}, "compose": [{"head": "u", "inputs": ["u"], "result": "u"}], "actions": [],
+    },
+    "numeric_generator": {
+        "objects": ["*"], "homs": [{"inputs": ["*"], "output": "*", "elements": ["u"]}],
+        "identities": {"*": "u"}, "compose": [{"head": "u", "inputs": ["u"], "result": "u"}],
+        "actions": [{"arity": 1, "generator": 7, "mapping": {"u": "u"}}],
+    },
     "not_a_functor": {"ob": {"a": "zz"}, "mor": {}},
     # well formed, so that only the --max-arity beside it is malformed
     "identity_functor": {"ob": {"a": "a", "b": "b"}, "mor": {"id_a": "id_a", "id_b": "id_b"}},
@@ -503,6 +514,8 @@ MALFORMED_INPUTS = [
     (["multicat", "validate", "--operad", "sym", "--file", "{list_mapping}"], 3),
     (["multicat", "validate", "--operad", "sym", "--file", "{list_result}"], 3),
     (["multicat", "validate", "--operad", "sym", "--file", "{input_without_identity}"], 1),
+    (["multicat", "validate", "--operad", "sym", "--file", "{numeric_element}"], 3),
+    (["multicat", "validate", "--operad", "sym", "--file", "{numeric_generator}"], 3),
     (["multicat", "lift", "--operad", "sym", "--category-x", "{d2}", "--category-y", "{d2}",
       "--functor", "{not_a_functor}"], 3),
     (["present", "check", "--operad", "cactus", "--file", "{numeric_term}"], 3),
@@ -609,6 +622,17 @@ class TestMalformedInputs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert [line for line in captured.err.splitlines() if "error:" in line] == [error]
+
+    @pytest.mark.parametrize("doc, name", [("numeric_element", 1), ("numeric_generator", 7)])
+    def test_a_numeric_multicategory_name_is_one_error_line(self, capsys, tmp_path, doc, name):
+        # without the name check, the element would validate and the
+        # generator would be reported as a violation of the table
+        path = tmp_path / "multicat.json"
+        path.write_text(json.dumps(MALFORMED_DOCS[doc]))
+        assert main(["multicat", "validate", "--operad", "sym", "--file", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed multicategory document: expected a name, got {name}\n"
 
     @pytest.mark.parametrize("argv", NEGATIVE_ARGUMENTS, ids=lambda v: " ".join(v[:2]))
     def test_a_negative_argument_is_one_error_line(self, capsys, tmp_path, d2_file, argv):

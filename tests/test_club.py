@@ -10,6 +10,7 @@ from actionoperads.braid import braid_operad
 from actionoperads.cactus import cactus_operad
 from actionoperads.club import check_pullback, operad_from_club, roundtrip_check
 from actionoperads.core import (
+    ActionOperad,
     AxiomCheckConfig,
     DeterministicStream,
     SymmetricOperad,
@@ -19,7 +20,7 @@ from actionoperads.core import (
 )
 from actionoperads.fincat import discrete_category, z2_category
 from actionoperads.multicat import operad_as_multicat, validate_multicat
-from planted import SwapPi, TwistedBlockSum, TwistedDelta, UnreducedCactus
+from planted import OneSidedInverse, SwapPi, TwistedBlockSum, TwistedDelta, UnreducedCactus
 
 SYM = symmetric_operad()
 TRIV = trivial_operad()
@@ -74,6 +75,10 @@ class TestRebuild:
         assert (rep.beta_checked, rep.delta_checked, rep.mu_checked, rep.mismatches) == (16, 16, 26, 38)
         assert not rep.passed
 
+    def test_a_negative_bound_is_rejected(self):
+        with pytest.raises(ValueError, match="^max_total must be >= 0, got -1$"):
+            roundtrip_check(SYM, -1)
+
     def test_rebuilt_instance_passes_axioms(self):
         rebuilt = operad_from_club(SYM)
         rep = check_axioms(rebuilt, AxiomCheckConfig(max_total_arity=3))
@@ -122,12 +127,43 @@ class TestRebuiltForwarding:
         assert a == inst.parse(text, n)
         assert rebuilt.generator_word(a) == inst.generator_word(a)
 
+    @pytest.mark.parametrize("inst", [SYM, TRIV, CACT], ids=["sym", "trivial", "cactus"])
+    def test_every_method_but_the_rebuilt_three_answers_as_the_club(self, inst):
+        rebuilt = operad_from_club(inst, max_arity=2)
+        asked = set()
+
+        def same(method, *args):
+            asked.add(method)
+            assert getattr(rebuilt, method)(*args) == getattr(inst, method)(*args), (method, args)
+
+        assert rebuilt.name == inst.name
+        for n in range(4):
+            for method in ("identity", "elements", "generators"):
+                same(method, n)
+            asked.add("sample")
+            drawn = [rebuilt.sample(n, DeterministicStream(k), 3) for k in range(4)]
+            assert drawn == [inst.sample(n, DeterministicStream(k), 3) for k in range(4)]
+            for a in drawn:
+                for method in ("inv", "pi", "generator_word", "format", "check_element"):
+                    same(method, a)
+                same("parse", inst.format(a), n)
+                for b in drawn:
+                    same("mul", a, b)
+                    same("equal", a, b)
+                    same("equal_at_arity", a, b, None)
+        public = {m for m, v in vars(ActionOperad).items() if callable(v) and not m.startswith("_")}
+        assert asked == public - {"beta", "delta", "mu"}
+
 
 class TestShapeHypotheses:
     def test_non_groupoid_rejected(self):
         # at arity 2 the planted inverses are wrong, so no hom there is a group
         with pytest.raises(ValueError, match="'cactus' is not a groupoid"):
             operad_from_club(UnreducedCactus(), max_arity=2)
+
+    def test_a_right_inverse_that_is_no_left_inverse_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^club 'sym' is not a groupoid: \[2,3,1\] has no left inverse$"):
+            operad_from_club(OneSidedInverse())
 
     def test_pi_functoriality_enforced(self):
         with pytest.raises(ValueError, match="does not lie over the base"):

@@ -13,11 +13,19 @@ import pytest
 from actionoperads.braid import braid_operad
 from actionoperads.cactus import cactus_operad
 from actionoperads.core import SymmetricOperad, symmetric_operad, trivial_operad
-from actionoperads.fincat import arrow_category, discrete_category, translation_category, z2_category
+from actionoperads.fincat import (
+    FinCat,
+    arrow_category,
+    discrete_category,
+    group_category,
+    translation_category,
+    z2_category,
+)
 from actionoperads.multicat import (
     FinMulticat,
     FinMultifunctor,
     FinFunctor,
+    FinProf,
     act_by,
     action_well_defined,
     borel_functor,
@@ -93,6 +101,15 @@ class TestValidator:
         rep = action_well_defined(M, braid, words)
         assert (rep.checked, len(rep.violations)) == (4, 4)
 
+    def test_an_undetermined_fold_is_skipped_not_checked(self):
+        # x lists only b1, so neither side of the braid relation folds on it
+        braid = braid_operad()
+        words = [braid.parse("b1 b2 b1", 3), braid.parse("b2 b1 b2", 3)]
+        M = FinMulticat("b1_only", ("*",), {"x": (("*",) * 3, "*")}, {}, {}, {("b1", "x"): "x"})
+        rep = action_well_defined(M, braid, words)
+        assert (rep.checked, rep.skipped, rep.violations) == (0, 2, [])
+        assert rep.format_text() == "PASS action well-definedness b1_only: checked=0 skipped=2"
+
     def test_an_inverse_letter_folds_through_its_one_preimage(self):
         braid = braid_operad()
         B1 = braid.parse("B1", 3)
@@ -104,6 +121,15 @@ class TestValidator:
         for el, alpha in (("x", B1), ("y", B1), ("x", braid.parse("b2", 3))):
             with pytest.raises(ValueError, match=f"^the listed actions do not determine .* on {el!r}$"):
                 act_by(M, braid, el, alpha)
+
+    def test_a_name_that_is_no_generator_is_noted_once(self):
+        # the action lists the whole arity-2 hom-set, so the bijectivity
+        # pass reaches the name too, and finds nothing more to note
+        sig = (("*", "*"), "*")
+        M = FinMulticat("stray", ("*",), {"u1": (("*",), "*"), "x": sig}, {"*": "u1"}, {}, {("zz", "x"): "x"})
+        rep = validate_multicat(M, SYM)
+        assert rep.violations == ["action name 'zz' is not a generator at arity 2"]
+        assert (rep.checked, rep.skipped) == (5, 0)
 
     def test_cactus_one_object_table_is_valid(self):
         # the word-backed family is finite through arity 2, which is
@@ -353,6 +379,21 @@ class TestMultifunctor:
         acts = sum(1 for (_, el), out in sym_multicat.actions.items() if unmapped & {el, out})
         assert rep.skipped == comp + acts > 0
 
+    def test_an_image_the_target_does_not_list_is_skipped(self, sym_multicat):
+        # the target lacks one composition entry and one action, so the
+        # identity's image of each states nothing there
+        entry, action = min(sym_multicat.composition), min(sym_multicat.actions)
+        N = replace(
+            sym_multicat,
+            composition={k: v for k, v in sym_multicat.composition.items() if k != entry},
+            actions={k: v for k, v in sym_multicat.actions.items() if k != action},
+        )
+        F = FinMultifunctor("id", {x: x for x in sym_multicat.objects}, {e: e for e in sym_multicat.elements})
+        full = validate_multifunctor(F, sym_multicat, sym_multicat)
+        rep = validate_multifunctor(F, sym_multicat, N)
+        assert rep.passed and full.skipped == 0
+        assert (rep.checked, rep.skipped) == (full.checked - 2, 2)
+
     def test_empty_object_map_is_reported(self, sym_multicat):
         F = FinMultifunctor("no_objects", {}, {e: e for e in sym_multicat.elements})
         rep = validate_multifunctor(F, sym_multicat, sym_multicat)
@@ -373,12 +414,51 @@ class TestSerialization:
         assert rep.passed
 
 
+def _z3_category() -> FinCat:
+    els = ("e", "r", "s")
+    mult = {(g, f): els[(els.index(g) + els.index(f)) % 3] for g in els for f in els}
+    return group_category(els, mult, "e", "bz3")
+
+
+class TestFinFunctor:
+    @pytest.mark.parametrize(
+        "source, target, mor, error",
+        [
+            (arrow_category(), arrow_category(), {}, "morphism 'id_a' has no image"),
+            (arrow_category(), arrow_category(), {"id_a": "id_b", "id_b": "id_b", "f": "f"},
+             "morphism 'id_a' image has wrong endpoints"),
+            (z2_category(), z2_category(), {"e": "t", "t": "t"}, "identity at '*' not preserved"),
+            (z2_category(), _z3_category(), {"e": "e", "t": "r"}, "composition ('t', 't') not preserved"),
+        ],
+        ids=["no-image", "endpoints", "identity", "composite"],
+    )
+    def test_each_law_fails_on_its_own(self, source, target, mor, error):
+        # each source object maps to the target object of its name
+        F = FinFunctor("bad", source, target, {x: x for x in source.objects}, mor)
+        with pytest.raises(ValueError, match=f"^functor bad: {re.escape(error)}$"):
+            F.validate()
+
+
 class TestProfunctors:
     def test_plus_profunctor_validates(self):
         X = arrow_category()
         P = from_functor(FinFunctor("idX", X, X, {o: o for o in X.objects}, {m: m for m in X.morphisms}))
         rep = validate_profunctor(P)
         assert rep.passed, rep.format_text()
+
+    @pytest.mark.parametrize(
+        "values, violation",
+        [
+            ({("a", "zz"): ("s",)}, "cell ('a', 'zz') is not an object pair"),
+            ({("a", "a"): ("s", "s")}, "cell ('a', 'a') lists duplicate elements"),
+        ],
+        ids=["off-pair", "duplicate"],
+    )
+    def test_a_malformed_cell_is_reported(self, values, violation):
+        # the actions are total and typed, so the cell is the only fault
+        A = discrete_category(("a",), name="pt")
+        P = FinProf("bad", A, A, values, {("id_a", "s"): "s"}, {("id_a", "s"): "s"})
+        assert validate_profunctor(P).violations == [violation]
 
     def test_unit_composition_left_and_right(self):
         X = arrow_category()
