@@ -23,16 +23,47 @@ nothing.
 
 Naming note: in the containment relation the reversed-image endpoints
 are called (a, b) here, to keep them apart from the ambient arity.
+
+Equality slides letters before it searches.  Every relation but the
+squares keeps a word's length, so a letter ``c`` can move left past an
+earlier letter ``x`` by one listed relation, as the two intervals sit:
+
+- ``x = c``: the two cancel (the free reduction of the move that made
+  them adjacent);
+- disjoint: they commute, ``x c = c x``;
+- ``c`` inside ``x``: ``c`` becomes its reflection in ``x``,
+  ``x c = c' x``;
+- ``x`` inside ``c``: ``x`` becomes its reflection in ``c``,
+  ``x c = c x'``;
+- the intervals overlap: ``c`` is blocked.
+
+The reflection of ``[k, l]`` in ``[p, q]`` is ``[p+q-l, p+q-k]``.
+*Slide-cancel* moves each letter left until it cancels, and repeats
+until no letter does; this is Tits's solution of the word problem for
+Coxeter groups (J. Tits, *Le probleme des mots dans les groupes de
+Coxeter*, 1969) with the reflections added to the commutations.  A
+slide is written out only when it cancels, one ``Step`` per move, each
+move's relation and orientation looked up in the relation system; a
+move the system does not list ends the slide.  The oracle slides both
+sides and answers ``equal`` when they meet, with the slides as the
+path; otherwise it searches from the slid words, or from the given ones
+when neither side shortened.  Slides answer only ``equal``: a
+``distinct`` from a word that no slide shortens needs two proofs not
+made here, that cancellation is confluent on the classes of the
+length-keeping relations, and that no word in the class of such a word
+has a cancellable pair.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 from typing import Sequence
 
+from . import rewrite
 from .core import OperadElement, WordOperad
 from .perm import Perm
-from .rewrite import RelationSystem
+from .rewrite import EqResult, Letters, RelationSystem, RewritePath, Step, Word
 
 Interval = tuple[int, int]
 
@@ -60,6 +91,110 @@ def is_disjoint(a: Interval, b: Interval) -> bool:
 def contains(a: Interval, b: Interval) -> bool:
     (p, q), (k, l) = a, b
     return p <= k and l <= q
+
+
+def reflect(inner: Interval, outer: Interval) -> Interval:
+    """The image of ``inner`` under the reversal of ``outer``.
+
+    >>> reflect((1, 2), (1, 4))
+    (3, 4)
+    """
+    (k, l), (p, q) = inner, outer
+    return (p + q - l, p + q - k)
+
+
+def slide_past(x: Interval, c: Interval) -> tuple[Interval, Interval] | None:
+    """The pair that ``x c`` becomes when ``c`` moves left past ``x``, or
+    ``None`` when the intervals overlap and ``c`` is blocked.  ``x = c``
+    never reaches here: the two cancel in a freely reduced word.
+
+    >>> slide_past((1, 3), (2, 3))
+    ((1, 2), (1, 3))
+    >>> slide_past((1, 2), (2, 3)) is None
+    True
+    """
+    if is_disjoint(x, c):
+        return c, x
+    if contains(x, c):
+        return reflect(c, x), x
+    if contains(c, x):
+        return c, reflect(x, c)
+    return None
+
+
+def _slide(word: Letters, j: int) -> list[tuple[int, tuple[Interval, Interval]]] | None:
+    """The moves, ``(position, new pair)``, that carry the letter at ``j``
+    left until it meets an equal letter, which it cancels.  ``None`` when
+    it is blocked or reaches the front first, or when a letter it passes
+    would cancel its right neighbour instead (that neighbour's own slide
+    may take it).  The letters left of the moving one are never changed,
+    so this is interval arithmetic on the word as given."""
+    c = word[j][0]
+    right = word[j + 1][0] if j + 1 < len(word) else None
+    moves = []
+    for pos in range(j - 1, -1, -1):
+        pair = slide_past(word[pos][0], c)
+        if pair is None:
+            return None
+        c, right_of_c = pair
+        if right_of_c == right:
+            return None
+        moves.append((pos, pair))
+        if pos and word[pos - 1][0] == c:
+            return moves
+        right = right_of_c
+    return None
+
+
+def slide_cancel(letters: Letters, sys: RelationSystem) -> tuple[Letters, tuple[Step, ...]]:
+    """Slide every letter of a freely reduced word left until none
+    cancels; returns the slid word and the steps that lead to it.
+
+    >>> sys = cactus_relations(3)
+    >>> word, steps = slide_cancel((((1, 2), 1), ((1, 3), 1), ((2, 3), 1)), sys)
+    >>> word, [(s.rel, s.orient, s.pos) for s in steps]
+    ((((1, 3), 1),), [(4, 0, 1)])
+    """
+    word, steps, j = letters, [], 1
+    while j < len(word):
+        moves = _slide(word, j)
+        written = moves and _write(sys, word, moves)
+        if not written:
+            j += 1
+            continue
+        steps.extend(written)
+        slid = written[-1].result
+        same = next((i for i, (u, v) in enumerate(zip(word, slid)) if u != v), len(slid))
+        # letters before j did not cancel, and a letter's slide reads the
+        # word up to its right neighbour: restart where that may differ
+        word, j = slid, max(1, min(j, same - 1))
+    return word, tuple(steps)
+
+
+def _write(sys: RelationSystem, word: Letters, moves) -> list[Step] | None:
+    """The moves of one slide as steps, or ``None`` (nothing written) when
+    ``sys`` does not list one of them."""
+    steps = []
+    for pos, pair in moves:
+        step = rewrite.pair_step(sys, word, pos, tuple((gen, 1) for gen in pair))
+        if step is None:
+            return None
+        steps.append(step)
+        word = step.result
+    return steps
+
+
+def slide_equal(w1: Word, w2: Word, sys: RelationSystem, budget=None) -> EqResult:
+    """:func:`rewrite.equal` on the slid words, with the slides prefixed to
+    an ``equal`` path.  Two sides that slide to one word are ``equal`` at
+    0 states, with the slides as the whole path; sides that no slide
+    shortens get the search on the given words."""
+    r1, s1 = slide_cancel(w1.letters, sys)
+    r2, s2 = slide_cancel(w2.letters, sys)
+    res = rewrite.equal(Word(w1.n, r1), Word(w2.n, r2), sys, budget)
+    if not res.is_equal:
+        return res
+    return replace(res, path=RewritePath(res.path.meet, s1 + res.path.forward, s2 + res.path.backward))
 
 
 def interval_generators(n: int) -> tuple[Interval, ...]:
@@ -131,6 +266,9 @@ class CactusOperad(WordOperad):
             if sizes[i - 1] >= 2:
                 letters.append((((cum[i - 1] + 1, cum[i])), 1))
         return tuple(letters)
+
+    def equal_at_arity(self, a, b, budget):
+        return slide_equal(a.payload, b.payload, self.relation_system(a.n), budget)
 
     def elements(self, n: int):
         if n == 2:

@@ -566,7 +566,7 @@ class FinProf:
 def validate_profunctor(P: FinProf) -> ValidationReport:
     rep = ValidationReport(f"profunctor {P.name}")
     X, Y = P.source, P.target
-    cell = P.cell_of()
+    cell: dict[str, tuple[str, str]] = {}  # each element's first cell
     # the listed cells by source object and by target object, in listing order
     column: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
     row: dict[str, list[tuple[str, tuple[str, ...]]]] = {}
@@ -577,8 +577,14 @@ def validate_profunctor(P: FinProf) -> ValidationReport:
             rep.violations.append(f"cell ({y!r}, {x!r}) is not an object pair")
         if len(set(els)) != len(els):
             rep.violations.append(f"cell ({y!r}, {x!r}) lists duplicate elements")
+        for s in dict.fromkeys(els):
+            first = cell.setdefault(s, (y, x))
+            if first != (y, x):
+                rep.violations.append(f"element {s!r} is listed in cells ({first[0]}, {first[1]}) and ({y}, {x})")
         column.setdefault(x, []).append((y, els))
         row.setdefault(y, []).append((x, els))
+    if rep.violations:
+        return rep
 
     # totality and typing of the actions
     for f in X.morphisms:

@@ -455,6 +455,26 @@ def _apply(sys: RelationSystem, word: Letters, rel: int, orient: int, pos: int) 
     return free_reduce(word[:pos] + b + word[pos + len(a) :], sys.involutive)
 
 
+def pair_step(sys: RelationSystem, word: Letters, pos: int, target: Letters) -> Step | None:
+    """The step that rewrites the two letters of ``word`` at ``pos`` into
+    the two letters ``target`` by a listed relation, or ``None`` when
+    ``sys`` lists no such rewrite.  The relation is looked up in the
+    search tables: a commutation of independent letters in ``swaps``, any
+    other the first in relation order among the trie's two-letter left
+    sides."""
+    tab = sys.search_tables
+    xy, b = tab.encode(word[pos : pos + 2]), tab.encode(target)
+    move = tab.swaps.get(xy) if b == xy[::-1] else None
+    if move is None:
+        node = tab.trie.get(xy[0])
+        entries = node[0].get(xy[1], (None, ()))[1] if node and node[0] else ()
+        move = next((m for rhs, m in entries if rhs == b), None)
+        if move is None:
+            return None
+    rel, orient = move >> 1, move & 1
+    return Step(rel, orient, pos, _apply(sys, word, rel, orient, pos))
+
+
 class _Expansion:
     """Writes a chain of class edges out as ordinary steps on words, each
     ``free_reduce`` of its splice, so that :func:`replay_path` accepts

@@ -287,6 +287,28 @@ def burau(n, letters):
     return tuple(tuple(tuple(sorted(p.items())) for p in row) for row in rows)
 
 
+_J3_SPELLING = {(1, 3): "a", (1, 2): "b", (2, 3): "aba"}
+
+
+def j3_normal_form(letters) -> str:
+    """The normal form of a cactus word at n = 3, with the library's
+    ``((p, q), 1)`` letters.
+
+    J_3 is the free product Z/2 * Z/2 of a = s(1,3) and b = s(1,2): the
+    two containment relations at n = 3 both say s(2,3) = a b a.  So a
+    word is spelled in a and b, and adjacent equal letters cancel; two
+    words are equal exactly when their normal forms are.
+    """
+    out: list[str] = []
+    for gen, _sign in letters:
+        for ch in _J3_SPELLING[gen]:
+            if out and out[-1] == ch:
+                out.pop()
+            else:
+                out.append(ch)
+    return "".join(out)
+
+
 # -- the permutation kernel, point by point ----------------------------------
 # Each reference reads the permutation only through ``p(i)`` and raises the
 # library's arity errors word for word, so the fast kernel can be checked

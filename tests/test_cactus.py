@@ -4,9 +4,12 @@ commutors and the coboundary laws."""
 from __future__ import annotations
 
 import itertools
+import random
+from dataclasses import replace
 
 import pytest
 
+from actionoperads import cactus
 from actionoperads.braid import braid_operad
 from actionoperads.cactus import (
     cactus_operad,
@@ -19,9 +22,13 @@ from actionoperads.cactus import (
     interval_generators,
     is_disjoint,
     s_hat,
+    slide_cancel,
+    slide_equal,
 )
 from actionoperads.core import AxiomCheckConfig, check_axioms
 from actionoperads.perm import block_perm, block_sum
+from actionoperads.rewrite import RewritePath, equal, free_reduce, invert_letters, replay_path
+from oracles import j3_normal_form
 
 C = cactus_operad()
 
@@ -250,3 +257,119 @@ class TestAsInstance:
         assert C.pi(w).is_identity()
         res = C.equal(w, C.identity(3), budget=30_000)
         assert res.is_inconclusive
+
+
+def reduced_words(n, max_len):
+    """Every freely reduced cactus word of at most ``max_len`` letters."""
+    words, frontier = [()], [()]
+    for _ in range(max_len):
+        frontier = [w + ((g, 1),) for w in frontier for g in interval_generators(n) if not w or w[-1][0] != g]
+        words += frontier
+    return words
+
+
+def equal_by_construction(rng, n, length, steps=3):
+    """A random reduced word and a word equal to it: ``steps`` random
+    relations applied, then a cyclic conjugate of a relator inserted."""
+    sys = cactus_relations(n)
+    word = ()
+    while len(word) < length:
+        word = free_reduce(word + ((rng.choice(sys.generators), 1),), sys.involutive)
+    start = word
+    for _ in range(steps):
+        moves = [
+            (pos, a, b)
+            for lhs, rhs in sys.relations
+            for a, b in ((lhs, rhs), (rhs, lhs))
+            if a
+            for pos in range(len(word) - len(a) + 1)
+            if word[pos : pos + len(a)] == a
+        ]
+        if not moves:
+            break
+        pos, a, b = rng.choice(moves)
+        word = free_reduce(word[:pos] + b + word[pos + len(a) :], sys.involutive)
+    lhs, rhs = rng.choice(sys.relations)
+    rel = lhs + invert_letters(rhs, sys.involutive)
+    cut = rng.randrange(len(rel))
+    pos = rng.randrange(len(word) + 1)
+    return start, free_reduce(word[:pos] + rel[cut:] + rel[:cut] + word[pos:], sys.involutive)
+
+
+class TestSlides:
+    def test_a_slide_proves_equal_without_search(self):
+        a, b = C.parse("s(1,2) s(1,3) s(2,3)", 3), C.parse("s(1,3)", 3)
+        res = C.equal(a, b)
+        assert res.is_equal and res.states == 0 and res.stop == "met"
+        assert [(s.rel, s.orient, s.pos) for s in res.path.forward] == [(4, 0, 1)]
+        assert res.path.backward == ()
+        assert replay_path(cactus_relations(3), a.payload, b.payload, res.path)
+
+    def test_slides_repeat_until_no_letter_cancels(self):
+        # after the first cancellation a letter left of it cancels too
+        sys = cactus_relations(3)
+        a = C.parse("s(1,2) s(2,3) s(1,3) s(1,2) s(2,3)", 3)
+        word, steps = slide_cancel(a.payload.letters, sys)
+        assert word == (((1, 3), 1),)
+        assert replay_path(sys, a.payload, C.parse("s(1,3)", 3).payload, RewritePath(word, steps, ()))
+
+    def test_j3_normal_form_agrees_on_short_words(self):
+        # J_3 is Z/2 * Z/2, so equality there is exact; every pair of
+        # reduced words of at most 5 letters
+        sys = cactus_relations(3)
+        words = reduced_words(3, 5)
+        assert len(words) == 94
+        equal_pairs = 0
+        for w1, w2 in itertools.product(words, repeat=2):
+            a, b = C.from_letters(3, w1), C.from_letters(3, w2)
+            res = C.equal(a, b)
+            assert res.is_equal == (j3_normal_form(w1) == j3_normal_form(w2)), (w1, w2, res.verdict)
+            if res.is_equal:
+                equal_pairs += 1
+                assert replay_path(sys, a.payload, b.payload, res.path), (w1, w2)
+        assert equal_pairs == 556
+
+    def test_no_verdict_differs_from_the_search_on_the_given_words(self):
+        # slides only shorten what the search is given, so no Equal is lost
+        rng = random.Random(23)
+        slid = 0
+        for i in range(160):
+            n = 3 + i % 4
+            w1, w2 = equal_by_construction(rng, n, 8)
+            slid += any(slide_cancel(w, cactus_relations(n))[1] for w in (w1, w2))
+            a, b = C.from_letters(n, w1), C.from_letters(n, w2)
+            res = C.equal(a, b, budget=2000)
+            want = equal(a.payload, b.payload, cactus_relations(n), budget=2000)
+            assert res.verdict == want.verdict, (n, w1, w2)
+            if res.is_equal:
+                assert replay_path(cactus_relations(n), a.payload, b.payload, res.path), (n, w1, w2)
+        assert slid == 149
+
+    def test_a_word_no_slide_shortens_goes_to_the_search_unchanged(self):
+        # the two intervals overlap throughout, so nothing moves
+        a = C.parse("s(1,2) s(2,3) s(1,2) s(2,3) s(1,2) s(2,3)", 3)
+        assert slide_cancel(a.payload.letters, cactus_relations(3)) == (a.payload.letters, ())
+        res = C.equal(a, C.identity(3))
+        want = equal(a.payload, C.identity(3).payload, cactus_relations(3))
+        assert res == want and res.is_inconclusive
+
+    def test_a_missing_relation_writes_no_step(self):
+        # drop s(1,3) s(2,3) = s(1,2) s(1,3), the move the slide needs
+        full = cactus_relations(3)
+        assert full.relations[4] == ((((1, 3), 1), ((2, 3), 1)), (((1, 2), 1), ((1, 3), 1)))
+        defective = replace(full, relations=full.relations[:4])
+        a, b = C.parse("s(1,2) s(1,3) s(2,3)", 3).payload, C.parse("s(1,3)", 3).payload
+        assert cactus._slide(a.letters, 2) == [(1, ((1, 2), (1, 3)))]
+        assert slide_cancel(a.letters, defective) == (a.letters, ())
+        assert not slide_equal(a, b, defective).is_equal
+        assert slide_equal(a, b, full).is_equal
+
+    def test_an_overlap_let_through_writes_no_step(self, monkeypatch):
+        # a slide rule that commutes overlapping intervals would cancel the
+        # last letter; no relation lists that move, so nothing is written
+        rule = cactus.slide_past
+        monkeypatch.setattr(cactus, "slide_past", lambda x, c: rule(x, c) or (c, x))
+        a = C.parse("s(1,2) s(2,3) s(1,2) s(2,3) s(1,2) s(2,3)", 3)
+        assert cactus._slide(a.payload.letters, 5) == [(4, ((2, 3), (1, 2)))]
+        assert slide_cancel(a.payload.letters, cactus_relations(3)) == (a.payload.letters, ())
+        assert not C.equal(a, C.identity(3)).is_equal

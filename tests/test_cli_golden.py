@@ -1,4 +1,4 @@
-"""The command line pinned byte for byte: stdout and exit code of 51
+"""The command line pinned byte for byte: stdout and exit code of 53
 commands, covering every subcommand, all four ``--operad`` values
 where a subcommand takes one, and both ``--format`` values.
 
@@ -26,6 +26,8 @@ from actionoperads.multicat import multicat_to_dict, operad_as_multicat
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
 S = ("--format", "structured")
+# a pair that slide-cancel proves equal with no search
+SLID = ("s(1,2) s(1,3) s(2,3)", "s(1,3)")
 
 # name -> argv; ``{name}`` stands for the path of the input file ``name``
 COMMANDS = {
@@ -66,6 +68,8 @@ COMMANDS = {
     "equal_cactus_replay": [
         "equal", "--operad", "cactus", "--n", "4", "--replay", "{path}", "s(1,4) s(2,3)", "s(2,3) s(1,4)",
     ],
+    "equal_cactus_explain_slides": ["equal", "--operad", "cactus", "--n", "3", "--explain", *SLID],
+    "equal_cactus_replay_slides": ["equal", "--operad", "cactus", "--n", "3", "--replay", "{slides}", *SLID],
     "axioms_sym": ["axioms", "--operad", "sym", "--max-arity", "2"],
     "axioms_trivial_structured": ["axioms", "--operad", "trivial", "--max-arity", "2", *S],
     "axioms_braid_sampled": ["axioms", "--operad", "braid", "--max-arity", "3", "--samples", "4"],
@@ -123,6 +127,7 @@ def make_inputs() -> dict:
             ],
         },
         "path": {"path": json.loads(_run(argv, {})["stdout"])["path"]},
+        "slides": {"path": json.loads(_run([*COMMANDS["equal_cactus_explain_slides"], *S], {})["stdout"])["path"]},
     }
 
 

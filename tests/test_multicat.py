@@ -460,6 +460,15 @@ class TestProfunctors:
         P = FinProf("bad", A, A, values, {("id_a", "s"): "s"}, {("id_a", "s"): "s"})
         assert validate_profunctor(P).violations == [violation]
 
+    def test_an_element_in_two_cells_is_reported_once(self):
+        # both actions are listed and typed for either cell, so the shared
+        # name is the only fault and the action checks do not run
+        D = discrete_category(("a", "b"), name="d2")
+        values = {("a", "a"): ("s",), ("b", "b"): ("s",)}
+        action = {("id_a", "s"): "s", ("id_b", "s"): "s"}
+        P = FinProf("bad", D, D, values, action, action)
+        assert validate_profunctor(P).violations == ["element 's' is listed in cells (a, a) and (b, b)"]
+
     def test_unit_composition_left_and_right(self):
         X = arrow_category()
         Y = z2_category()
