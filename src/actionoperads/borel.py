@@ -85,7 +85,9 @@ class HomEnumeration:
 
 def group_elements(inst: ActionOperad, n: int, bound: int | None) -> tuple[tuple[OperadElement, ...], bool]:
     """The arity-n group: full enumeration when finite, else distinct
-    representatives of generator words up to the length bound."""
+    representatives of generator words up to the length bound, the first
+    word found of each element.  Words are told apart by the instance's
+    normal form where it has one, else by the oracle."""
     els = inst.elements(n)
     if els is not None:
         return els, True
@@ -96,6 +98,7 @@ def group_elements(inst: ActionOperad, n: int, bound: int | None) -> tuple[tuple
     gens = [g for _name, g in inst.generators(n)]
     signed = gens + [inst.inv(g) for g in gens]
     reps: list[OperadElement] = []
+    forms = set()
     frontier = [inst.identity(n)]
     seen_words = set()
     for _depth in range(bound + 1):
@@ -105,7 +108,13 @@ def group_elements(inst: ActionOperad, n: int, bound: int | None) -> tuple[tuple
             if key in seen_words:
                 continue
             seen_words.add(key)
-            if all(not inst.equal(el, r).is_equal for r in reps):
+            form = inst.normal_form(el)
+            if form is None:
+                new = all(not inst.equal(el, r).is_equal for r in reps)
+            else:
+                new = form not in forms
+                forms.add(form)
+            if new:
                 reps.append(el)
             if _depth < bound:
                 next_frontier.extend(inst.mul(el, s) for s in signed)

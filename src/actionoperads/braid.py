@@ -187,6 +187,10 @@ class BraidOperad(WordOperad):
     def format_letter(self, gen: int, sign: int) -> str:
         return f"b{gen}" if sign == 1 else f"B{gen}"
 
+    def normal_form(self, a):
+        self.check_element(a)
+        return _word_garside(a.payload)
+
 
 @lru_cache(maxsize=None)
 def braid_operad() -> BraidOperad:

@@ -162,6 +162,11 @@ class ActionOperad:
         """All elements at arity ``n``, or ``None`` when unavailable."""
         return None
 
+    def normal_form(self, a: OperadElement):
+        """A value two elements of one arity share exactly when they are
+        equal, or ``None`` when equality needs the oracle."""
+        return None
+
     def generators(self, n: int) -> tuple[tuple[str, OperadElement], ...]:
         """Named group generators at arity ``n``."""
         return ()
@@ -536,12 +541,7 @@ class AxiomReport:
     outcomes: dict[str, CheckOutcome]
 
     def passed(self, strict: bool = False) -> bool:
-        for out in self.outcomes.values():
-            if out.failures:
-                return False
-            if strict and out.inconclusive:
-                return False
-        return True
+        return not any(out.failures or strict and out.inconclusive for out in self.outcomes.values())
 
     @property
     def total_checked(self) -> int:
@@ -616,9 +616,7 @@ def nested_size_vectors(max_total: int) -> list[tuple[tuple[int, ...], ...]]:
     """All groupings (consecutive blocks) of positive compositions with
     sum <= ``max_total``; inner vectors are nonempty."""
     out: list[tuple[tuple[int, ...], ...]] = [()]
-    for flat in size_vectors(max_total, include_zero=False):
-        if not flat:
-            continue
+    for flat in size_vectors(max_total, include_zero=False)[1:]:  # after the empty vector
         # choose cut points: each subset of positions 1..m-1
         for cuts in itertools.product((False, True), repeat=len(flat) - 1):
             out.append(_groups(flat, itertools.compress(itertools.count(1), (*cuts, True))))
@@ -642,19 +640,18 @@ def finite_group(inst: ActionOperad, n: int) -> tuple[OperadElement, ...]:
 
 
 class _Kernel:
-    """An instance's groups with elements interned as integers, built by
-    one call of a finite engine (the axiom laws, the free check, the Borel
+    """An instance's groups with elements interned as integers, built by one
+    call of a finite engine (the axiom laws, the free check, the Borel
     realization, the operad as a multicategory, the profunctor lift) and
-    freed when it returns.
+    freed when it returns.  The groups at the given arities are enumerated
+    through :func:`finite_group`; each element is numbered by its key.
 
-    The groups at the given arities are enumerated through
-    :func:`finite_group`, and every element is numbered by
-    :meth:`OperadElement.key`.  ``inv`` and ``pi`` are per-element
-    tables; ``mul``, ``delta`` and ``mu`` keep one row per first argument,
-    mapping the second (an index, a sizes tuple, a tuple of leg indices)
-    to the result; ``beta`` is memoised on its index tuple.  Every entry
-    is computed once, by the instance's own method on the materialised
-    elements, so an overridden or defective method is what gets checked.
+    ``inv`` and ``pi`` are per-element tables; ``mul``, ``delta`` and ``mu``
+    keep one row per first argument, mapping the second (an index, a sizes
+    tuple, a tuple of leg indices) to the result; ``beta`` is memoised on its
+    index tuple.  The hot axiom loops read these rows directly and call the
+    method only on a miss.  Every entry is computed once, by the instance's
+    own method, so an overridden or defective method is what gets checked.
     A result whose key was not enumerated (a wrong arity, a word not in
     reduced form) gets a fresh index.
 
@@ -767,267 +764,274 @@ def check_axioms(inst: ActionOperad, config: AxiomCheckConfig | None = None) -> 
 
     Exhaustive when the instance enumerates its groups at the configured
     arities (then the run is a proof by enumeration at that scale), sampled
-    deterministically otherwise.  Both modes run on interned elements.
+    deterministically otherwise.  Both modes run on interned elements, one
+    loop per law.  A case is rendered only when its sides differ: two
+    permutations are then a failure, and two elements go to the oracle.
     """
     config = config or AxiomCheckConfig()
     exhaustive = inst.elements(config.max_total_arity) is not None
     K = _Kernel(inst, range(config.max_total_arity + 1) if exhaustive else ())
-    cases = (_exhaustive_cases if exhaustive else _sampled_cases)(K, config)
+    outcomes = {}
+    for name, (checked, mismatches) in (_exhaustive_walks if exhaustive else _sampled_walks)(K, config):
+        out = outcomes[name] = CheckOutcome(checked)
+        for lhs, rhs, inputs in mismatches:
+            if isinstance(lhs, int):
+                res = K.equal(lhs, rhs, budget=config.budget)
+                out.inconclusive += res.is_inconclusive
+                if not res.is_distinct:
+                    continue
+                shown = K.format(lhs), K.format(rhs)
+            else:
+                shown = format_perm(lhs), format_perm(rhs)
+            out.failures.append(Failure(name, inputs(), *shown))
+    mode = "exhaustive" if exhaustive else "sampled"
+    return AxiomReport(inst.name, mode, {name: outcomes[name] for name in AXIOM_NAMES})
 
-    outcomes = {name: CheckOutcome() for name in AXIOM_NAMES}
-    for kind, name, (lhs, rhs, inputs) in cases:
-        out = outcomes[name]
-        out.checked += 1
-        if lhs == rhs:
-            continue
-        if kind == "pair":
-            res = K.equal(lhs, rhs, budget=config.budget)
-            if res.is_equal:
+
+# Each law walks its inputs on kernel indices and returns its count of cases
+# and (lhs, rhs, render) for each case whose sides (permutations for the laws
+# about ``pi``, else indices) differ.  The walks that run on a filled kernel
+# and check most cases read its memo rows, calling its methods on a miss.
+
+
+def _pi_homomorphism(K, inputs):
+    """pi(g h) = pi(g) pi(h) for each (g, hs) and each h in hs in turn; where h
+    is None, pi(g^-1) = pi(g)^-1 and pi(e) = e at the arity of g instead."""
+    pi, fmt = K.pi, K.format
+    checked, bad = 0, []
+    for g, hs in inputs:
+        n, pg = K.arity(g), pi(g)
+        for h in hs:
+            if h is None:
+                checked += 2
+                lhs, rhs = pi(K.inv(g)), inverse(pg)
+                if lhs != rhs:
+                    bad.append((lhs, rhs, lambda g=g, n=n: f"inv: {fmt(g)} @ {n}"))
+                lhs, rhs = pi(K.identity(n)), identity(n)
+                if lhs != rhs:
+                    bad.append((lhs, rhs, lambda n=n: f"unit @ {n}"))
                 continue
-            if res.is_inconclusive:
-                out.inconclusive += 1
-                continue
-            shown = K.format(lhs), K.format(rhs)
-        else:
-            shown = format_perm(lhs), format_perm(rhs)
-        rendered = inputs() if callable(inputs) else inputs
-        out.failures.append(Failure(name, rendered, *shown))
-
-    return AxiomReport(inst.name, "exhaustive" if exhaustive else "sampled", outcomes)
+            checked += 1
+            lhs, rhs = pi(K.mul(g, h)), compose(pg, pi(h))
+            if lhs != rhs:
+                bad.append((lhs, rhs, lambda g=g, h=h, n=n: f"mul: {fmt(g)} * {fmt(h)} @ {n}"))
+    return checked, bad
 
 
-# Each case states one law once, on kernel indices.  A helper that states
-# one case returns it; the two that state two cases are generators.
+def _beta_homomorphism(K, inputs):
+    """beta(gs) beta(hs) = beta(g1 h1, ..., gn hn), each gs, then each hs, of each pair of choices."""
+    fmt, betas, rows = K.format, K._beta, K._mul
+    checked, bad = 0, []
+    for gs_choices, hs_choices in inputs:
+        for gs in gs_choices:
+            checked += len(hs_choices)
+            for hs in hs_choices:
+                try:
+                    lhs = rows[betas[gs]][betas[hs]]
+                    rhs = betas[tuple([rows[g][h] for g, h in zip(gs, hs)])]
+                except KeyError:
+                    lhs = K.mul(K.beta(gs), K.beta(hs))
+                    rhs = K.beta([K.mul(g, h) for g, h in zip(gs, hs)])
+                if lhs != rhs:
+                    bad.append((lhs, rhs, lambda gs=gs, hs=hs: (
+                        f"beta({', '.join(map(fmt, gs))}) * beta({', '.join(map(fmt, hs))})"
+                        f" at arities {tuple(map(K.arity, gs))}")))
+    return checked, bad
 
 
-def _case_pi_mul(C, g, h):
-    lhs = C.pi(C.mul(g, h))
-    rhs = compose(C.pi(g), C.pi(h))
-    return ("perm", "pi_homomorphism",
-            (lhs, rhs, lambda: f"mul: {C.format(g)} * {C.format(h)} @ {C.arity(g)}"))
+def _beta_naturality(K, inputs):
+    """pi(beta(hs)) is the block sum of the pi(h)."""
+    checked, bad = 0, []
+    for checked, hs in enumerate(inputs, 1):
+        lhs, rhs = K.pi(K.beta(hs)), block_sum([K.pi(h) for h in hs])
+        if lhs != rhs:
+            bad.append((lhs, rhs, lambda hs=hs: (
+                f"beta({', '.join(map(K.format, hs))}) at arities {tuple(map(K.arity, hs))}")))
+    return checked, bad
 
 
-def _case_pi_inv_unit(C, g):
-    n = C.arity(g)
-    yield (
-        "perm",
-        "pi_homomorphism",
-        (C.pi(C.inv(g)), inverse(C.pi(g)), lambda: f"inv: {C.format(g)} @ {n}"),
-    )
-    yield ("perm", "pi_homomorphism", (C.pi(C.identity(n)), identity(n), f"unit @ {n}"))
+def _beta_unary_identity(K, inputs):
+    """beta(g) = g."""
+    checked, bad = 0, []
+    for checked, g in enumerate(inputs, 1):
+        lhs = K.beta((g,))
+        if lhs != g:
+            bad.append((lhs, g, lambda g=g: f"{K.format(g)} @ {K.arity(g)}"))
+    return checked, bad
 
 
-def _case_beta_homomorphism(C, gs, hs):
-    lhs = C.mul(C.beta(gs), C.beta(hs))
-    rhs = C.beta([C.mul(g, h) for g, h in zip(gs, hs)])
-
-    def inputs():
-        return (
-            "beta(" + ", ".join(C.format(g) for g in gs) + ") * beta("
-            + ", ".join(C.format(h) for h in hs)
-            + f") at arities {tuple(C.arity(g) for g in gs)}"
-        )
-
-    return ("pair", "beta_homomorphism", (lhs, rhs, inputs))
+def _beta_associativity(K, inputs):
+    """beta of the groups laid end to end is beta of the groups' block sums."""
+    checked, bad = 0, []
+    for checked, groups in enumerate(inputs, 1):
+        lhs, rhs = K.beta([e for grp in groups for e in grp]), K.beta([K.beta(grp) for grp in groups])
+        if lhs != rhs:
+            bad.append((lhs, rhs, lambda gr=groups: f"groups {tuple(tuple(map(K.arity, g)) for g in gr)}"))
+    return checked, bad
 
 
-def _case_beta_naturality(C, hs):
-    lhs = C.pi(C.beta(hs))
-    rhs = block_sum([C.pi(h) for h in hs])
-
-    def inputs():
-        return "beta(" + ", ".join(C.format(h) for h in hs) + f") at arities {tuple(C.arity(h) for h in hs)}"
-
-    return ("perm", "beta_naturality", (lhs, rhs, inputs))
-
-
-def _case_beta_unary(C, g):
-    return ("pair", "beta_unary_identity", (C.beta([g]), g, lambda: f"{C.format(g)} @ {C.arity(g)}"))
+def _delta_naturality(K, inputs):
+    """pi(delta(g, sizes)) inflates pi(g) to blocks of those widths."""
+    checked, bad = 0, []
+    for checked, (g, sizes) in enumerate(inputs, 1):
+        lhs, rhs = K.pi(K.delta(g, sizes)), block_perm(K.pi(g), sizes)
+        if lhs != rhs:
+            bad.append((lhs, rhs, lambda g=g, sizes=sizes: f"{K.format(g)} @ {K.arity(g)}; sizes {sizes}"))
+    return checked, bad
 
 
-def _case_beta_assoc(C, groups):
-    flat = [e for grp in groups for e in grp]
-    lhs = C.beta(flat)
-    rhs = C.beta([C.beta(list(grp)) for grp in groups])
-    return ("pair", "beta_associativity",
-            (lhs, rhs, lambda: "groups " + str(tuple(tuple(C.arity(e) for e in grp) for grp in groups))))
+def _delta_unit_sizes(K, inputs):
+    """For each (g, n): delta(g, (1, ..., 1)) = g, and delta(e, (n,)) = e
+    with e the unit of arity 1, then of arity n."""
+    checked, bad = 0, []
+    for checked, (g, n_for_unit) in enumerate(inputs, 1):
+        n = K.arity(g)
+        lhs = K.delta(g, (1,) * n)
+        if lhs != g:
+            bad.append((lhs, g, lambda g=g, n=n: f"{K.format(g)} @ {n}; sizes (1,)*{n}"))
+        lhs, rhs = K.delta(K.identity(1), (n_for_unit,)), K.identity(n_for_unit)
+        if lhs != rhs:
+            bad.append((lhs, rhs, lambda n=n_for_unit: f"unit @ 1; sizes ({n},)"))
+    return 2 * checked, bad
 
 
-def _case_delta_naturality(C, g, sizes):
-    lhs = C.pi(C.delta(g, sizes))
-    rhs = block_perm(C.pi(g), sizes)
-    return ("perm", "delta_naturality", (lhs, rhs, lambda: f"{C.format(g)} @ {C.arity(g)}; sizes {sizes}"))
+def _delta_product_twist(K, inputs):
+    """delta(g, k) delta(h, j) = delta(g h, j), with k the widths j moved by
+    pi(h), for each (j, gs, hs), each g in gs and then each h in hs."""
+    fmt, deltas, rows = K.format, K._delta, K._mul
+    checked, bad = 0, []
+    for jsizes, gs, hs in inputs:
+        twisted = [(h, act_on_positions(K.pi(h), jsizes), K.delta(h, jsizes)) for h in hs]
+        for g in gs:
+            checked += len(twisted)
+            dg, row = deltas[g], rows[g]
+            for h, ksizes, dh in twisted:
+                try:
+                    lhs, rhs = rows[dg[ksizes]][dh], deltas[row[h]][jsizes]
+                except KeyError:
+                    lhs, rhs = K.mul(K.delta(g, ksizes), dh), K.delta(K.mul(g, h), jsizes)
+                if lhs != rhs:
+                    bad.append((lhs, rhs, lambda g=g, h=h, j=jsizes: (
+                        f"{fmt(g)} * {fmt(h)} @ {K.arity(g)}; sizes {tuple(j)}")))
+    return checked, bad
 
 
-def _case_delta_units(C, g, n_for_unit):
-    n = C.arity(g)
-    yield (
-        "pair",
-        "delta_unit_sizes",
-        (C.delta(g, (1,) * n), g, lambda: f"{C.format(g)} @ {n}; sizes (1,)*{n}"),
-    )
-    yield (
-        "pair",
-        "delta_unit_sizes",
-        (
-            C.delta(C.identity(1), (n_for_unit,)),
-            C.identity(n_for_unit),
-            f"unit @ 1; sizes ({n_for_unit},)",
-        ),
-    )
+def _delta_nesting(K, inputs):
+    """delta(delta(f, m), p) = delta(f, p summed within each block of m)."""
+    checked, bad = 0, []
+    for checked, (f, msizes, plists) in enumerate(inputs, 1):
+        lhs = K.delta(K.delta(f, msizes), tuple(p for pl in plists for p in pl))
+        rhs = K.delta(f, tuple(map(sum, plists)))
+        if lhs != rhs:
+            bad.append((lhs, rhs, lambda f=f, m=msizes, p=plists: (
+                f"{K.format(f)} @ {K.arity(f)}; m {tuple(m)}; p {tuple(p)}")))
+    return checked, bad
 
 
-def _case_delta_product(C, g, h, jsizes):
-    ksizes = act_on_positions(C.pi(h), jsizes)
-    lhs = C.mul(C.delta(g, ksizes), C.delta(h, jsizes))
-    rhs = C.delta(C.mul(g, h), jsizes)
-    return ("pair", "delta_product_twist",
-            (lhs, rhs, lambda: f"{C.format(g)} * {C.format(h)} @ {C.arity(g)}; sizes {tuple(jsizes)}"))
+def _delta_beta_twist(K, inputs):
+    """delta(g, sizes) beta(hs) = beta(hs moved by pi(g)) delta(g, sizes)."""
+    checked, bad = 0, []
+    for checked, (g, hs) in enumerate(inputs, 1):
+        dg = K.delta(g, tuple(map(K.arity, hs)))
+        lhs, rhs = K.mul(dg, K.beta(hs)), K.mul(K.beta(act_on_positions(K.pi(g), hs)), dg)
+        if lhs != rhs:
+            bad.append((lhs, rhs, lambda g=g, hs=hs: f"{K.format(g)} @ {K.arity(g)}; args " + ", ".join(
+                f"{K.format(h)}@{K.arity(h)}" for h in hs)))
+    return checked, bad
 
 
-def _case_delta_nesting(C, f, msizes, plists):
-    flat = tuple(p for pl in plists for p in pl)
-    inner = C.delta(f, msizes)
-    lhs = C.delta(inner, flat)
-    totals = tuple(sum(pl) for pl in plists)
-    rhs = C.delta(f, totals)
-    return ("pair", "delta_nesting",
-            (lhs, rhs, lambda: f"{C.format(f)} @ {C.arity(f)}; m {tuple(msizes)}; p {tuple(plists)}"))
+def _beta_delta_interchange(K, inputs):
+    """beta(delta(g_i, m_i)) = delta(beta(gs), the m_i laid end to end)."""
+    checked, bad = 0, []
+    for checked, (gs, mlists) in enumerate(inputs, 1):
+        lhs = K.beta([K.delta(g, ml) for g, ml in zip(gs, mlists)])
+        rhs = K.delta(K.beta(gs), tuple(m for ml in mlists for m in ml))
+        if lhs != rhs:
+            bad.append((lhs, rhs, lambda gs=gs, mlists=mlists: "; ".join(
+                f"{K.format(g)}@{K.arity(g)} sizes {tuple(ml)}" for g, ml in zip(gs, mlists))))
+    return checked, bad
 
 
-def _case_delta_beta_twist(C, g, hs):
-    sizes = tuple(C.arity(h) for h in hs)
-    dg = C.delta(g, sizes)
-    lhs = C.mul(dg, C.beta(hs))
-    rhs = C.mul(C.beta(act_on_positions(C.pi(g), hs)), dg)
-
-    def inputs():
-        return f"{C.format(g)} @ {C.arity(g)}; args " + ", ".join(
-            f"{C.format(h)}@{C.arity(h)}" for h in hs
-        )
-
-    return ("pair", "delta_beta_twist", (lhs, rhs, inputs))
-
-
-def _case_beta_delta_interchange(C, gs, mlists):
-    lhs = C.beta([C.delta(g, ml) for g, ml in zip(gs, mlists)])
-    flat = tuple(m for ml in mlists for m in ml)
-    rhs = C.delta(C.beta(gs), flat)
-
-    def inputs():
-        return "; ".join(f"{C.format(g)}@{C.arity(g)} sizes {tuple(ml)}" for g, ml in zip(gs, mlists))
-
-    return ("pair", "beta_delta_interchange", (lhs, rhs, inputs))
-
-
-def _interchange_cases(C, g, gp, fps_choices, fs_choices):
-    """composition_interchange at g, g' for each f' in ``fps_choices`` and
-    each f in ``fs_choices`` (re-iterated per f'); what depends on g, g' or
-    f' alone is computed once."""
-    slots = [i - 1 for i in C.pi(gp).images]
-    ggp = C.mul(g, gp)
-    for fps in fps_choices:
-        right = C.mu(gp, fps)
-        for fs in fs_choices:
-            lhs = C.mul(C.mu(g, fs), right)
-            rhs = C.mu(ggp, [C.mul(fs[s], fp) for s, fp in zip(slots, fps)])
-            yield ("pair", "composition_interchange",
-                   (lhs, rhs, lambda fs=fs, fps=fps: _interchange_inputs(C, g, gp, fs, fps)))
+def _composition_interchange(K, inputs):
+    """mu(g; fs) mu(g'; fps) = mu(g g'; f_pi(g')(1) f'_1, ...), each g, then f', then f of each
+    (g', gs, fps choices, fs choices); what depends on g', g or f' alone is computed once."""
+    fmt, mus, rows = K.format, K._mu, K._mul
+    checked, bad = 0, []
+    for gp, gs, fps_choices, fs_choices in inputs:
+        slots = [i - 1 for i in K.pi(gp).images]
+        rights = [(fps, K.mu(gp, fps), list(zip(slots, fps))) for fps in fps_choices]
+        for g in gs:
+            checked += len(rights) * len(fs_choices)
+            ggp = K.mul(g, gp)
+            mu_g, mu_ggp = mus[g], mus[ggp]
+            for fps, right, legs in rights:
+                for fs in fs_choices:
+                    try:
+                        lhs = rows[mu_g[fs]][right]
+                        rhs = mu_ggp[tuple([rows[fs[s]][fp] for s, fp in legs])]
+                    except KeyError:
+                        lhs = K.mul(K.mu(g, fs), right)
+                        rhs = K.mu(ggp, [K.mul(fs[s], fp) for s, fp in legs])
+                    if lhs != rhs:
+                        bad.append((lhs, rhs, lambda g=g, gp=gp, fs=fs, fps=fps: (
+                            f"g {fmt(g)}, g' {fmt(gp)} @ {K.arity(g)}; "
+                            + "f " + ", ".join(f"{fmt(x)}@{K.arity(x)}" for x in fs)
+                            + "; f' " + ", ".join(f"{fmt(x)}@{K.arity(x)}" for x in fps))))
+    return checked, bad
 
 
-def _interchange_inputs(C, g, gp, fs, fps) -> str:
-    return (
-        f"g {C.format(g)}, g' {C.format(gp)} @ {C.arity(g)}; "
-        + "f " + ", ".join(f"{C.format(x)}@{C.arity(x)}" for x in fs)
-        + "; f' " + ", ".join(f"{C.format(x)}@{C.arity(x)}" for x in fps)
-    )
-
-
-def _exhaustive_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
+def _exhaustive_walks(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
+    """Each law on every input within ``max_total_arity``, enumerated lazily from the kernel's groups."""
     A = config.max_total_arity
+    arities = range(A + 1)
     vectors = size_vectors(A, include_zero=True)
-    positive_vectors = [v for v in vectors if all(k >= 1 for k in v)]
+    positive = [v for v in vectors if all(v)]
     els = K.elements
 
-    # pi homomorphism on all pairs per arity; inverses and units per element
-    for n in range(0, A + 1):
-        for g in els(n):
-            yield from _case_pi_inv_unit(K, g)
-            for h in els(n):
-                yield _case_pi_mul(K, g, h)
+    def tuples(v):
+        return itertools.product(*[els(k) for k in v])
 
-    for v in vectors:
-        tuple_space = [els(k) for k in v]
-        for hs in itertools.product(*tuple_space):
-            yield _case_beta_naturality(K, hs)
-        for gs in itertools.product(*tuple_space):
-            for hs in itertools.product(*tuple_space):
-                yield _case_beta_homomorphism(K, gs, hs)
-
-    for n in range(0, A + 1):
-        for g in els(n):
-            yield _case_beta_unary(K, g)
-            yield from _case_delta_units(K, g, n)
-
-    for groups in nested_size_vectors(A):
-        spaces = [[els(k) for k in grp] for grp in groups]
-        for flat_choice in itertools.product(*(itertools.product(*sp) for sp in spaces)):
-            yield _case_beta_assoc(K, flat_choice)
-
-    for v in vectors:
-        n = len(v)
-        for g in els(n):
-            yield _case_delta_naturality(K, g, v)
-
-    for v in positive_vectors:
-        n = len(v)
-        for g in els(n):
-            for h in els(n):
-                yield _case_delta_product(K, g, h, v)
-
+    yield "pi_homomorphism", _pi_homomorphism(K, ((g, (None, *els(n))) for n in arities for g in els(n)))
+    yield "beta_homomorphism", _beta_homomorphism(K, ((tuples(v), list(tuples(v))) for v in vectors))
+    yield "beta_naturality", _beta_naturality(K, (hs for v in vectors for hs in tuples(v)))
+    yield "beta_unary_identity", _beta_unary_identity(K, (g for n in arities for g in els(n)))
+    yield "beta_associativity", _beta_associativity(
+        K, (choice for groups in nested_size_vectors(A) for choice in itertools.product(*map(tuples, groups))))
+    yield "delta_naturality", _delta_naturality(K, ((g, v) for v in vectors for g in els(len(v))))
+    yield "delta_unit_sizes", _delta_unit_sizes(K, ((g, n) for n in arities for g in els(n)))
+    yield "delta_product_twist", _delta_product_twist(K, ((v, els(len(v)), els(len(v))) for v in positive))
     # nesting: m-vector then one positive width per strand, total capped
-    for msizes in positive_vectors:
-        M = sum(msizes)
-        for ptotal in range(M, A + 1):
-            for flat_p in compositions_of(ptotal, M):
-                plists = _groups(flat_p, itertools.accumulate(msizes))
-                for f in els(len(msizes)):
-                    yield _case_delta_nesting(K, f, msizes, plists)
-
-    for v in positive_vectors:
-        n = len(v)
-        for g in els(n):
-            for hs in itertools.product(*[els(k) for k in v]):
-                yield _case_delta_beta_twist(K, g, hs)
-
-    for groups in nested_size_vectors(A):
-        ks = tuple(len(grp) for grp in groups)
-        for gs in itertools.product(*[els(k) for k in ks]):
-            yield _case_beta_delta_interchange(K, gs, groups)
-
-    for v in positive_vectors:
-        n = len(v)
-        for gp in els(n):
-            pgp_inv = inverse(K.pi(gp))
-            f_arities = tuple(v[pgp_inv.images[i] - 1] for i in range(n))
-            f_choices = list(itertools.product(*[els(k) for k in f_arities]))
-            for g in els(n):
-                yield from _interchange_cases(K, g, gp, itertools.product(*[els(k) for k in v]), f_choices)
+    yield "delta_nesting", _delta_nesting(K, (
+        (f, m, _groups(p, itertools.accumulate(m)))
+        for m in positive for total in range(sum(m), A + 1) for p in compositions_of(total, sum(m))
+        for f in els(len(m))))
+    yield "delta_beta_twist", _delta_beta_twist(
+        K, ((g, hs) for v in positive for g in els(len(v)) for hs in tuples(v)))
+    yield "beta_delta_interchange", _beta_delta_interchange(
+        K, ((gs, groups) for groups in nested_size_vectors(A) for gs in tuples(map(len, groups))))
+    # the i-th f lives at arity v[pi(g')^-1(i)]
+    yield "composition_interchange", _composition_interchange(K, (
+        (gp, els(len(v)), fps_choices, list(tuples(act_on_positions(K.pi(gp), v))))
+        for v in positive for fps_choices in [list(tuples(v))] for gp in els(len(v))))
 
 
 # whole block-size vectors a sampled check draws before it draws width by width
 SIZE_DRAWS = 64
 
 
-def _sampled_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
-    """Shapes and elements drawn from one seeded stream; each drawn
-    element is interned in the kernel."""
+def _sampled_walks(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
+    """Shapes and elements drawn from one seeded stream: in a fixed order, a
+    block of ``samples_per_axiom`` draws per law or pair of laws, drawn whole
+    before its laws walk it.  Each drawn element is interned in the kernel."""
     stream = DeterministicStream(config.seed)
-    N = config.samples_per_axiom
+    blocks = range(config.samples_per_axiom)
     cap = config.max_result_arity
 
-    def sample_element(n: int) -> int:
+    def element(n: int) -> int:
         return K.intern(K.inst.sample(n, stream, config.max_word_length))
+
+    def elements(v) -> tuple[int, ...]:
+        return tuple(element(k) for k in v)
 
     def sample_sizes(parts: int, max_total: int) -> tuple[int, ...]:
         if parts > max_total:
@@ -1051,83 +1055,76 @@ def _sampled_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
     def sample_arity() -> int:
         hi = min(config.max_total_arity, cap)
         return 1 + stream.next_int(hi) if hi > 0 else 0
-
-    def arity_vector():
-        return sample_sizes(1 + stream.next_int(3), max_total=cap)
-
-    for _ in range(N):
+    pairs = []
+    for _ in blocks:
         n = sample_arity()
-        g = sample_element(n)
-        h = sample_element(n)
-        yield _case_pi_mul(K, g, h)
-        yield from _case_pi_inv_unit(K, g)
+        g = element(n)
+        pairs.append((g, (element(n), None)))
+    yield "pi_homomorphism", _pi_homomorphism(K, pairs)
 
-    for _ in range(N):
-        v = arity_vector()
-        hs = [sample_element(k) for k in v]
-        gs = [sample_element(k) for k in v]
-        yield _case_beta_naturality(K, hs)
-        yield _case_beta_homomorphism(K, gs, hs)
+    tuple_pairs = []
+    for _ in blocks:
+        v = sample_sizes(1 + stream.next_int(3), max_total=cap)
+        hs = elements(v)
+        tuple_pairs.append((elements(v), hs))
+    yield "beta_naturality", _beta_naturality(K, [hs for _, hs in tuple_pairs])
+    yield "beta_homomorphism", _beta_homomorphism(K, [([gs], [hs]) for gs, hs in tuple_pairs])
 
-    for _ in range(N):
+    units = []
+    for _ in blocks:
         n = sample_arity()
-        g = sample_element(n)
-        yield _case_beta_unary(K, g)
-        yield from _case_delta_units(K, g, n)
+        units.append((element(n), n))
+    yield "beta_unary_identity", _beta_unary_identity(K, [g for g, _ in units])
+    yield "delta_unit_sizes", _delta_unit_sizes(K, units)
 
-    for _ in range(N):
-        flat = arity_vector()
+    choices = []
+    for _ in blocks:
+        flat = sample_sizes(1 + stream.next_int(3), max_total=cap)
         cuts = [stream.next_int(2) for _ in range(len(flat) - 1)]
-        groups = _groups(flat, itertools.compress(itertools.count(1), (*cuts, 1)))
-        flat_els = [[sample_element(k) for k in grp] for grp in groups]
-        yield _case_beta_assoc(K, flat_els)
+        choices.append(tuple(map(elements, _groups(flat, itertools.compress(itertools.count(1), (*cuts, 1))))))
+    yield "beta_associativity", _beta_associativity(K, choices)
 
-    for _ in range(N):
+    products = []
+    for _ in blocks:
         n = sample_arity()
-        g = sample_element(n)
+        g = element(n)
         v = sample_sizes(n, max_total=cap)
-        yield _case_delta_naturality(K, g, v)
-        h = sample_element(n)
-        yield _case_delta_product(K, g, h, v)
+        products.append((v, (g,), (element(n),)))
+    yield "delta_naturality", _delta_naturality(K, [(g, v) for v, (g,), _ in products])
+    yield "delta_product_twist", _delta_product_twist(K, products)
 
-    for _ in range(N):
+    nestings = []
+    for _ in blocks:
         n = 1 + stream.next_int(2)
         msizes = sample_sizes(n, max_total=3)
-        M = sum(msizes)
-        plists = _groups(sample_sizes(M, max_total=cap), itertools.accumulate(msizes))
-        f = sample_element(n)
-        yield _case_delta_nesting(K, f, msizes, plists)
+        plists = _groups(sample_sizes(sum(msizes), max_total=cap), itertools.accumulate(msizes))
+        nestings.append((element(n), msizes, plists))
+    yield "delta_nesting", _delta_nesting(K, nestings)
 
-    for _ in range(N):
+    twists = []
+    for _ in blocks:
         n = sample_arity()
-        g = sample_element(n)
-        v = sample_sizes(n, max_total=cap)
-        hs = [sample_element(k) for k in v]
-        yield _case_delta_beta_twist(K, g, hs)
+        g = element(n)
+        twists.append((g, elements(sample_sizes(n, max_total=cap))))
+    yield "delta_beta_twist", _delta_beta_twist(K, twists)
 
-    for _ in range(N):
-        parts = 1 + stream.next_int(2)
-        mlists = []
-        total = 0
-        for _ in range(parts):
+    interchanges = []
+    for _ in blocks:
+        mlists, total = [], 0
+        for _ in range(1 + stream.next_int(2)):
             remaining = max(1, cap - total)
-            ln = min(1 + stream.next_int(2), remaining)
-            ml = sample_sizes(ln, max_total=remaining)
-            total += sum(ml)
-            mlists.append(ml)
-        gs = [sample_element(len(ml)) for ml in mlists]
-        yield _case_beta_delta_interchange(K, gs, mlists)
+            mlists.append(sample_sizes(min(1 + stream.next_int(2), remaining), max_total=remaining))
+            total += sum(mlists[-1])
+        interchanges.append((elements(map(len, mlists)), mlists))
+    yield "beta_delta_interchange", _beta_delta_interchange(K, interchanges)
 
-    for _ in range(N):
+    composites = []
+    for _ in blocks:
         n = 1 + stream.next_int(2)
         v = sample_sizes(n, max_total=cap)
-        gp = sample_element(n)
-        g = sample_element(n)
-        pgp_inv = inverse(K.pi(gp))
-        f_arities = tuple(v[pgp_inv.images[i] - 1] for i in range(n))
-        fps = [sample_element(k) for k in v]
-        fs = [sample_element(k) for k in f_arities]
-        yield from _interchange_cases(K, g, gp, [fps], [fs])
+        gp, g = element(n), element(n)
+        composites.append((gp, [g], [elements(v)], [elements(act_on_positions(K.pi(gp), v))]))
+    yield "composition_interchange", _composition_interchange(K, composites)
 
 
 # ---------------------------------------------------------------------------

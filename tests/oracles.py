@@ -9,11 +9,26 @@ library's braid code.
 
 from __future__ import annotations
 
+import itertools
 from itertools import accumulate, product
+from typing import Iterator
 
-from actionoperads.core import _groups
+from actionoperads.core import (
+    AXIOM_NAMES,
+    SIZE_DRAWS,
+    AxiomCheckConfig,
+    AxiomReport,
+    CheckOutcome,
+    DeterministicStream,
+    Failure,
+    _groups,
+    _Kernel,
+    compositions_of,
+    nested_size_vectors,
+    size_vectors,
+)
 from actionoperads.multicat import act_by
-from actionoperads.perm import act_on_positions
+from actionoperads.perm import act_on_positions, block_perm, block_sum, compose, format_perm, identity, inverse
 
 
 class UnionFind:
@@ -570,3 +585,364 @@ def reference_class_equal(w1, w2, sys, budget=None):
             queues[side].append(nxt)
     stop = "budget" if queues[0] or queues[1] else "space_exhausted"
     return EqResult("inconclusive", states=expanded, stop=stop)
+
+
+def reference_check_axioms(inst, config: AxiomCheckConfig | None = None) -> AxiomReport:
+    """``check_axioms`` as first written: every case is a tuple
+    ``(kind, law, (lhs, rhs, inputs))`` yielded through a generator, with a
+    closure that renders its inputs, and the verdict rule runs per case."""
+    config = config or AxiomCheckConfig()
+    exhaustive = inst.elements(config.max_total_arity) is not None
+    K = _Kernel(inst, range(config.max_total_arity + 1) if exhaustive else ())
+    cases = (_exhaustive_cases if exhaustive else _sampled_cases)(K, config)
+
+    outcomes = {name: CheckOutcome() for name in AXIOM_NAMES}
+    for kind, name, (lhs, rhs, inputs) in cases:
+        out = outcomes[name]
+        out.checked += 1
+        if lhs == rhs:
+            continue
+        if kind == "pair":
+            res = K.equal(lhs, rhs, budget=config.budget)
+            if res.is_equal:
+                continue
+            if res.is_inconclusive:
+                out.inconclusive += 1
+                continue
+            shown = K.format(lhs), K.format(rhs)
+        else:
+            shown = format_perm(lhs), format_perm(rhs)
+        rendered = inputs() if callable(inputs) else inputs
+        out.failures.append(Failure(name, rendered, *shown))
+
+    return AxiomReport(inst.name, "exhaustive" if exhaustive else "sampled", outcomes)
+
+
+# Each case states one law once, on kernel indices.  A helper that states
+# one case returns it; the two that state two cases are generators.
+
+
+def _case_pi_mul(C, g, h):
+    lhs = C.pi(C.mul(g, h))
+    rhs = compose(C.pi(g), C.pi(h))
+    return ("perm", "pi_homomorphism",
+            (lhs, rhs, lambda: f"mul: {C.format(g)} * {C.format(h)} @ {C.arity(g)}"))
+
+
+def _case_pi_inv_unit(C, g):
+    n = C.arity(g)
+    yield (
+        "perm",
+        "pi_homomorphism",
+        (C.pi(C.inv(g)), inverse(C.pi(g)), lambda: f"inv: {C.format(g)} @ {n}"),
+    )
+    yield ("perm", "pi_homomorphism", (C.pi(C.identity(n)), identity(n), f"unit @ {n}"))
+
+
+def _case_beta_homomorphism(C, gs, hs):
+    lhs = C.mul(C.beta(gs), C.beta(hs))
+    rhs = C.beta([C.mul(g, h) for g, h in zip(gs, hs)])
+
+    def inputs():
+        return (
+            "beta(" + ", ".join(C.format(g) for g in gs) + ") * beta("
+            + ", ".join(C.format(h) for h in hs)
+            + f") at arities {tuple(C.arity(g) for g in gs)}"
+        )
+
+    return ("pair", "beta_homomorphism", (lhs, rhs, inputs))
+
+
+def _case_beta_naturality(C, hs):
+    lhs = C.pi(C.beta(hs))
+    rhs = block_sum([C.pi(h) for h in hs])
+
+    def inputs():
+        return "beta(" + ", ".join(C.format(h) for h in hs) + f") at arities {tuple(C.arity(h) for h in hs)}"
+
+    return ("perm", "beta_naturality", (lhs, rhs, inputs))
+
+
+def _case_beta_unary(C, g):
+    return ("pair", "beta_unary_identity", (C.beta([g]), g, lambda: f"{C.format(g)} @ {C.arity(g)}"))
+
+
+def _case_beta_assoc(C, groups):
+    flat = [e for grp in groups for e in grp]
+    lhs = C.beta(flat)
+    rhs = C.beta([C.beta(list(grp)) for grp in groups])
+    return ("pair", "beta_associativity",
+            (lhs, rhs, lambda: "groups " + str(tuple(tuple(C.arity(e) for e in grp) for grp in groups))))
+
+
+def _case_delta_naturality(C, g, sizes):
+    lhs = C.pi(C.delta(g, sizes))
+    rhs = block_perm(C.pi(g), sizes)
+    return ("perm", "delta_naturality", (lhs, rhs, lambda: f"{C.format(g)} @ {C.arity(g)}; sizes {sizes}"))
+
+
+def _case_delta_units(C, g, n_for_unit):
+    n = C.arity(g)
+    yield (
+        "pair",
+        "delta_unit_sizes",
+        (C.delta(g, (1,) * n), g, lambda: f"{C.format(g)} @ {n}; sizes (1,)*{n}"),
+    )
+    yield (
+        "pair",
+        "delta_unit_sizes",
+        (
+            C.delta(C.identity(1), (n_for_unit,)),
+            C.identity(n_for_unit),
+            f"unit @ 1; sizes ({n_for_unit},)",
+        ),
+    )
+
+
+def _case_delta_product(C, g, h, jsizes):
+    ksizes = act_on_positions(C.pi(h), jsizes)
+    lhs = C.mul(C.delta(g, ksizes), C.delta(h, jsizes))
+    rhs = C.delta(C.mul(g, h), jsizes)
+    return ("pair", "delta_product_twist",
+            (lhs, rhs, lambda: f"{C.format(g)} * {C.format(h)} @ {C.arity(g)}; sizes {tuple(jsizes)}"))
+
+
+def _case_delta_nesting(C, f, msizes, plists):
+    flat = tuple(p for pl in plists for p in pl)
+    inner = C.delta(f, msizes)
+    lhs = C.delta(inner, flat)
+    totals = tuple(sum(pl) for pl in plists)
+    rhs = C.delta(f, totals)
+    return ("pair", "delta_nesting",
+            (lhs, rhs, lambda: f"{C.format(f)} @ {C.arity(f)}; m {tuple(msizes)}; p {tuple(plists)}"))
+
+
+def _case_delta_beta_twist(C, g, hs):
+    sizes = tuple(C.arity(h) for h in hs)
+    dg = C.delta(g, sizes)
+    lhs = C.mul(dg, C.beta(hs))
+    rhs = C.mul(C.beta(act_on_positions(C.pi(g), hs)), dg)
+
+    def inputs():
+        return f"{C.format(g)} @ {C.arity(g)}; args " + ", ".join(
+            f"{C.format(h)}@{C.arity(h)}" for h in hs
+        )
+
+    return ("pair", "delta_beta_twist", (lhs, rhs, inputs))
+
+
+def _case_beta_delta_interchange(C, gs, mlists):
+    lhs = C.beta([C.delta(g, ml) for g, ml in zip(gs, mlists)])
+    flat = tuple(m for ml in mlists for m in ml)
+    rhs = C.delta(C.beta(gs), flat)
+
+    def inputs():
+        return "; ".join(f"{C.format(g)}@{C.arity(g)} sizes {tuple(ml)}" for g, ml in zip(gs, mlists))
+
+    return ("pair", "beta_delta_interchange", (lhs, rhs, inputs))
+
+
+def _interchange_cases(C, g, gp, fps_choices, fs_choices):
+    """composition_interchange at g, g' for each f' in ``fps_choices`` and
+    each f in ``fs_choices`` (re-iterated per f'); what depends on g, g' or
+    f' alone is computed once."""
+    slots = [i - 1 for i in C.pi(gp).images]
+    ggp = C.mul(g, gp)
+    for fps in fps_choices:
+        right = C.mu(gp, fps)
+        for fs in fs_choices:
+            lhs = C.mul(C.mu(g, fs), right)
+            rhs = C.mu(ggp, [C.mul(fs[s], fp) for s, fp in zip(slots, fps)])
+            yield ("pair", "composition_interchange",
+                   (lhs, rhs, lambda fs=fs, fps=fps: _interchange_inputs(C, g, gp, fs, fps)))
+
+
+def _interchange_inputs(C, g, gp, fs, fps) -> str:
+    return (
+        f"g {C.format(g)}, g' {C.format(gp)} @ {C.arity(g)}; "
+        + "f " + ", ".join(f"{C.format(x)}@{C.arity(x)}" for x in fs)
+        + "; f' " + ", ".join(f"{C.format(x)}@{C.arity(x)}" for x in fps)
+    )
+
+
+def _exhaustive_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
+    A = config.max_total_arity
+    vectors = size_vectors(A, include_zero=True)
+    positive_vectors = [v for v in vectors if all(k >= 1 for k in v)]
+    els = K.elements
+
+    # pi homomorphism on all pairs per arity; inverses and units per element
+    for n in range(0, A + 1):
+        for g in els(n):
+            yield from _case_pi_inv_unit(K, g)
+            for h in els(n):
+                yield _case_pi_mul(K, g, h)
+
+    for v in vectors:
+        tuple_space = [els(k) for k in v]
+        for hs in itertools.product(*tuple_space):
+            yield _case_beta_naturality(K, hs)
+        for gs in itertools.product(*tuple_space):
+            for hs in itertools.product(*tuple_space):
+                yield _case_beta_homomorphism(K, gs, hs)
+
+    for n in range(0, A + 1):
+        for g in els(n):
+            yield _case_beta_unary(K, g)
+            yield from _case_delta_units(K, g, n)
+
+    for groups in nested_size_vectors(A):
+        spaces = [[els(k) for k in grp] for grp in groups]
+        for flat_choice in itertools.product(*(itertools.product(*sp) for sp in spaces)):
+            yield _case_beta_assoc(K, flat_choice)
+
+    for v in vectors:
+        n = len(v)
+        for g in els(n):
+            yield _case_delta_naturality(K, g, v)
+
+    for v in positive_vectors:
+        n = len(v)
+        for g in els(n):
+            for h in els(n):
+                yield _case_delta_product(K, g, h, v)
+
+    # nesting: m-vector then one positive width per strand, total capped
+    for msizes in positive_vectors:
+        M = sum(msizes)
+        for ptotal in range(M, A + 1):
+            for flat_p in compositions_of(ptotal, M):
+                plists = _groups(flat_p, itertools.accumulate(msizes))
+                for f in els(len(msizes)):
+                    yield _case_delta_nesting(K, f, msizes, plists)
+
+    for v in positive_vectors:
+        n = len(v)
+        for g in els(n):
+            for hs in itertools.product(*[els(k) for k in v]):
+                yield _case_delta_beta_twist(K, g, hs)
+
+    for groups in nested_size_vectors(A):
+        ks = tuple(len(grp) for grp in groups)
+        for gs in itertools.product(*[els(k) for k in ks]):
+            yield _case_beta_delta_interchange(K, gs, groups)
+
+    for v in positive_vectors:
+        n = len(v)
+        for gp in els(n):
+            pgp_inv = inverse(K.pi(gp))
+            f_arities = tuple(v[pgp_inv.images[i] - 1] for i in range(n))
+            f_choices = list(itertools.product(*[els(k) for k in f_arities]))
+            for g in els(n):
+                yield from _interchange_cases(K, g, gp, itertools.product(*[els(k) for k in v]), f_choices)
+
+
+def _sampled_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
+    """Shapes and elements drawn from one seeded stream; each drawn
+    element is interned in the kernel."""
+    stream = DeterministicStream(config.seed)
+    N = config.samples_per_axiom
+    cap = config.max_result_arity
+
+    def sample_element(n: int) -> int:
+        return K.intern(K.inst.sample(n, stream, config.max_word_length))
+
+    def sample_sizes(parts: int, max_total: int) -> tuple[int, ...]:
+        if parts > max_total:
+            raise ValueError(
+                f"cannot fit {parts} positive blocks under a composite-arity cap of {max_total}; "
+                "lower max_total_arity or raise max_result_arity"
+            )
+        for _ in range(SIZE_DRAWS):
+            v = tuple(1 + stream.next_int(config.max_block_size) for _ in range(parts))
+            if sum(v) <= max_total:
+                return v
+        # whole vectors keep overshooting: draw each width within what the
+        # parts still to come leave of the cap
+        widths: list[int] = []
+        room = max_total
+        for later in range(parts - 1, -1, -1):
+            widths.append(1 + stream.next_int(min(config.max_block_size, room - later)))
+            room -= widths[-1]
+        return tuple(widths)
+
+    def sample_arity() -> int:
+        hi = min(config.max_total_arity, cap)
+        return 1 + stream.next_int(hi) if hi > 0 else 0
+
+    def arity_vector():
+        return sample_sizes(1 + stream.next_int(3), max_total=cap)
+
+    for _ in range(N):
+        n = sample_arity()
+        g = sample_element(n)
+        h = sample_element(n)
+        yield _case_pi_mul(K, g, h)
+        yield from _case_pi_inv_unit(K, g)
+
+    for _ in range(N):
+        v = arity_vector()
+        hs = [sample_element(k) for k in v]
+        gs = [sample_element(k) for k in v]
+        yield _case_beta_naturality(K, hs)
+        yield _case_beta_homomorphism(K, gs, hs)
+
+    for _ in range(N):
+        n = sample_arity()
+        g = sample_element(n)
+        yield _case_beta_unary(K, g)
+        yield from _case_delta_units(K, g, n)
+
+    for _ in range(N):
+        flat = arity_vector()
+        cuts = [stream.next_int(2) for _ in range(len(flat) - 1)]
+        groups = _groups(flat, itertools.compress(itertools.count(1), (*cuts, 1)))
+        flat_els = [[sample_element(k) for k in grp] for grp in groups]
+        yield _case_beta_assoc(K, flat_els)
+
+    for _ in range(N):
+        n = sample_arity()
+        g = sample_element(n)
+        v = sample_sizes(n, max_total=cap)
+        yield _case_delta_naturality(K, g, v)
+        h = sample_element(n)
+        yield _case_delta_product(K, g, h, v)
+
+    for _ in range(N):
+        n = 1 + stream.next_int(2)
+        msizes = sample_sizes(n, max_total=3)
+        M = sum(msizes)
+        plists = _groups(sample_sizes(M, max_total=cap), itertools.accumulate(msizes))
+        f = sample_element(n)
+        yield _case_delta_nesting(K, f, msizes, plists)
+
+    for _ in range(N):
+        n = sample_arity()
+        g = sample_element(n)
+        v = sample_sizes(n, max_total=cap)
+        hs = [sample_element(k) for k in v]
+        yield _case_delta_beta_twist(K, g, hs)
+
+    for _ in range(N):
+        parts = 1 + stream.next_int(2)
+        mlists = []
+        total = 0
+        for _ in range(parts):
+            remaining = max(1, cap - total)
+            ln = min(1 + stream.next_int(2), remaining)
+            ml = sample_sizes(ln, max_total=remaining)
+            total += sum(ml)
+            mlists.append(ml)
+        gs = [sample_element(len(ml)) for ml in mlists]
+        yield _case_beta_delta_interchange(K, gs, mlists)
+
+    for _ in range(N):
+        n = 1 + stream.next_int(2)
+        v = sample_sizes(n, max_total=cap)
+        gp = sample_element(n)
+        g = sample_element(n)
+        pgp_inv = inverse(K.pi(gp))
+        f_arities = tuple(v[pgp_inv.images[i] - 1] for i in range(n))
+        fps = [sample_element(k) for k in v]
+        fs = [sample_element(k) for k in f_arities]
+        yield from _interchange_cases(K, g, gp, [fps], [fs])

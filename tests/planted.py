@@ -104,3 +104,10 @@ class UnlistedSym(SymmetricOperad):
 
     def elements(self, n):
         return None
+
+
+class UnlistedReversedBlockSum(ReversedBlockSum):
+    """:class:`ReversedBlockSum` with no enumeration of its groups, so that
+    ``check_axioms`` samples it."""
+
+    elements = UnlistedSym.elements

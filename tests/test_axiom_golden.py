@@ -1,7 +1,8 @@
 """``check_axioms`` reports pinned byte for byte: the finite instances, an
 instance rebuilt from its club, planted defects (whose failures must
 render the same counterexamples), and sampled runs on the symmetric,
-braid and cactus instances.
+braid and cactus instances, one of them with a planted defect and one at
+budget 0, where the oracle's inconclusive answers are counted.
 
 The pinned reports live in ``tests/data/axiom_reports.json``.  Rewrite
 them, only when a report is meant to change, with
@@ -12,6 +13,7 @@ them, only when a report is meant to change, with
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -20,7 +22,15 @@ from actionoperads.braid import braid_operad
 from actionoperads.cactus import cactus_operad
 from actionoperads.club import operad_from_club
 from actionoperads.core import AxiomCheckConfig, check_axioms, symmetric_operad, trivial_operad
-from planted import IdentityDelta, InverseBlockSum, ReversedBlockSum, UnlistedSym, UnreducedCactus
+from planted import (
+    IdentityDelta,
+    InverseBlockSum,
+    ReversedBlockSum,
+    TwistedDelta,
+    UnlistedReversedBlockSum,
+    UnlistedSym,
+    UnreducedCactus,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "axiom_reports.json"
 
@@ -36,8 +46,11 @@ CASES = {
     "identity_delta_3": (IdentityDelta, AxiomCheckConfig(max_total_arity=3)),
     "unreduced_cactus_2": (UnreducedCactus, AxiomCheckConfig(max_total_arity=2)),
     "inverse_block_sum_3": (InverseBlockSum, AxiomCheckConfig(max_total_arity=3)),
+    "twisted_delta_3": (TwistedDelta, AxiomCheckConfig(max_total_arity=3)),
     "sym_sampled_3": (UnlistedSym, SAMPLED_3),
+    "reversed_block_sum_sampled_3": (UnlistedReversedBlockSum, SAMPLED_3),
     "braid_sampled_3": (braid_operad, SAMPLED_3),
+    "braid_sampled_3_budget_0": (braid_operad, replace(SAMPLED_3, budget=0)),
     "cactus_sampled_3": (cactus_operad, SAMPLED_3),
 }
 
@@ -63,7 +76,8 @@ def test_report_matches_golden(golden, name):
 
 def test_planted_defects_fail():
     golden = json.loads(GOLDEN.read_text())
-    for name in ("reversed_block_sum_3", "identity_delta_3", "unreduced_cactus_2", "inverse_block_sum_3"):
+    for name in ("reversed_block_sum_3", "identity_delta_3", "unreduced_cactus_2", "inverse_block_sum_3",
+                 "twisted_delta_3", "reversed_block_sum_sampled_3"):
         axioms = golden[name]["report"]["axioms"]
         assert any(a["failures"] for a in axioms.values()), name
 

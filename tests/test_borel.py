@@ -16,6 +16,7 @@ from actionoperads.borel import (
     borel_unit,
     compose_borel,
     contractible_free_check,
+    group_elements,
     hom_set,
     identity_morphism,
     normalize,
@@ -103,6 +104,25 @@ class TestHomSets:
         res = hom_set(B, discrete_category(("a",), name="pt1"), src, src, bound=2)
         assert not res.complete
         assert len(res.morphisms) >= 3  # e, b1, b1 b1, ... up to the bound
+
+    def test_bounded_braid_representatives_are_distinct_braids(self):
+        # words of at most 4 letters reach 115 braids at arity 3; the
+        # representatives are told apart by their Garside normal forms
+        from actionoperads.braid import braid_operad, garside_normal_form
+
+        els, complete = group_elements(braid_operad(), 3, 4)
+        assert not complete and len(els) == 115
+        assert len({garside_normal_form(3, e.payload.letters) for e in els}) == 115
+
+    def test_bounded_representatives_without_a_normal_form_use_the_oracle(self):
+        # the cactus instance has no normal form: reduced words of at most
+        # 2 letters at arity 3 are e, the 3 involutions and their 6
+        # products, and the oracle equates two pairs of those products
+        C = cactus_operad()
+        assert C.normal_form(C.identity(3)) is None
+        els, _ = group_elements(C, 3, 2)
+        assert len(els) == 1 + 3 + 6 - 2
+        assert "s(1,3) s(2,3)" not in [C.format(e) for e in els]
 
     def test_infinite_without_bound_is_an_error(self):
         from actionoperads.braid import braid_operad

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from actionoperads.braid import braid_operad
 from actionoperads.cli import main
 from actionoperads.fincat import discrete_category, fincat_to_dict, z2_category
 from actionoperads.multicat import (
@@ -199,6 +200,18 @@ class TestReports:
         )
         assert code == 0
         assert out.strip() == "[2,1] | id_a,id_b"
+
+    @pytest.mark.parametrize("src, tgt, count", [("a,a,a", "a,a,a", 115), ("a,a,b", "a,a,b", 41)])
+    def test_bounded_braid_hom_lists_each_morphism_once(self, capsys, d2_file, src, tgt, count):
+        code, out = run(
+            capsys,
+            "borel", "hom", "--operad", "braid", "--category", d2_file,
+            "--src", src, "--tgt", tgt, "--bound", "4", "--format", "structured",
+        )
+        B = braid_operad()
+        morphisms = json.loads(out)["morphisms"]
+        keys = {(B.normal_form(B.parse(m["g"], 3)), tuple(m["components"])) for m in morphisms}
+        assert code == 0 and len(morphisms) == len(keys) == count
 
     def test_borel_compose(self, capsys, d2_file):
         code, out = run(

@@ -144,7 +144,7 @@ class TestRebuiltForwarding:
             drawn = [rebuilt.sample(n, DeterministicStream(k), 3) for k in range(4)]
             assert drawn == [inst.sample(n, DeterministicStream(k), 3) for k in range(4)]
             for a in drawn:
-                for method in ("inv", "pi", "generator_word", "format", "check_element"):
+                for method in ("inv", "pi", "generator_word", "format", "check_element", "normal_form"):
                     same(method, a)
                 same("parse", inst.format(a), n)
                 for b in drawn:

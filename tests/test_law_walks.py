@@ -7,6 +7,13 @@ random corruptions of finite tables must give the same ``ValidationReport``
 (counts and violations in order) and the same first ``FinCat`` failure as
 the reference walks in ``tests/oracles.py``, which probe the whole table
 and rebuild every element.
+
+``check_axioms`` walks each law in one loop that renders a case only when
+its sides differ.  On the symmetric instance with one planted wrong
+``mul``, ``beta`` or ``delta`` result (enumerated or sampled) and on the
+sampled braid instance at small budgets, it must give the same
+``AxiomReport`` (counts, inconclusive counts and failures in order) as the
+per-case reference walk.
 """
 
 from __future__ import annotations
@@ -21,10 +28,17 @@ from hypothesis import strategies as st
 from actionoperads import multicat
 from actionoperads.borel import borel_realization
 from actionoperads.cactus import cactus_operad
-from actionoperads.core import symmetric_operad
+from actionoperads.braid import braid_operad
+from actionoperads.core import AxiomCheckConfig, SymmetricOperad, check_axioms, symmetric_operad
 from actionoperads.fincat import arrow_category, discrete_category, z2_category
 from actionoperads.multicat import operad_as_multicat, validate_multicat
-from oracles import reference_action_walk, reference_chain_walk, reference_fincat_validate
+from actionoperads.perm import Perm, all_perms
+from oracles import (
+    reference_action_walk,
+    reference_chain_walk,
+    reference_check_axioms,
+    reference_fincat_validate,
+)
 from planted import UnreducedCactus
 from test_validator_golden import _colored_terminal, _partly_listed, _swapped_actions
 
@@ -200,3 +214,75 @@ def test_the_corruptions_reach_the_associativity_walks():
     assert any(v.startswith("associativity fails") for v in _report(M)[2])
     cat = _corrupt_fincat(realizations()[1], [("same", 40, 1)])
     assert "associativity fails" in _first_failure(cat.validate)
+
+
+class OneWrongResult(SymmetricOperad):
+    """The symmetric instance whose ``op`` gives ``wrong`` at the payloads
+    ``at`` and is honest elsewhere; unlisted, it is sampled."""
+
+    def __init__(self, op=None, at=None, wrong=None, listed=True, seen=None):
+        super().__init__()
+        self.op, self.at, self.wrong, self.listed, self.seen = op, at, wrong, listed, seen
+
+    def _result(self, op, at, out):
+        if self.seen is not None:
+            self.seen.setdefault((op, at), out.payload)
+        return self._wrap(self.wrong) if (op, at) == (self.op, self.at) else out
+
+    def mul(self, a, b):
+        return self._result("mul", (a.payload, b.payload), super().mul(a, b))
+
+    def beta(self, els):
+        return self._result("beta", tuple(e.payload for e in els), super().beta(els))
+
+    def delta(self, a, sizes):
+        return self._result("delta", (a.payload, tuple(sizes)), super().delta(a, sizes))
+
+    def elements(self, n):
+        return super().elements(n) if self.listed else None
+
+
+def _config(seed: int) -> AxiomCheckConfig:
+    """Arity 3; the seed and the sample count matter only when sampled."""
+    return AxiomCheckConfig(max_total_arity=3, samples_per_axiom=10, seed=seed)
+
+
+@cache
+def reached(listed: bool, seed: int) -> tuple:
+    """The (op, payloads) -> honest result calls a run makes, where the
+    result has a wrong value of its arity to plant."""
+    seen: dict = {}
+    check_axioms(OneWrongResult(listed=listed, seen=seen), _config(seed))
+    return tuple((key, out) for key, out in seen.items() if out.n >= 2)
+
+
+def _same_reports(inst, config):
+    got, want = check_axioms(inst, config), reference_check_axioms(inst, config)
+    assert got.to_dict() == want.to_dict()
+    assert got.format_text() == want.format_text()
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.sampled_from((2026, 1, 7)), st.integers(0, 10**6), st.integers(0, 10**6))
+@example(True, 2026, 0, 0)
+def test_axiom_walks_match_the_reference_on_one_wrong_result(listed, seed, i, j):
+    calls = reached(listed, seed)
+    (op, at), out = calls[i % len(calls)]
+    _same_reports(OneWrongResult(op, at, _other(all_perms(out.n), out, j), listed), _config(seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from((None, 0, 1, 2, 5)), st.integers(2, 3), st.integers(1, 6))
+@example(2026, 0, 3, 10)
+def test_axiom_walks_match_the_reference_on_sampled_braids(seed, budget, arity, samples):
+    config = AxiomCheckConfig(max_total_arity=arity, samples_per_axiom=samples, seed=seed, budget=budget)
+    _same_reports(braid_operad(), config)
+
+
+def test_a_wrong_product_fails_the_pi_law_with_its_inputs():
+    # g h for g = [2,1,3], h = [1,3,2] at arity 3 is planted as the unit
+    g, h = Perm((2, 1, 3)), Perm((1, 3, 2))
+    rep = _same_reports(OneWrongResult("mul", (g, h), Perm((1, 2, 3))), _config(2026))
+    failures = rep.outcomes["pi_homomorphism"].failures
+    assert [f.inputs for f in failures] == ["mul: [2,1,3] * [1,3,2] @ 3"]
