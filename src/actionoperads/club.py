@@ -14,9 +14,8 @@ diagonal as the multiplication with identity legs, and operadic
 composition as their product.
 
 Reading note: a cell's legs are typed through the underlying permutation
-of the *head morphism* (the only reading under which composition
-typechecks); ``operad_from_club`` checks the groupoid condition and that
-``pi`` is a functor to the base.
+of the *head morphism*, the only reading under which composition
+typechecks.
 """
 
 from __future__ import annotations
@@ -25,14 +24,14 @@ from dataclasses import dataclass
 from itertools import product
 
 from .borel import BorelObject, hom_set
-from .core import ActionOperad, finite_group, size_vectors, symmetric_operad
+from .core import ActionOperad, _Kernel, _pi_homomorphism, finite_group, size_vectors, symmetric_operad
 from .fincat import FinCat
-from .perm import compose
 
 
 class ClubBackedOperad:
     """An instance rebuilt from its club: block sum via identity heads,
-    block diagonal via identity legs, composition as their product.
+    block diagonal via identity legs (both read only ``identity`` and ``mu``,
+    so they run on a kernel's indices too), composition as their product.
     Every other attribute is the club's."""
 
     # composition is delta times beta of the rebuilt parts, whatever the club's ``mu``
@@ -54,32 +53,26 @@ class ClubBackedOperad:
         return self.club.mu(a, [self.club.identity(k) for k in sizes])
 
 
+def _checked_kernel(club: ActionOperad, arities) -> _Kernel:
+    """The club's kernel at ``arities``; raises unless each hom there, in
+    turn, is a group and satisfies the pi law of :func:`check_axioms`."""
+    K = _Kernel(club, arities)
+    for n in arities:
+        els, e = K.elements(n), K.identity(n)
+        for g in els:
+            gi = K.inv(g)
+            for side, x, y in (("right", g, gi), ("left", gi, g)):
+                if not K.equal(K.mul(x, y), e).is_equal:
+                    raise ValueError(f"club {club.name!r} is not a groupoid: {K.format(g)} has no {side} inverse")
+        if _pi_homomorphism(K, ((g, els) for g in els))[1]:
+            raise ValueError(f"club {club.name!r} does not lie over the base: pi is not functorial")
+    return K
+
+
 def operad_from_club(club: ActionOperad, max_arity: int = 3) -> ClubBackedOperad:
     """Rebuild an instance from its club, checking on the tested range
-    that every hom is a group and that ``pi`` is a functor to the base.
-    """
-    for n in range(max_arity + 1):
-        els = club.elements(n)
-        if els is None:
-            continue
-        e = club.identity(n)
-        for g in els:
-            gi = club.inv(g)
-            if not club.equal(club.mul(g, gi), e).is_equal:
-                raise ValueError(
-                    f"club {club.name!r} is not a groupoid: {club.format(g)} has no right inverse"
-                )
-            if not club.equal(club.mul(gi, g), e).is_equal:
-                raise ValueError(
-                    f"club {club.name!r} is not a groupoid: {club.format(g)} has no left inverse"
-                )
-        pis = [club.pi(g) for g in els]
-        for g, pg in zip(els, pis):
-            for h, ph in zip(els, pis):
-                if club.pi(club.mul(g, h)) != compose(pg, ph):
-                    raise ValueError(
-                        f"club {club.name!r} does not lie over the base: pi is not functorial"
-                    )
+    that every hom is a group and that ``pi`` is a functor to the base."""
+    _checked_kernel(club, [n for n in range(max_arity + 1) if club.elements(n) is not None])
     return ClubBackedOperad(club)
 
 
@@ -99,26 +92,31 @@ class RoundtripReport:
 def roundtrip_check(inst: ActionOperad, max_total: int = 4) -> RoundtripReport:
     """Verify that rebuilding the instance through its club returns the
     same block sum, block diagonal and composition values on every tuple
-    within the arity bound; raises when a group in the bound is not
-    finite."""
+    within the arity bound, on the kernel the club checks filled; raises
+    when a group in the bound is not finite.  The rebuilt ``beta(hs)`` is
+    ``mu(e, hs)`` and ``delta(g, v)`` is ``mu(g, (e, ..., e))``, so with the
+    default ``mu`` every case reduces to the unit laws (i) ``x e = x = e x``,
+    (ii) ``beta(e, ..., e) = e`` and (iii) ``delta(e_n, ks) = e``: a reversed,
+    inverted or unit block sum or block diagonal passes."""
     if max_total < 0:
         raise ValueError(f"max_total must be >= 0, got {max_total}")
-    groups = [finite_group(inst, n) for n in range(max_total + 1)]
-    rebuilt = operad_from_club(inst, max_arity=max_total)
+    K = _checked_kernel(inst, range(max_total + 1))
+    R = ClubBackedOperad(K)
     report = RoundtripReport(inst.name)
     for v in size_vectors(max_total, include_zero=False):
-        pools = [groups[k] for k in v]
+        pools = [K.elements(k) for k in v]
         for hs in product(*pools):
             report.beta_checked += 1
-            if not inst.equal(inst.beta(list(hs)), rebuilt.beta(list(hs))).is_equal:
+            if not K.equal(K.beta(hs), R.beta(hs)).is_equal:
                 report.mismatches += 1
-        for g in groups[len(v)]:
+        for g in K.elements(len(v)):
             report.delta_checked += 1
-            if not inst.equal(inst.delta(g, v), rebuilt.delta(g, v)).is_equal:
+            d = R.delta(g, v)
+            if not K.equal(K.delta(g, v), d).is_equal:
                 report.mismatches += 1
             for hs in product(*pools):
                 report.mu_checked += 1
-                if not inst.equal(inst.mu(g, list(hs)), rebuilt.mu(g, list(hs))).is_equal:
+                if not K.equal(K.mu(g, hs), K.mul(d, R.beta(hs))).is_equal:
                     report.mismatches += 1
     return report
 

@@ -641,10 +641,11 @@ def finite_group(inst: ActionOperad, n: int) -> tuple[OperadElement, ...]:
 
 class _Kernel:
     """An instance's groups with elements interned as integers, built by one
-    call of a finite engine (the axiom laws, the free check, the Borel
-    realization, the operad as a multicategory, the profunctor lift) and
-    freed when it returns.  The groups at the given arities are enumerated
-    through :func:`finite_group`; each element is numbered by its key.
+    call of a finite engine (the axiom laws, the club checks, the free check,
+    the Borel realization, the operad as a multicategory, the profunctor
+    lift) and freed when it returns.  The groups at the given arities are
+    enumerated through :func:`finite_group`; each element is numbered by its
+    key.
 
     ``inv`` and ``pi`` are per-element tables; ``mul``, ``delta`` and ``mu``
     keep one row per first argument, mapping the second (an index, a sizes

@@ -13,6 +13,7 @@ import itertools
 from itertools import accumulate, product
 from typing import Iterator
 
+from actionoperads.club import RoundtripReport, operad_from_club
 from actionoperads.core import (
     AXIOM_NAMES,
     SIZE_DRAWS,
@@ -24,6 +25,7 @@ from actionoperads.core import (
     _groups,
     _Kernel,
     compositions_of,
+    finite_group,
     nested_size_vectors,
     size_vectors,
 )
@@ -946,3 +948,28 @@ def _sampled_cases(K: _Kernel, config: AxiomCheckConfig) -> Iterator:
         fps = [sample_element(k) for k in v]
         fs = [sample_element(k) for k in f_arities]
         yield from _interchange_cases(K, g, gp, [fps], [fs])
+
+
+def reference_roundtrip(inst, max_total: int = 4) -> RoundtripReport:
+    """``roundtrip_check`` as first written: the instance's own methods and
+    those of its rebuild, on its elements, with no kernel."""
+    if max_total < 0:
+        raise ValueError(f"max_total must be >= 0, got {max_total}")
+    groups = [finite_group(inst, n) for n in range(max_total + 1)]
+    rebuilt = operad_from_club(inst, max_arity=max_total)
+    report = RoundtripReport(inst.name)
+    for v in size_vectors(max_total, include_zero=False):
+        pools = [groups[k] for k in v]
+        for hs in product(*pools):
+            report.beta_checked += 1
+            if not inst.equal(inst.beta(list(hs)), rebuilt.beta(list(hs))).is_equal:
+                report.mismatches += 1
+        for g in groups[len(v)]:
+            report.delta_checked += 1
+            if not inst.equal(inst.delta(g, v), rebuilt.delta(g, v)).is_equal:
+                report.mismatches += 1
+            for hs in product(*pools):
+                report.mu_checked += 1
+                if not inst.equal(inst.mu(g, list(hs)), rebuilt.mu(g, list(hs))).is_equal:
+                    report.mismatches += 1
+    return report

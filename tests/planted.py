@@ -98,6 +98,16 @@ class TwistedBlockSum(SymmetricOperad):
         return _swap_first_two(self, super().beta(els))
 
 
+class TwistedUnitDelta(SymmetricOperad):
+    """The block diagonal of the unit at sizes (1, 2) is followed by a fixed
+    transposition, so only the unit law ``delta(e_n, ks) = e`` breaks, and
+    only there; ``mu`` is the default one."""
+
+    def delta(self, a, sizes):
+        out = super().delta(a, sizes)
+        return _swap_first_two(self, out) if tuple(sizes) == (1, 2) and a == self.identity(2) else out
+
+
 class UnlistedSym(SymmetricOperad):
     """The symmetric instance with no enumeration of its groups, so that
     ``check_axioms`` samples it."""

@@ -20,7 +20,18 @@ from actionoperads.core import (
 )
 from actionoperads.fincat import discrete_category, z2_category
 from actionoperads.multicat import operad_as_multicat, validate_multicat
-from planted import OneSidedInverse, SwapPi, TwistedBlockSum, TwistedDelta, UnreducedCactus
+from oracles import reference_roundtrip
+from planted import (
+    IdentityDelta,
+    InverseBlockSum,
+    OneSidedInverse,
+    ReversedBlockSum,
+    SwapPi,
+    TwistedBlockSum,
+    TwistedDelta,
+    TwistedUnitDelta,
+    UnreducedCactus,
+)
 
 SYM = symmetric_operad()
 TRIV = trivial_operad()
@@ -74,6 +85,32 @@ class TestRebuild:
         rep = roundtrip_check(planted(), max_total=3)
         assert (rep.beta_checked, rep.delta_checked, rep.mu_checked, rep.mismatches) == (16, 16, 26, 38)
         assert not rep.passed
+
+    @pytest.mark.parametrize(
+        "inst, max_total, mismatches",
+        [
+            (SYM, 4, 0),
+            (TRIV, 4, 0),
+            (CACT, 2, 0),
+            (TwistedDelta(), 3, 38),
+            (TwistedBlockSum(), 3, 38),
+            # the default ``mu`` reduces every case to the unit laws, which these keep
+            (ReversedBlockSum(), 3, 0),
+            (IdentityDelta(), 3, 0),
+            (InverseBlockSum(), 3, 0),
+            # the rebuilt block sum at arities (1, 2) is delta(e_2, (1, 2)) times the
+            # block sum: 2 beta cases, and the 2 x 2 mu cases with a head of arity 2
+            (TwistedUnitDelta(), 3, 6),
+        ],
+        ids=[
+            "sym", "trivial", "cactus", "twisted-delta", "twisted-beta",
+            "reversed-beta", "unit-delta", "inverse-beta", "twisted-unit-delta",
+        ],
+    )
+    def test_roundtrip_matches_the_instance_level_walk(self, inst, max_total, mismatches):
+        rep = roundtrip_check(inst, max_total)
+        assert rep == reference_roundtrip(inst, max_total)
+        assert rep.mismatches == mismatches
 
     def test_a_negative_bound_is_rejected(self):
         with pytest.raises(ValueError, match="^max_total must be >= 0, got -1$"):
@@ -169,7 +206,7 @@ class TestShapeHypotheses:
         with pytest.raises(ValueError, match="does not lie over the base"):
             operad_from_club(SwapPi())
 
-    def test_pi_once_per_element_plus_once_per_pair(self):
+    def test_pi_once_per_element(self):
         class CountingPi(SymmetricOperad):
             calls = 0
 
@@ -179,8 +216,8 @@ class TestShapeHypotheses:
 
         inst = CountingPi()
         operad_from_club(inst, max_arity=3)
-        orders = [1, 1, 2, 6]
-        assert inst.calls == sum(orders) + sum(k * k for k in orders)
+        # on the kernel each product is an enumerated element, whose pi is memoised
+        assert inst.calls == 1 + 1 + 2 + 6
 
 
 class TestPullback:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -113,6 +115,39 @@ class TestValidation:
         cat = FinCat("broken", ("a",), ("f",), {"f": "a"}, {"f": "a"}, {}, {("f", "f"): "f"})
         with pytest.raises(ValueError, match="identity"):
             cat.validate()
+
+    # an arrow a -> b written out by hand; each case plants one defect in it
+    ARROW = FinCat(
+        "hand",
+        ("a", "b"),
+        ("id_a", "id_b", "f"),
+        {"id_a": "a", "id_b": "b", "f": "a"},
+        {"id_a": "a", "id_b": "b", "f": "b"},
+        {"a": "id_a", "b": "id_b"},
+        {("id_a", "id_a"): "id_a", ("id_b", "id_b"): "id_b", ("f", "id_a"): "f", ("id_b", "f"): "f"},
+    )
+
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            (lambda c: replace(c, objects=("a", "b", "a")).validate(), "hand: duplicate object ids"),
+            (lambda c: replace(c, morphisms=(*c.morphisms, "f")).validate(), "hand: duplicate morphism ids"),
+            (
+                lambda c: replace(c, src={**c.src, "f": "c"}).validate(),
+                "hand: morphism 'f' has unknown endpoints",
+            ),
+            (
+                lambda c: replace(c, table={**c.table, ("f", "f"): "f"}).validate(),
+                "hand: entry (f, f) is not composable",
+            ),
+            (lambda c: c.compose("f", "f"), "non-composable pair ('f', 'f') in hand"),
+        ],
+        ids=["duplicate-object", "duplicate-morphism", "unknown-endpoint", "non-composable-entry", "compose"],
+    )
+    def test_each_rejection_names_its_defect(self, broken, message):
+        self.ARROW.validate()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            broken(self.ARROW)
 
 
 class TestFiles:

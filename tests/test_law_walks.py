@@ -39,7 +39,7 @@ from oracles import (
     reference_check_axioms,
     reference_fincat_validate,
 )
-from planted import UnreducedCactus
+from planted import SwapPi, UnreducedCactus
 from test_validator_golden import _colored_terminal, _partly_listed, _swapped_actions
 
 SYM = symmetric_operad()
@@ -286,3 +286,9 @@ def test_a_wrong_product_fails_the_pi_law_with_its_inputs():
     rep = _same_reports(OneWrongResult("mul", (g, h), Perm((1, 2, 3))), _config(2026))
     failures = rep.outcomes["pi_homomorphism"].failures
     assert [f.inputs for f in failures] == ["mul: [2,1,3] * [1,3,2] @ 3"]
+
+
+def test_a_pi_that_moves_the_unit_fails_the_pi_law_at_the_unit():
+    rep = _same_reports(SwapPi(), AxiomCheckConfig(max_total_arity=2))
+    failures = rep.outcomes["pi_homomorphism"].failures
+    assert ("unit @ 2", "[2,1]", "[1,2]") in [(f.inputs, f.lhs, f.rhs) for f in failures]
