@@ -45,9 +45,18 @@ Coxeter*, 1969) with the reflections added to the commutations.  A
 slide is written out only when it cancels, one ``Step`` per move, each
 move's relation and orientation looked up in the relation system; a
 move the system does not list ends the slide.  The oracle slides both
-sides and answers ``equal`` when they meet, with the slides as the
-path; otherwise it searches from the slid words, or from the given ones
-when neither side shortened.  Slides answer only ``equal``: a
+sides to ``r1`` and ``r2``; identical words, the ``pi`` invariant and
+one commutation class decide first, at no state, as in
+:func:`rewrite.equal`.  Then, for sides of one length, the *pull*
+rewrites ``r1`` into ``r2`` from the last letter to the first: ``r2``'s
+letter ``c`` at ``k`` slides left into ``r1[:k + 1]`` until it meets an
+equal letter ``y``, and the moves are mirrored, so that ``y`` travels
+right and arrives at ``k`` as ``c``.  A move rewrites ``x c`` to
+``c' x'`` and its mirror ``c' x`` to ``x' c``: a commutation of disjoint
+letters, or else the containment relation ``x c = c' x`` or
+``c x = x' c`` of the outer letter.  Where the pull gives up (a slide
+is blocked, or the system does not list a move) the search runs from
+the slid words.  Slides and the pull answer only ``equal``: a
 ``distinct`` from a word that no slide shortens needs two proofs not
 made here, that cancellation is confluent on the classes of the
 length-keeping relations, and that no word in the class of such a word
@@ -184,14 +193,45 @@ def _write(sys: RelationSystem, word: Letters, moves) -> list[Step] | None:
     return steps
 
 
+def _pull(r1: Letters, r2: Letters, sys: RelationSystem) -> tuple[Step, ...] | None:
+    """The steps of the pull (module docstring) of ``r1`` into ``r2``, a
+    word of the same length, or ``None`` when a slide is blocked or ``sys``
+    does not list a move."""
+    word, steps = r1, []
+    for k in range(len(r2) - 1, -1, -1):
+        if word[k] == r2[k]:
+            continue
+        moves = _slide(word[: k + 1] + r2[k : k + 1], k + 1)
+        if moves is None:
+            return None
+        # the move at p takes (x, c) to (c', x'); its mirror takes (c', x)
+        # at p - 1 to (x', c), with c the letter that moved before it
+        moving = [r2[k][0]] + [pair[0] for _, pair in moves]
+        for (pos, (_, x_after)), c in reversed(list(zip(moves, moving))):
+            step = rewrite.pair_step(sys, word, pos - 1, ((x_after, 1), (c, 1)))
+            # a cancellation at a seam would shift the positions: give up
+            if step is None or len(step.result) < len(word):
+                return None
+            steps.append(step)
+            word = step.result
+    return tuple(steps)
+
+
 def slide_equal(w1: Word, w2: Word, sys: RelationSystem, budget=None) -> EqResult:
     """:func:`rewrite.equal` on the slid words, with the slides prefixed to
-    an ``equal`` path.  Two sides that slide to one word are ``equal`` at
-    0 states, with the slides as the whole path; sides that no slide
-    shortens get the search on the given words."""
+    an ``equal`` path; the pull runs after the checks that cost no state
+    (a budget of 0) and before the search."""
     r1, s1 = slide_cancel(w1.letters, sys)
     r2, s2 = slide_cancel(w2.letters, sys)
-    res = rewrite.equal(Word(w1.n, r1), Word(w2.n, r2), sys, budget)
+    w1, w2 = Word(w1.n, r1), Word(w2.n, r2)
+    # the pull keeps length, so it needs sides of one length
+    pull = len(r1) == len(r2)
+    res = rewrite.equal(w1, w2, sys, 0 if pull else budget)
+    if pull and res.is_inconclusive:
+        pulled = _pull(r1, r2, sys)
+        if pulled is not None:
+            return EqResult("equal", path=RewritePath(r2, s1 + pulled, s2), stop="met")
+        res = rewrite.equal(w1, w2, sys, budget)
     if not res.is_equal:
         return res
     return replace(res, path=RewritePath(res.path.meet, s1 + res.path.forward, s2 + res.path.backward))

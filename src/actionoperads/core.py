@@ -333,18 +333,30 @@ class WordOperad(ActionOperad):
         p = self.letter_pi(gen, n)
         return tuple(v - 1 for v in (p if sign == 1 else inverse(p)).images)
 
+    @lru_cache(maxsize=None)
+    def letter_slots(self, gen, sign: int, n: int) -> tuple[int, int, tuple[int, ...]]:
+        """``(lo, hi, reads)``: the letter moves only the slots ``lo`` to
+        ``hi - 1`` of :meth:`letter_images`, and slot ``lo + i`` reads
+        ``reads[i]``."""
+        images = self.letter_images(gen, sign, n)
+        moved = [i for i, v in enumerate(images) if v != i]
+        lo, hi = (moved[0], moved[-1] + 1) if moved else (0, 0)
+        return lo, hi, images[lo:hi]
+
     def pi(self, a):
         self.check_element(a)
-        # compose(out, p) reads out through p: slot i holds out[p(i) - 1]
-        out = identity(a.n).images
+        # compose(out, p) reads out through p: slot i holds out[p(i) - 1],
+        # and a letter rewrites only the slots it moves
+        out = list(identity(a.n).images)
         for gen, sign in a.payload.letters:
-            out = tuple(map(out.__getitem__, self.letter_images(gen, sign, a.n)))
-        return _valid(out)
+            lo, hi, reads = self.letter_slots(gen, sign, a.n)
+            out[lo:hi] = [out[r] for r in reads]
+        return _valid(tuple(out))
 
     def pi_images(self, word: Word) -> tuple[int, ...]:
         """``pi`` of a bare word, as images: the relation systems'
         refutation invariant."""
-        return self.pi(OperadElement(self.name, word.n, word)).images
+        return self.pi(_element(self.name, word.n, word)).images
 
     def beta(self, els):
         for e in els:

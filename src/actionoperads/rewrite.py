@@ -408,9 +408,14 @@ class _SearchTables:
         """
         canon = self.canon
         lower = self.lower(state)
+        n = len(state)
         out: list[tuple[str, int, str, str]] = []
-
-        def walk(children: dict, start: int, size: int, mask: int, down: int, lo: int, hi: int) -> None:
+        # depth first: a frame is a trie node and the match so far, and a
+        # node's scan resumes at ``start`` once the extensions of its last
+        # match are walked
+        stack = [(self.trie, 0, 0, 0, 0, n, -1)]
+        while stack:
+            children, start, size, mask, down, lo, hi = stack.pop()
             taken = mask | down
             for q in range(start, n):
                 c = state[q]
@@ -439,10 +444,9 @@ class _SearchTables:
                     for b, move in entries:
                         out.append((canon(head + b + tail), move, head, tail))
                 if below:
-                    walk(below, q + 1 if after else 0, size + 1, grown, grown_down, low, high)
-
-        n = len(state)
-        walk(self.trie, 0, 0, 0, 0, n, -1)
+                    stack.append((children, q + 1, size, mask, down, lo, hi))
+                    stack.append((below, q + 1 if after else 0, size + 1, grown, grown_down, low, high))
+                    break
         return out
 
 

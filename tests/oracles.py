@@ -332,6 +332,15 @@ def j3_normal_form(letters) -> str:
 # against it on values and on messages.
 
 
+def reference_pi(inst, a) -> tuple[int, ...]:
+    """``WordOperad.pi`` as a fold over whole tuples: each letter rebuilds
+    all ``n`` images, reading them through the letter's images."""
+    out = tuple(range(1, a.n + 1))
+    for gen, sign in a.payload.letters:
+        out = tuple(map(out.__getitem__, inst.letter_images(gen, sign, a.n)))
+    return out
+
+
 def pointwise_compose(p, q) -> tuple[int, ...]:
     """``compose``: evaluate p(q(i)) point by point."""
     if p.n != q.n:

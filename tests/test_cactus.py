@@ -3,6 +3,7 @@ commutors and the coboundary laws."""
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 from dataclasses import replace
@@ -27,7 +28,7 @@ from actionoperads.cactus import (
 )
 from actionoperads.core import AxiomCheckConfig, check_axioms
 from actionoperads.perm import block_perm, block_sum
-from actionoperads.rewrite import RewritePath, equal, free_reduce, invert_letters, replay_path
+from actionoperads.rewrite import EqResult, RewritePath, Step, equal, free_reduce, invert_letters, replay_path
 from oracles import j3_normal_form
 
 C = cactus_operad()
@@ -326,8 +327,26 @@ class TestSlides:
             assert res.is_equal == (j3_normal_form(w1) == j3_normal_form(w2)), (w1, w2, res.verdict)
             if res.is_equal:
                 equal_pairs += 1
+                assert res.states == 0, (w1, w2)
                 assert replay_path(sys, a.payload, b.payload, res.path), (w1, w2)
         assert equal_pairs == 556
+
+    def test_the_pull_reaches_every_equal_without_search_at_n4(self):
+        # every pair of reduced words of at most 3 letters: the verdicts are
+        # those of the search on the given words, and each Equal is pulled
+        sys = cactus_relations(4)
+        words = reduced_words(4, 3)
+        assert len(words) == 187
+        els = [C.from_letters(4, w) for w in words]
+        verdicts = collections.Counter()
+        for a, b in itertools.product(els, repeat=2):
+            res = C.equal(a, b, budget=500)
+            assert res.verdict == equal(a.payload, b.payload, sys, budget=500).verdict, (a, b)
+            verdicts[res.verdict] += 1
+            if res.is_equal:
+                assert res.states == 0, (a, b)
+                assert replay_path(sys, a.payload, b.payload, res.path), (a, b)
+        assert verdicts == {"equal": 587, "distinct": 33_404, "inconclusive": 978}
 
     def test_no_verdict_differs_from_the_search_on_the_given_words(self):
         # slides only shorten what the search is given, so no Equal is lost
@@ -373,3 +392,60 @@ class TestSlides:
         assert cactus._slide(a.payload.letters, 5) == [(4, ((2, 3), (1, 2)))]
         assert slide_cancel(a.payload.letters, cactus_relations(3)) == (a.payload.letters, ())
         assert not C.equal(a, C.identity(3)).is_equal
+
+
+class TestPull:
+    def test_a_pull_proves_equal_without_search(self):
+        # neither side slides; s(1,2) slides into s(1,3) s(1,2) and meets
+        # s(1,3), whose mirrored move is the containment relation 3
+        sys = cactus_relations(3)
+        a, b = C.parse("s(1,3) s(1,2)", 3).payload, C.parse("s(2,3) s(1,3)", 3).payload
+        assert cactus._pull(a.letters, b.letters, sys) == (Step(3, 0, 0, b.letters),)
+        res = slide_equal(a, b, sys)
+        assert res == EqResult("equal", path=RewritePath(b.letters, (Step(3, 0, 0, b.letters),), ()), stop="met")
+        assert replay_path(sys, a, b, res.path)
+
+    def test_a_missing_relation_writes_no_pulled_step(self):
+        # drop s(1,3) s(1,2) = s(2,3) s(1,3), the move the pull needs
+        full = cactus_relations(3)
+        assert full.relations[3] == ((((1, 3), 1), ((1, 2), 1)), (((2, 3), 1), ((1, 3), 1)))
+        defective = replace(full, relations=full.relations[:3] + full.relations[4:])
+        a, b = C.parse("s(1,3) s(1,2)", 3).payload, C.parse("s(2,3) s(1,3)", 3).payload
+        assert cactus._slide(a.letters + b.letters[1:], 2) == [(1, ((1, 3), (2, 3)))]
+        assert cactus._pull(a.letters, b.letters, defective) is None
+        res = slide_equal(a, b, defective)
+        assert res == equal(a, b, defective) and not res.is_equal
+
+    def test_an_overlap_let_through_writes_no_pulled_step(self, monkeypatch):
+        # a slide rule that commutes overlapping intervals would pull the
+        # braid relation, which fails in J_3; no relation lists that move
+        rule = cactus.slide_past
+        monkeypatch.setattr(cactus, "slide_past", lambda x, c: rule(x, c) or (c, x))
+        a = C.parse("s(1,2) s(2,3) s(1,2)", 3)
+        b = C.parse("s(2,3) s(1,2) s(2,3)", 3)
+        assert j3_normal_form(a.payload.letters) != j3_normal_form(b.payload.letters)
+        assert cactus._slide(a.payload.letters[:3] + b.payload.letters[2:], 3) == [(2, ((2, 3), (1, 2)))]
+        assert cactus._pull(a.payload.letters, b.payload.letters, cactus_relations(3)) is None
+        res = C.equal(a, b)
+        assert res == equal(a.payload, b.payload, cactus_relations(3)) and not res.is_equal
+
+    def test_a_cancellation_at_a_seam_gives_up(self):
+        # on a word that a slide would shorten, a mirrored move can bring
+        # two equal letters together; the pull stops there rather than go
+        # on at shifted positions
+        a = C.parse("s(1,2) s(1,3) s(2,3)", 3).payload.letters
+        b = C.parse("s(1,2) s(2,3) s(1,3)", 3).payload.letters
+        assert cactus._slide(a + b[2:], 3) == [(2, ((1, 3), (1, 2)))]
+        assert cactus._pull(a, b, cactus_relations(3)) is None
+
+    def test_a_pair_in_one_class_keeps_the_class_path(self):
+        # the class check runs before the pull: the search's backward step
+        # stays, where the pull would have written a forward one
+        sys = cactus_relations(4)
+        a, b = C.parse("s(1,4) s(2,3)", 4), C.parse("s(2,3) s(1,4)", 4)
+        res = C.equal(a, b)
+        assert res == equal(a.payload, b.payload, sys)
+        assert res.path.forward == () and [(s.rel, s.orient, s.pos) for s in res.path.backward] == [(11, 1, 0)]
+        assert [(s.rel, s.orient, s.pos) for s in cactus._pull(a.payload.letters, b.payload.letters, sys)] == [
+            (11, 0, 0)
+        ]

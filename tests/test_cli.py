@@ -539,6 +539,7 @@ MALFORMED_INPUTS = [
     (["cactus", "coboundary", "--max-total", "2", "--budget", "-5"], 3),
     (["present", "check", "--operad", "cactus", "--file", "{one_generator}", "--interp", "s=s(1,2)",
       "--budget", "-5"], 3),
+    (["present", "check", "--operad", "cactus", "--file", "{one_generator}", "--interp", "s"], 3),
     *((argv, 3) for argv in NEGATIVE_ARGUMENTS),
 ]
 

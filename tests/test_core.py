@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import random
 from collections import Counter
 
 import pytest
@@ -26,6 +27,7 @@ from actionoperads.core import (
 from actionoperads.fincat import discrete_category
 from actionoperads.multicat import identity_prof, lift_prof, operad_as_multicat
 from actionoperads.perm import Perm, all_perms, identity
+from oracles import reference_pi
 from planted import IdentityDelta, UnreducedCactus
 
 SYM = symmetric_operad()
@@ -339,6 +341,24 @@ class TestCompositeDiagonal:
                 )
                 rhs = inst.delta(inst.mu(f, [g, inst.identity(1)]), jsizes)
                 assert inst.equal(lhs, rhs).is_equal, (inst.name, jsizes)
+
+
+class TestWordPi:
+    def test_the_slot_kernel_agrees_with_the_tuple_fold(self):
+        # seeded braid and cactus words, inverse braid letters included
+        rng = random.Random(27)
+        checked = 0
+        for inst in (get_operad("braid"), get_operad("cactus")):
+            for n in range(2, 9):
+                gens = inst.arity_generators(n)
+                signs = (1,) if inst.involutive else (1, -1)
+                for length in range(13):
+                    letters = [(rng.choice(gens), rng.choice(signs)) for _ in range(length)]
+                    a = inst.from_letters(n, letters)
+                    assert inst.pi(a).images == reference_pi(inst, a), (inst.name, n, letters)
+                    assert inst.pi_images(a.payload) == reference_pi(inst, a)
+                    checked += 1
+        assert checked == 2 * 7 * 13
 
 
 class TestStream:

@@ -56,6 +56,20 @@ class TestFreeReduce:
         with pytest.raises(ValueError):
             cactus_relations(2).word((((1, 2), -1),))
 
+    @pytest.mark.parametrize(
+        "letters, message",
+        [
+            ((((1, 4), 1),), "unknown generator (1, 4) at arity 3"),
+            ((((1, 2), 2),), "letter sign must be +1 or -1, got 2"),
+            ((((1, 2), -1),), "involutive generator (1, 2) cannot carry sign -1"),
+        ],
+        ids=["generator", "sign", "involutive"],
+    )
+    def test_word_rejection_messages(self, letters, message):
+        with pytest.raises(ValueError) as err:
+            cactus_relations(3).word(letters)
+        assert str(err.value) == message
+
     letters = st.lists(
         st.tuples(st.sampled_from([1, 2]), st.sampled_from([1, -1])), max_size=12
     )
@@ -140,6 +154,21 @@ class TestEqual:
         del sys
         gc.collect()
         assert ref() is None
+
+    def test_successors_leave_no_cyclic_garbage(self):
+        # each call's matches, dependence order and state are freed by
+        # reference counting alone
+        tab = cactus_relations(4).search_tables
+        state = tab.canon(tab.encode(cactus_word(4, (1, 3), (2, 4), (1, 4), (2, 3), (1, 2)).letters))
+        assert tab.successors(state)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(100):
+                tab.successors(state)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_tables_are_bounded_by_the_relations(self):
         # braid n = 24: 924 far commutations, every pair independent, and
@@ -238,7 +267,7 @@ class TestSystems:
         )
 
     def test_invariants_sound_on_cactus(self):
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5):
             sys = cactus_relations(n)
             contexts = [cactus_word(n, pq) for pq in sys.generators]
             assert validate_invariants(sys, contexts) == []
