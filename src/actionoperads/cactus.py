@@ -44,35 +44,36 @@ Coxeter groups (J. Tits, *Le probleme des mots dans les groupes de
 Coxeter*, 1969) with the reflections added to the commutations.  A
 slide is written out only when it cancels, one ``Step`` per move, each
 move's relation and orientation looked up in the relation system; a
-move the system does not list ends the slide.  The oracle slides both
-sides to ``r1`` and ``r2``; identical words, the ``pi`` invariant and
-one commutation class decide first, at no state, as in
-:func:`rewrite.equal`.  Then, for sides of one length, the *pull*
-rewrites ``r1`` into ``r2`` from the last letter to the first: ``r2``'s
-letter ``c`` at ``k`` slides left into ``r1[:k + 1]`` until it meets an
-equal letter ``y``, and the moves are mirrored, so that ``y`` travels
-right and arrives at ``k`` as ``c``.  A move rewrites ``x c`` to
-``c' x'`` and its mirror ``c' x`` to ``x' c``: a commutation of disjoint
-letters, or else the containment relation ``x c = c' x`` or
-``c x = x' c`` of the outer letter.  Where the pull gives up (a slide
-is blocked, or the system does not list a move) the search runs from
-the slid words.  Slides and the pull answer only ``equal``: a
-``distinct`` from a word that no slide shortens needs two proofs not
-made here, that cancellation is confluent on the classes of the
-length-keeping relations, and that no word in the class of such a word
-has a cancellable pair.
+move the system does not list ends the slide.  The oracle is
+:func:`rewrite.equal` with the family's moves, ``(slide_cancel,
+_pull)``: after identical words and the ``pi`` invariant it slides
+both sides to ``r1`` and ``r2``, and identical slid words and one
+commutation class decide next, at no state.  Then, for sides of one
+length, the *pull* rewrites ``r1`` into ``r2`` from the last letter to
+the first: ``r2``'s letter ``c`` at ``k`` slides left into
+``r1[:k + 1]`` until it meets an equal letter ``y``, and the moves are
+mirrored, so that ``y`` travels right and arrives at ``k`` as ``c``.
+A move rewrites ``x c`` to ``c' x'`` and its mirror ``c' x`` to
+``x' c``: a commutation of disjoint letters, or else the containment
+relation ``x c = c' x`` or ``c x = x' c`` of the outer letter.  Where
+the pull gives up (the lengths differ, a slide is blocked, or the
+system does not list a move) the search runs from the slid words.
+Slides and the pull answer only ``equal``: a ``distinct`` from a word
+that no slide shortens needs two proofs not made here, that
+cancellation is confluent on the classes of the length-keeping
+relations, and that no word in the class of such a word has a
+cancellable pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import lru_cache
 from typing import Sequence
 
 from . import rewrite
 from .core import OperadElement, WordOperad
 from .perm import Perm
-from .rewrite import EqResult, Letters, RelationSystem, RewritePath, Step, Word
+from .rewrite import Letters, RelationSystem, Step
 
 Interval = tuple[int, int]
 
@@ -194,9 +195,11 @@ def _write(sys: RelationSystem, word: Letters, moves) -> list[Step] | None:
 
 
 def _pull(r1: Letters, r2: Letters, sys: RelationSystem) -> tuple[Step, ...] | None:
-    """The steps of the pull (module docstring) of ``r1`` into ``r2``, a
-    word of the same length, or ``None`` when a slide is blocked or ``sys``
-    does not list a move."""
+    """The steps of the pull (module docstring) of ``r1`` into ``r2``, or
+    ``None`` when the two differ in length (the pull keeps length), a
+    slide is blocked or ``sys`` does not list a move."""
+    if len(r1) != len(r2):
+        return None
     word, steps = r1, []
     for k in range(len(r2) - 1, -1, -1):
         if word[k] == r2[k]:
@@ -215,26 +218,6 @@ def _pull(r1: Letters, r2: Letters, sys: RelationSystem) -> tuple[Step, ...] | N
             steps.append(step)
             word = step.result
     return tuple(steps)
-
-
-def slide_equal(w1: Word, w2: Word, sys: RelationSystem, budget=None) -> EqResult:
-    """:func:`rewrite.equal` on the slid words, with the slides prefixed to
-    an ``equal`` path; the pull runs after the checks that cost no state
-    (a budget of 0) and before the search."""
-    r1, s1 = slide_cancel(w1.letters, sys)
-    r2, s2 = slide_cancel(w2.letters, sys)
-    w1, w2 = Word(w1.n, r1), Word(w2.n, r2)
-    # the pull keeps length, so it needs sides of one length
-    pull = len(r1) == len(r2)
-    res = rewrite.equal(w1, w2, sys, 0 if pull else budget)
-    if pull and res.is_inconclusive:
-        pulled = _pull(r1, r2, sys)
-        if pulled is not None:
-            return EqResult("equal", path=RewritePath(r2, s1 + pulled, s2), stop="met")
-        res = rewrite.equal(w1, w2, sys, budget)
-    if not res.is_equal:
-        return res
-    return replace(res, path=RewritePath(res.path.meet, s1 + res.path.forward, s2 + res.path.backward))
 
 
 def interval_generators(n: int) -> tuple[Interval, ...]:
@@ -256,15 +239,9 @@ def cactus_relations(n: int) -> RelationSystem:
             if is_disjoint(a, b):
                 relations.append((((a, 1), (b, 1)), ((b, 1), (a, 1))))
     for outer in gens:
-        rev = s_hat(outer[0], outer[1], n)
         for inner in gens:
-            if inner == outer or not contains(outer, inner):
-                continue
-            k, l = inner
-            image = (rev.images[l - 1], rev.images[k - 1])
-            relations.append(
-                (((outer, 1), (inner, 1)), ((image, 1), (outer, 1)))
-            )
+            if inner != outer and contains(outer, inner):
+                relations.append((((outer, 1), (inner, 1)), ((reflect(inner, outer), 1), (outer, 1))))
     return RelationSystem(
         name=f"cactus_{n}",
         n=n,
@@ -308,7 +285,7 @@ class CactusOperad(WordOperad):
         return tuple(letters)
 
     def equal_at_arity(self, a, b, budget):
-        return slide_equal(a.payload, b.payload, self.relation_system(a.n), budget)
+        return rewrite.equal(a.payload, b.payload, self.relation_system(a.n), budget, (slide_cancel, _pull))
 
     def elements(self, n: int):
         if n == 2:

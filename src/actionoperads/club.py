@@ -196,6 +196,7 @@ def check_pullback(inst: ActionOperad, n: int, X: FinCat) -> PullbackReport:
                     compatible += 1
                     key = (g.key(), (src.objects, tgt.objects, pg.images, m.components))
                     if key not in lifted:
+                        # never runs: ``lifted`` was read from these same hom-sets (ROADMAP item 6)
                         unmatched += 1
     return PullbackReport(
         inst.name,

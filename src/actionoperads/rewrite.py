@@ -483,7 +483,12 @@ class _Expansion:
     """Writes a chain of class edges out as ordinary steps on words, each
     ``free_reduce`` of its splice, so that :func:`replay_path` accepts
     it.  It works on coded words and gives up (``None``) at any step it
-    cannot find."""
+    cannot find.  No system's own tables reach a give-up arm: independence
+    is a listed commutation, a letter and its inverse depend alike, and
+    each word handed on is in its target's class, so a word longer than
+    its key has a cancelling letter (it is not reduced in the free
+    partially commutative group), and ``sort`` gets words of one length
+    and class.  Only tables changed after they were built reach them."""
 
     def __init__(self, sys: RelationSystem, tab: _SearchTables):
         self.sys = sys
@@ -569,13 +574,18 @@ def equal(
     w2: Word,
     sys: RelationSystem,
     budget: int | None = None,
+    moves: tuple[Callable, Callable] | None = None,
 ) -> EqResult:
     """Decide (semidecide) whether two words represent the same element.
 
-    Returns ``equal`` only when a rewrite path exists (and attaches it),
-    ``distinct`` only when a declared invariant separates the inputs.
-    Inputs in one commutation class, identical ones included, cost zero
-    states.
+    Returns ``equal`` only with a rewrite path, ``distinct`` only when a
+    declared invariant separates the inputs.  The checks run once each, in
+    order: identical inputs; the invariants; with a family's ``moves =
+    (slide, join)``, its slides (``slide(letters, sys)`` is a word and the
+    steps to it) and identical slid words; one commutation class;
+    ``join(r1, r2, sys)``, steps from ``r1`` to ``r2`` or ``None``; the
+    search.  Only the search costs states, and the slide steps open each
+    side of an ``equal`` path.
     """
     if w1.n != w2.n or w1.n != sys.n:
         raise ValueError(f"arity mismatch: words at {w1.n}/{w2.n}, system at {sys.n}")
@@ -586,6 +596,13 @@ def equal(
     for name, evaluate in sys.invariants:
         if evaluate(Word(sys.n, start_letters)) != evaluate(Word(sys.n, goal_letters)):
             return EqResult("distinct", states=0, separating=name, stop="invariant")
+    slides: tuple[tuple[Step, ...], ...] = ((), ())
+    if moves is not None:
+        slide, join = moves
+        (start_letters, s1), (goal_letters, s2) = slide(start_letters, sys), slide(goal_letters, sys)
+        slides = (s1, s2)
+        if start_letters == goal_letters:
+            return EqResult("equal", states=0, path=RewritePath(start_letters, s1, s2), stop="met")
     if budget is None:
         budget = DEFAULT_BUDGET
 
@@ -615,13 +632,17 @@ def equal(
                 word = expansion.edge(word, *edge)
             if word is None:
                 return None
-            chains.append(tuple(expansion.steps))
+            chains.append(slides[side] + tuple(expansion.steps))
         return RewritePath(tab.decode(meet), chains[0], chains[1])
 
     if start == goal:
         path = build_path(start)
         if path is not None:
             return EqResult("equal", states=0, path=path, stop="met")
+    if moves is not None:
+        joined = join(start_letters, goal_letters, sys)
+        if joined is not None:
+            return EqResult("equal", path=RewritePath(goal_letters, slides[0] + joined, slides[1]), stop="met")
 
     successors = tab.successors
     while (queues[0] or queues[1]) and expanded < budget:

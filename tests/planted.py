@@ -121,3 +121,12 @@ class UnlistedReversedBlockSum(ReversedBlockSum):
     ``check_axioms`` samples it."""
 
     elements = UnlistedSym.elements
+
+
+class MissingUnit(SymmetricOperad):
+    """The arity-2 enumeration leaves out the unit, so the swap times
+    itself is a product that no listed element equals."""
+
+    def elements(self, n):
+        els = super().elements(n)
+        return els[1:] if n == 2 else els

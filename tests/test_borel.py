@@ -26,7 +26,7 @@ from actionoperads.core import symmetric_operad, trivial_operad
 from actionoperads.fincat import arrow_category, discrete_category, z2_category
 from actionoperads.multicat import FinFunctor, identity_prof, lift_matches_plus, lift_prof
 from oracles import quotient_hom_set
-from planted import StabilizedProduct, UnreducedCactus
+from planted import MissingUnit, StabilizedProduct, UnreducedCactus
 
 SYM = symmetric_operad()
 TRIV = trivial_operad()
@@ -273,6 +273,13 @@ class TestInfinityChecks:
         with pytest.raises(ValueError):
             contractible_free_check(CACT, 3)
 
+    def test_a_product_outside_the_enumeration_is_skipped(self):
+        # only the swap is listed: swap * swap resolves to no listed
+        # element, so hom(swap, swap) is empty and the check fails
+        rep = contractible_free_check(MissingUnit(), 2)
+        assert rep.size == 1 and not rep.contractible and rep.free
+        assert rep.details == ("hom([2,1],[2,1]) has 0 morphisms",)
+
     def test_planted_stabilizer_fails_both(self):
         # multiplying by (1 2) does nothing: e*k = e for both k, so
         # hom(e, e) has two morphisms, hom(e, (1 2)) none, and (1 2)
@@ -325,3 +332,26 @@ class TestMaterializedCategory:
         with pytest.raises(ValueError, match="'cactus' is not finite at arity 3"):
             borel_realization(CACT, point, max_arity=3)
         assert len(borel_realization(CACT, point, max_arity=2).cat.objects) == 3
+
+
+class TestArgumentChecks:
+    def test_object_arity_must_match_its_tuple(self):
+        with pytest.raises(ValueError, match=r"^arity 2 against 1 object\(s\)$"):
+            BorelObject("sym", 2, ("a",))
+
+    def test_hom_set_objects_of_another_instance(self):
+        with pytest.raises(ValueError, match="^objects belong to a different instance$"):
+            hom_set(SYM, D2, obj(TRIV, "a"), obj(SYM, "a"))
+
+    def test_compose_needs_composable_morphisms(self):
+        ab, ba = identity_morphism(SYM, D2, obj(SYM, "a", "b")), identity_morphism(SYM, D2, obj(SYM, "b", "a"))
+        with pytest.raises(ValueError, match="^non-composable: target of the first differs from source of the second$"):
+            compose_borel(SYM, D2, ba, ab)
+
+    def test_act_at_the_object_arity(self):
+        with pytest.raises(ValueError, match="^arity mismatch: element of arity 3 acting at 2$"):
+            act(SYM, D2, SYM.identity(3), obj(SYM, "a", "b"))
+
+    def test_mult_needs_one_inner_object_per_input(self):
+        with pytest.raises(ValueError, match=r"^arity mismatch: outer arity 2 with 1 inner object\(s\)$"):
+            borel_mult(SYM, SYM.identity(2), [borel_unit(SYM, "a")])

@@ -12,6 +12,7 @@ import pytest
 
 from actionoperads.braid import (
     block_cross,
+    block_cross_letters,
     braid_operad,
     braid_relations,
     embedded_block_transposition,
@@ -70,6 +71,14 @@ class TestPi:
 
 
 class TestBlockCross:
+    def test_argument_checks(self):
+        with pytest.raises(ValueError, match="^arity must be >= 0, got -1$"):
+            braid_relations(-1)
+        with pytest.raises(ValueError, match="^block widths must be >= 0 and position >= 1, got p=0 a=1 b=1$"):
+            block_cross_letters(0, 1, 1)
+        with pytest.raises(ValueError, match=r"^blocks at p=1, widths \(2, 2\) do not fit arity 3$"):
+            embedded_block_transposition(1, 2, 2, 3)
+
     def test_base_cases(self):
         assert B.format(block_cross(1, 1, 1)) == "b1"
         assert B.format(block_cross(1, 0, 3)) == "e"

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from actionoperads import cactus
+from actionoperads import cactus, rewrite
 from actionoperads.braid import braid_operad
 from actionoperads.cactus import (
     cactus_operad,
@@ -24,7 +24,6 @@ from actionoperads.cactus import (
     is_disjoint,
     s_hat,
     slide_cancel,
-    slide_equal,
 )
 from actionoperads.core import AxiomCheckConfig, check_axioms
 from actionoperads.perm import block_perm, block_sum
@@ -32,6 +31,7 @@ from actionoperads.rewrite import EqResult, RewritePath, Step, equal, free_reduc
 from oracles import j3_normal_form
 
 C = cactus_operad()
+MOVES = (slide_cancel, cactus._pull)  # the family's moves for rewrite.equal
 
 
 def delta_gen(p, q, n, sizes):
@@ -76,6 +76,30 @@ class TestRelations:
         assert (((((1, 3), 1), ((1, 2), 1))), ((((2, 3), 1), ((1, 3), 1)))) in sys.relations
         # (1,3) contains (2,3): s(1,3)s(2,3) = s(1,2)s(1,3)
         assert (((((1, 3), 1), ((2, 3), 1))), ((((1, 2), 1), ((1, 3), 1)))) in sys.relations
+
+    def test_containment_images_are_those_of_the_reversal(self):
+        # the list at each n <= 8 against the containment images read off
+        # s_hat(outer), the reversal's permutation
+        for n in range(9):
+            gens = interval_generators(n)
+            want = [(((g, 1), (g, 1)), ()) for g in gens]
+            want += [
+                (((a, 1), (b, 1)), ((b, 1), (a, 1)))
+                for i, a in enumerate(gens)
+                for b in gens[i + 1 :]
+                if is_disjoint(a, b)
+            ]
+            for outer in gens:
+                rev = s_hat(*outer, n).images
+                for k, l in gens:
+                    if (k, l) != outer and contains(outer, (k, l)):
+                        want.append((((outer, 1), ((k, l), 1)), (((rev[l - 1], rev[k - 1]), 1), (outer, 1))))
+            assert cactus_relations(n).relations == tuple(want), n
+        assert len(cactus_relations(8).relations) == 280
+
+    def test_negative_arity_is_rejected(self):
+        with pytest.raises(ValueError, match="^arity must be >= 0, got -1$"):
+            cactus_relations(-1)
 
     def test_disjoint_and_contains_predicates(self):
         assert is_disjoint((1, 2), (3, 4))
@@ -380,8 +404,8 @@ class TestSlides:
         a, b = C.parse("s(1,2) s(1,3) s(2,3)", 3).payload, C.parse("s(1,3)", 3).payload
         assert cactus._slide(a.letters, 2) == [(1, ((1, 2), (1, 3)))]
         assert slide_cancel(a.letters, defective) == (a.letters, ())
-        assert not slide_equal(a, b, defective).is_equal
-        assert slide_equal(a, b, full).is_equal
+        assert not equal(a, b, defective, moves=MOVES).is_equal
+        assert equal(a, b, full, moves=MOVES).is_equal
 
     def test_an_overlap_let_through_writes_no_step(self, monkeypatch):
         # a slide rule that commutes overlapping intervals would cancel the
@@ -394,6 +418,40 @@ class TestSlides:
         assert not C.equal(a, C.identity(3)).is_equal
 
 
+class TestOnePass:
+    """``rewrite.equal`` runs each check once: the invariants before the
+    slides, and the class check before the pull and the search."""
+
+    def test_a_pair_pi_refutes_is_never_slid(self, monkeypatch):
+        calls = []
+        slide = cactus.slide_cancel
+        monkeypatch.setattr(cactus, "slide_cancel", lambda letters, sys: calls.append(letters) or slide(letters, sys))
+        res = C.equal(C.parse("s(1,2) s(1,3) s(2,3)", 3), C.parse("s(1,2)", 3))
+        assert res == EqResult("distinct", separating="pi", stop="invariant")
+        assert calls == []
+
+    def test_a_pair_the_pull_cannot_join_is_checked_once(self, monkeypatch):
+        # one length, one pi, nothing slides and the pull is blocked: each
+        # side's pi and class key are computed once
+        a, b = C.parse("s(1,2) s(2,3) s(1,2)", 3), C.parse("s(2,3) s(1,2) s(2,3)", 3)
+        full = cactus_relations(3)
+        assert cactus._pull(a.payload.letters, b.payload.letters, full) is None
+        pis, keys = [], []
+        sys = replace(full, invariants=(("pi", lambda w: pis.append(w) or C.pi_images(w)),))
+        monkeypatch.setattr(cactus.CactusOperad, "relation_system", lambda self, n: sys)
+        canon = rewrite._SearchTables.canon
+        monkeypatch.setattr(rewrite._SearchTables, "canon", lambda tab, word: keys.append(word) or canon(tab, word))
+        res = C.equal(a, b, budget=0)
+        assert res == EqResult("inconclusive", stop="budget")
+        assert pis == [a.payload, b.payload]
+        assert len(keys) == 2
+
+    def test_identical_inputs_that_slide_get_the_empty_path(self):
+        a = C.parse("s(1,2) s(1,3) s(2,3)", 3)
+        assert slide_cancel(a.payload.letters, cactus_relations(3))[1]
+        assert C.equal(a, a) == EqResult("equal", path=RewritePath(a.payload.letters, (), ()), stop="met")
+
+
 class TestPull:
     def test_a_pull_proves_equal_without_search(self):
         # neither side slides; s(1,2) slides into s(1,3) s(1,2) and meets
@@ -401,7 +459,7 @@ class TestPull:
         sys = cactus_relations(3)
         a, b = C.parse("s(1,3) s(1,2)", 3).payload, C.parse("s(2,3) s(1,3)", 3).payload
         assert cactus._pull(a.letters, b.letters, sys) == (Step(3, 0, 0, b.letters),)
-        res = slide_equal(a, b, sys)
+        res = equal(a, b, sys, moves=MOVES)
         assert res == EqResult("equal", path=RewritePath(b.letters, (Step(3, 0, 0, b.letters),), ()), stop="met")
         assert replay_path(sys, a, b, res.path)
 
@@ -413,7 +471,7 @@ class TestPull:
         a, b = C.parse("s(1,3) s(1,2)", 3).payload, C.parse("s(2,3) s(1,3)", 3).payload
         assert cactus._slide(a.letters + b.letters[1:], 2) == [(1, ((1, 3), (2, 3)))]
         assert cactus._pull(a.letters, b.letters, defective) is None
-        res = slide_equal(a, b, defective)
+        res = equal(a, b, defective, moves=MOVES)
         assert res == equal(a, b, defective) and not res.is_equal
 
     def test_an_overlap_let_through_writes_no_pulled_step(self, monkeypatch):

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
+from actionoperads import cli, multicat as mc
 from actionoperads.braid import braid_operad
 from actionoperads.cli import main
 from actionoperads.fincat import discrete_category, fincat_to_dict, z2_category
@@ -18,6 +20,7 @@ from actionoperads.multicat import (
     validate_multicat,
 )
 from actionoperads.core import symmetric_operad
+from planted import StabilizedProduct
 from test_validator_golden import _junk, _unknown_leg_in_chain
 
 
@@ -56,6 +59,11 @@ class TestElementCommands:
             capsys, "mu", "--operad", "sym", "--n", "2", "--arities", "1,2", "[2,1]", "[1]", "[2,1]"
         )
         assert code == 0 and out.strip() == "[3,2,1]"
+
+    def test_empty_integer_list(self, capsys):
+        # an empty --sizes is the empty list: the block diagonal at arity 0
+        code, out = run(capsys, "delta", "--operad", "sym", "--n", "0", "--sizes", "", "[]")
+        assert code == 0 and out.strip() == "[]"
 
     def test_bad_word_is_input_error(self, capsys):
         code, _ = run(capsys, "pi", "--operad", "cactus", "--n", "3", "s(9,9)")
@@ -226,6 +234,21 @@ class TestReports:
         code, out = run(capsys, "borel", "infinity", "--operad", "sym", "--n", "3")
         assert code == 0 and out.startswith("PASS")
 
+    def test_borel_infinity_failure_prints_the_details(self, capsys, monkeypatch):
+        # a planted product that the swap does not move fails both halves
+        monkeypatch.setattr(cli, "get_operad", lambda name: StabilizedProduct())
+        code, out = run(capsys, "borel", "infinity", "--operad", "sym", "--n", "2")
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL arity=2 size=2 contractible=False free=False",
+            "  hom([1,2],[1,2]) has 2 morphisms",
+            "  hom([1,2],[2,1]) has 0 morphisms",
+            "  hom([2,1],[1,2]) has 0 morphisms",
+            "  hom([2,1],[2,1]) has 2 morphisms",
+            "  stabilizer: g*h = g for g=[1,2], h=[2,1]",
+            "  stabilizer: g*h = g for g=[2,1], h=[2,1]",
+        ]
+
     def test_club_check_and_pullback(self, capsys, d2_file):
         code, out = run(capsys, "club", "check", "--operad", "sym", "--max-arity", "3")
         assert code == 0 and out.startswith("PASS")
@@ -293,6 +316,25 @@ class TestReports:
             "--max-arity", "2",
         )
         assert code == 0 and out.startswith("PASS")
+
+    def test_multicat_lift_failure_is_a_verdict(self, capsys, monkeypatch, tmp_path, d2_file):
+        # a lift that loses an element of its first non-empty cell fails the
+        # comparison: exit 1 with the reason, not an input error
+        match = mc.match_lift
+
+        def drop_one(inst, lifted, plus, rx, ry):
+            values = dict(lifted.prof.values)
+            pair = next(pair for pair, els in values.items() if els)
+            values[pair] = values[pair][1:]
+            return match(inst, replace(lifted, prof=replace(lifted.prof, values=values)), plus, rx, ry)
+
+        monkeypatch.setattr(mc, "match_lift", drop_one)
+        fg = tmp_path / "g.json"
+        fg.write_text(json.dumps({"ob": {"a": "a", "b": "b"}, "mor": {"id_a": "id_a", "id_b": "id_b"}}))
+        argv = ["multicat", "lift", "--operad", "sym", "--category-x", d2_file, "--category-y", d2_file,
+                "--functor", str(fg), "--max-arity", "1"]
+        code, out = run(capsys, *argv)
+        assert code == 1 and out == "FAIL plus side has unmatched elements at ('[]', '[]')\n"
 
     @pytest.mark.parametrize(
         "doc",
@@ -489,6 +531,8 @@ MALFORMED_INPUTS = [
     (["beta", "--operad", "sym", "--n", "2,a", "[2,1]", "[1]"], 3),
     (["delta", "--operad", "cactus", "--n", "2", "--sizes", "1", "s(1,2)"], 3),
     (["mu", "--operad", "braid", "--n", "2", "--arities", "1,2", "b1", "e", "b2"], 3),
+    (["mu", "--operad", "sym", "--n", "2", "--arities", "1", "[2,1]", "[1]", "[1]"], 3),
+    (["equal", "--operad", "sym", "--n", "2", "--replay", "{missing}", "[2,1]", "[2,1]"], 3),
     (["equal", "--operad", "cactus", "--n", "3", "--replay", "{missing}", "e", "e"], 3),
     (["equal", "--operad", "cactus", "--n", "3", "--replay", "{notjson}", "e", "e"], 3),
     (["equal", "--operad", "cactus", "--n", "3", "--replay", "{list}", "e", "e"], 3),

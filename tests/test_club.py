@@ -4,11 +4,13 @@ hypothesis checking, and the pullback comparison square."""
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from actionoperads.braid import braid_operad
 from actionoperads.cactus import cactus_operad
-from actionoperads.club import check_pullback, operad_from_club, roundtrip_check
+from actionoperads.club import ClubBackedOperad, check_pullback, operad_from_club, roundtrip_check
 from actionoperads.core import (
     ActionOperad,
     AxiomCheckConfig,
@@ -139,6 +141,13 @@ class TestRebuild:
 class TestRebuiltForwarding:
     """The rebuilt instance names, spells and reads elements as its club
     does, so that the engines reading generators see the same instance."""
+
+    def test_an_instance_without_its_club_forwards_nothing(self):
+        # a copy is built before its attributes are filled in: looking one
+        # up then raises instead of recursing through ``club``
+        with pytest.raises(AttributeError, match="^name$"):
+            ClubBackedOperad.__new__(ClubBackedOperad).name
+        assert copy.copy(operad_from_club(SYM)).name == "sym"
 
     @pytest.mark.parametrize("inst", [SYM, CACT], ids=["sym", "cactus"])
     def test_rebuilt_validates_the_club_multicategory(self, inst):

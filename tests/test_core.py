@@ -370,6 +370,14 @@ class TestStream:
     def test_bounds(self):
         s = DeterministicStream(1)
         assert all(0 <= s.next_int(7) < 7 for _ in range(100))
+        with pytest.raises(ValueError, match="^bound must be positive$"):
+            s.next_int(0)
+
+    def test_sampled_blocks_must_fit_the_cap(self):
+        # a composite-arity cap of 0 leaves no room for a positive block
+        config = AxiomCheckConfig(max_total_arity=3, max_result_arity=0)
+        with pytest.raises(ValueError, match="^cannot fit 2 positive blocks under a composite-arity cap of 0; "):
+            check_axioms(BraidOperad(), config)
 
     def test_symmetric_samples_pinned(self):
         # every sampled letter draws its inversion bit; inverting a

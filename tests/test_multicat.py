@@ -22,6 +22,7 @@ from actionoperads.fincat import (
     z2_category,
 )
 from actionoperads.multicat import (
+    _UnionFind,
     FinMulticat,
     FinMultifunctor,
     FinFunctor,
@@ -77,6 +78,10 @@ class TestValidator:
             for alpha in SYM.elements(3):
                 got = act_by(sym_multicat, SYM, f"3:{SYM.format(el)}", alpha)
                 assert got == f"3:{SYM.format(SYM.mul(el, alpha))}"
+
+    def test_action_by_an_element_of_another_arity(self, sym_multicat):
+        with pytest.raises(ValueError, match="^arity mismatch: element of arity 3 acted by arity 2$"):
+            act_by(sym_multicat, SYM, "3:[1,2,3]", SYM.identity(2))
 
     def test_action_well_definedness(self, sym_multicat):
         words = list(SYM.elements(2)) + list(SYM.elements(3))
@@ -440,6 +445,14 @@ class TestFinFunctor:
 
 
 class TestProfunctors:
+    def test_union_find_compresses_a_chain(self):
+        uf = _UnionFind()
+        uf.union("b", "c")
+        uf.union("a", "b")
+        assert uf.parent == {"a": "a", "b": "a", "c": "b"}
+        assert uf.find("c") == "a"
+        assert uf.parent == {"a": "a", "b": "a", "c": "a"}
+
     def test_plus_profunctor_validates(self):
         X = arrow_category()
         P = from_functor(FinFunctor("idX", X, X, {o: o for o in X.objects}, {m: m for m in X.morphisms}))

@@ -42,6 +42,11 @@ perm_strategy = st.integers(min_value=0, max_value=6).flatmap(
 
 
 class TestBasics:
+    def test_argument_checks(self):
+        assert raised(Perm((2, 1)), 3) == "point 3 out of range 1..2"
+        assert raised(adjacent_transposition, 3, 3) == "adjacent transposition index 3 out of range 1..2"
+        assert raised(parse_perm, "[1,x]") == "malformed permutation entries in '[1,x]'"
+
     def test_involution_squared(self):
         assert compose(Perm((2, 1)), Perm((2, 1))).images == (1, 2)
 

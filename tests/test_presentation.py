@@ -193,3 +193,57 @@ class TestCorpus:
     def test_all_arity_consistent(self):
         for t in generate_terms(SWAP, 100, seed=23):
             term_arity(t, SWAP)
+
+
+class TestErrorArms:
+    """Each rejection names what is wrong."""
+
+    def test_generator_permutation_of_the_wrong_arity(self):
+        with pytest.raises(ValueError, match=r"generator 's': assigned permutation has arity 3, declared 2"):
+            Generator("s", 2, Perm((1, 3, 2)))
+
+    def test_duplicate_generator_name(self):
+        with pytest.raises(ValueError, match=r"duplicate generator name 's'"):
+            GeneratorCollection([Generator("s", 2, Perm((2, 1))), Generator("s", 1, Perm((1,)))])
+
+    def test_unknown_generator(self):
+        with pytest.raises(ValueError, match=r"unknown generator 't'"):
+            term_arity(Gen("t"), SWAP)
+
+    def test_negative_id_arity(self):
+        with pytest.raises(ValueError, match=r"id arity must be >= 0, got -1"):
+            term_arity(IdT(-1), SWAP)
+
+    def test_negative_delta_width(self):
+        with pytest.raises(ValueError, match=r"delta widths must be >= 0"):
+            term_arity(DeltaT(Gen("s"), (3, -1)), SWAP)
+
+    def test_not_a_term(self):
+        with pytest.raises(ValueError, match=r"not a term: 's'"):
+            term_arity("s", SWAP)
+        with pytest.raises(ValueError, match=r"not a term: 's'"):
+            format_term("s")
+
+    def test_missing_interpretation(self):
+        with pytest.raises(ValueError, match=r"no interpretation for generator 's'"):
+            eval_term(IdT(2), {}, SYM, SWAP)
+
+    def test_trailing_input(self):
+        with pytest.raises(ValueError, match=r"trailing input after term: ' gen\(s\)'"):
+            parse_term("id(2) gen(s)")
+
+    def test_a_space_before_the_bracket(self):
+        assert parse_term("gen (s)") == Gen("s")
+        assert parse_term("mul (gen(s), id (2))") == Mul(Gen("s"), IdT(2))
+
+    def test_relation_sides_of_different_arities(self):
+        bad = Presentation("bad", SWAP, ((Gen("s"), IdT(3)),))
+        with pytest.raises(ValueError, match=r"relation 0: arities 2 and 3 differ"):
+            validate_presentation(bad)
+
+    def test_an_empty_block_sum_at_arity_0(self):
+        # with an arity-0 generator, seed 1 draws a block sum at arity 0
+        z = GeneratorCollection([Generator("z", 0, Perm(()))])
+        terms = generate_terms(z, 5, seed=1)
+        assert BetaT(()) in terms
+        assert [term_arity(t, z) for t in terms] == [0] * 5

@@ -20,6 +20,7 @@ from actionoperads.rewrite import (
     RewritePath,
     Step,
     Word,
+    _Expansion,
     equal,
     free_reduce,
     invert_letters,
@@ -593,6 +594,50 @@ class TestAgainstReference:
         assert tab.canon(tab.encode(w1.letters)) == tab.canon(tab.encode(w2.letters))
         res = equal(w1, w2, sys, budget=50)
         assert not res.is_equal
+
+
+def _independent_b1_b2():
+    """``braid_relations(3)`` without invariants, its tables marking b1 and
+    b2 independent although no relation swaps them (a planted defect)."""
+    sys = replace(braid_relations(3), invariants=())
+    tab = sys.search_tables
+    b1, b2 = tab.letter_to_code[(1, 1)], tab.letter_to_code[(2, 1)]
+    tab.dep[b1] &= ~tab.bit[b2]
+    tab.dep[b2] &= ~tab.bit[b1]
+    return sys, tab
+
+
+class TestExpansionGivesUp:
+    """Each give-up arm of ``_Expansion`` on tables changed after they were
+    built; the search then answers no ``equal``."""
+
+    def test_a_longer_word_with_no_cancelling_letter(self):
+        # under the planted independence b2 b1 B2 has the key b1, and B2
+        # depends on b1, so no letter's nearest dependent letter is its inverse
+        sys, tab = _independent_b1_b2()
+        w1, w2 = _braid(3, "b1"), _braid(3, "b2 b1 B2")
+        word = tab.encode(w2.letters)
+        assert tab.decode(tab.canon(word)) == w1.letters
+        expansion = _Expansion(sys, tab)
+        assert expansion.cancelling(word) is None
+        assert expansion.settle(word, tab.canon(word)) is None and expansion.steps == []
+        assert not equal(w1, w2, sys, budget=30).is_equal
+
+    def test_an_edge_after_a_step_that_gave_up(self):
+        sys, _ = _independent_b1_b2()
+        assert not equal(_braid(3, "b1 b1 b2"), _braid(3, "b1 b2 b1"), sys, budget=30).is_equal
+
+    def test_a_right_side_that_is_not_the_relations(self):
+        # the trie says b1 b2 b1 -> b2 B1 b2, the relation b1 b2 b1 = b2 b1 b2:
+        # the applied step cannot be commuted into the class the search saw
+        sys = replace(braid_relations(3), invariants=())
+        tab = sys.search_tables
+        lhs = tab.encode(sys.relations[0][0])
+        entries = tab.trie[lhs[0]][0][lhs[1]][0][lhs[2]][1]
+        planted = tab.encode(_braid(3, "b2 B1 b2").letters)
+        entries[0] = (planted, entries[0][1])
+        assert _Expansion(sys, tab).sort(tab.encode(sys.relations[0][1]), planted) is None
+        assert not equal(_braid(3, "b1 b2 b1"), _braid(3, "b2 B1 b2"), sys, budget=30).is_equal
 
 
 class TestReplay:
