@@ -43,21 +43,21 @@ until no letter does; this is Tits's solution of the word problem for
 Coxeter groups (J. Tits, *Le probleme des mots dans les groupes de
 Coxeter*, 1969) with the reflections added to the commutations.  A
 slide is written out only when it cancels, one ``Step`` per move, each
-move's relation and orientation looked up in the relation system; a
-move the system does not list ends the slide.  The oracle is
+move's relation and orientation looked up in ``sys.rewrites``; a move
+the system does not list ends the slide.  The oracle is
 :func:`rewrite.equal` with the family's moves, ``(slide_cancel,
 _pull)``: after identical words and the ``pi`` invariant it slides
-both sides to ``r1`` and ``r2``, and identical slid words and one
-commutation class decide next, at no state.  Then, for sides of one
-length, the *pull* rewrites ``r1`` into ``r2`` from the last letter to
-the first: ``r2``'s letter ``c`` at ``k`` slides left into
+both sides to ``r1`` and ``r2``.  Then, for sides of one length, the
+*pull* rewrites ``r1`` into ``r2`` from the last letter to the first,
+at no state: ``r2``'s letter ``c`` at ``k`` slides left into
 ``r1[:k + 1]`` until it meets an equal letter ``y``, and the moves are
 mirrored, so that ``y`` travels right and arrives at ``k`` as ``c``.
 A move rewrites ``x c`` to ``c' x'`` and its mirror ``c' x`` to
 ``x' c``: a commutation of disjoint letters, or else the containment
 relation ``x c = c' x`` or ``c x = x' c`` of the outer letter.  Where
 the pull gives up (the lengths differ, a slide is blocked, or the
-system does not list a move) the search runs from the slid words.
+system does not list a move) the class check and the search run from
+the slid words; only they build the search tables.
 Slides and the pull answer only ``equal``: a ``distinct`` from a word
 that no slide shortens needs two proofs not made here, that
 cancellation is confluent on the classes of the length-keeping

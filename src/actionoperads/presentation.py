@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .core import ActionOperad, DeterministicStream, OperadElement, symmetric_operad
-from .fincat import read_json
+from .fincat import doc_name, read_json
 from .perm import Perm, parse_perm
 from .rewrite import EqResult
 
@@ -274,7 +274,11 @@ def _parse(text: str, pos: int, depth: int) -> tuple[Term, int]:
     pos = _expect(text, pos, ";")
     pos = _expect(text, pos, "[")
     end = text.index("]", pos)
-    sizes = tuple(int(x) for x in text[pos:end].split(",") if x.strip())
+    widths = text[pos:end].split(",") if text[pos:end].strip() else []
+    for k, width in enumerate(widths):
+        if not width.strip():
+            raise ValueError(f"empty delta width at position {pos + k + sum(map(len, widths[:k]))} in {text!r}")
+    sizes = tuple(map(int, widths))
     pos = _expect(text, end + 1, ")")
     return DeltaT(body, sizes), pos
 
@@ -362,11 +366,17 @@ def check_presentation(
     return PresentationReport(p.name, inst.name, outcomes)
 
 
+def _doc_generator(g) -> Generator:
+    """A generator read from a JSON document; its arity is an ``int`` >= 0, not a ``bool``."""
+    if type(g["arity"]) is not int or g["arity"] < 0:
+        raise TypeError(f"expected an arity >= 0, got {g['arity']!r}")
+    pi = parse_perm(g["pi"]) if isinstance(g["pi"], str) else Perm(tuple(g["pi"]))
+    return Generator(doc_name(g["name"]), g["arity"], pi)
+
+
 def presentation_from_dict(doc: dict, name: str = "presentation") -> Presentation:
     try:
-        gens = GeneratorCollection(
-            [Generator(g["name"], g["arity"], parse_perm(g["pi"]) if isinstance(g["pi"], str) else Perm(tuple(g["pi"]))) for g in doc["generators"]]
-        )
+        gens = GeneratorCollection([_doc_generator(g) for g in doc["generators"]])
         relations = tuple(
             (parse_term(r["lhs"]), parse_term(r["rhs"])) for r in doc["relations"]
         )

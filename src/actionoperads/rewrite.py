@@ -104,9 +104,20 @@ class RelationSystem:
         return frozenset(self.generators)
 
     @cached_property
+    def rewrites(self) -> dict[tuple[Letters, Letters], int]:
+        """Every oriented relation, left side to right side, as ``2 * rel
+        + orient``: the first listing of each rewrite, in relation order."""
+        index: dict[tuple[Letters, Letters], int] = {}
+        for rel, sides in enumerate(self.relations):
+            for orient in (0, 1):
+                index.setdefault((sides[orient], sides[1 - orient]), 2 * rel + orient)
+        return index
+
+    @cached_property
     def search_tables(self) -> _SearchTables:
-        """The interned form the search reads, built on the first search
-        and freed with the system."""
+        """The interned form the search reads, built on the first class
+        check and kept with the system, for the whole process where
+        ``cactus_relations`` or ``braid_relations`` caches the system."""
         return _SearchTables(self)
 
 
@@ -232,9 +243,10 @@ class _SearchTables:
     tuples.  ``inverse[c]`` is the code of ``c``'s inverse and ``bit[c]``
     is ``1 << ord(c)``.
 
-    ``swaps`` maps each ordered pair of independent letters ``x + y`` (two
-    codes) to ``2 * ridx + orient``, the listed relation and orientation
-    that rewrite ``x y`` to ``y x``.
+    The tables are read from ``sys.rewrites``, the first listing of each
+    rewrite.  ``swaps`` maps each ordered pair of independent letters
+    ``x + y`` (two codes) to ``2 * ridx + orient``, the listed relation
+    and orientation that rewrite ``x y`` to ``y x``.
     A pair counts as independent when ``x != y``, ``y`` is not ``x``'s
     inverse, and the commutation is listed for every sign of both letters,
     so that a letter and its inverse have the same dependence; a
@@ -268,12 +280,8 @@ class _SearchTables:
         }
         self.bit = {code: 1 << ord(code) for code in self.code_to_letter}
 
-        coded = [(self.encode(lhs), self.encode(rhs)) for lhs, rhs in sys.relations]
-        listed: dict[str, int] = {}
-        for ridx, (lhs, rhs) in enumerate(coded):
-            if len(lhs) == 2 and lhs[0] != lhs[1] and rhs == lhs[::-1]:
-                listed.setdefault(lhs, 2 * ridx)
-                listed.setdefault(rhs, 2 * ridx + 1)
+        coded = [(self.encode(a), self.encode(b), move) for (a, b), move in sys.rewrites.items()]
+        listed = {a: move for a, b, move in coded if len(a) == 2 and a[0] != a[1] and b == a[::-1]}
         inverse = self.inverse
         self.swaps = {
             xy: move
@@ -287,19 +295,15 @@ class _SearchTables:
             self.dep[x] &= ~self.bit[y]
 
         self.trie: dict[str, list] = {}
-        for ridx, sides in enumerate(coded):
-            if sides[0] in self.swaps and sides[1] == sides[0][::-1]:
+        for a, b, move in coded:
+            if not a or (a in self.swaps and b == a[::-1]):
                 continue
-            for orient in (0, 1):
-                a = sides[orient]
-                if not a:
-                    continue
-                node = [self.trie]
-                for c in a:
-                    if node[0] is None:
-                        node[0] = {}
-                    node = node[0].setdefault(c, [None, [], False])
-                node[1].append((sides[1 - orient], 2 * ridx + orient))
+            node = [self.trie]
+            for c in a:
+                if node[0] is None:
+                    node[0] = {}
+                node = node[0].setdefault(c, [None, [], False])
+            node[1].append((b, move))
         nodes = list(self.trie.items())
         for c, node in nodes:
             if node[0]:
@@ -461,22 +465,10 @@ def _apply(sys: RelationSystem, word: Letters, rel: int, orient: int, pos: int) 
 
 def pair_step(sys: RelationSystem, word: Letters, pos: int, target: Letters) -> Step | None:
     """The step that rewrites the two letters of ``word`` at ``pos`` into
-    the two letters ``target`` by a listed relation, or ``None`` when
-    ``sys`` lists no such rewrite.  The relation is looked up in the
-    search tables: a commutation of independent letters in ``swaps``, any
-    other the first in relation order among the trie's two-letter left
-    sides."""
-    tab = sys.search_tables
-    xy, b = tab.encode(word[pos : pos + 2]), tab.encode(target)
-    move = tab.swaps.get(xy) if b == xy[::-1] else None
-    if move is None:
-        node = tab.trie.get(xy[0])
-        entries = node[0].get(xy[1], (None, ()))[1] if node and node[0] else ()
-        move = next((m for rhs, m in entries if rhs == b), None)
-        if move is None:
-            return None
-    rel, orient = move >> 1, move & 1
-    return Step(rel, orient, pos, _apply(sys, word, rel, orient, pos))
+    the two letters ``target`` by the first relation that lists it, or
+    ``None`` when ``sys`` lists no such rewrite."""
+    move = sys.rewrites.get((word[pos : pos + 2], target))
+    return None if move is None else Step(move >> 1, move & 1, pos, _apply(sys, word, move >> 1, move & 1, pos))
 
 
 class _Expansion:
@@ -582,10 +574,11 @@ def equal(
     declared invariant separates the inputs.  The checks run once each, in
     order: identical inputs; the invariants; with a family's ``moves =
     (slide, join)``, its slides (``slide(letters, sys)`` is a word and the
-    steps to it) and identical slid words; one commutation class;
-    ``join(r1, r2, sys)``, steps from ``r1`` to ``r2`` or ``None``; the
-    search.  Only the search costs states, and the slide steps open each
-    side of an ``equal`` path.
+    steps to it), then its join (``join(r1, r2, sys)``, steps from the
+    slid ``r1`` to the slid ``r2`` or ``None``); one commutation class;
+    the search.  Only the last two read the search tables, only the
+    search costs states, and the slide steps open each side of an
+    ``equal`` path.
     """
     if w1.n != w2.n or w1.n != sys.n:
         raise ValueError(f"arity mismatch: words at {w1.n}/{w2.n}, system at {sys.n}")
@@ -599,12 +592,11 @@ def equal(
     slides: tuple[tuple[Step, ...], ...] = ((), ())
     if moves is not None:
         slide, join = moves
-        (start_letters, s1), (goal_letters, s2) = slide(start_letters, sys), slide(goal_letters, sys)
-        slides = (s1, s2)
-        if start_letters == goal_letters:
-            return EqResult("equal", states=0, path=RewritePath(start_letters, s1, s2), stop="met")
-    if budget is None:
-        budget = DEFAULT_BUDGET
+        (start_letters, goal_letters), slides = zip(slide(start_letters, sys), slide(goal_letters, sys))
+        joined = join(start_letters, goal_letters, sys)
+        if joined is not None:
+            return EqResult("equal", states=0, path=RewritePath(goal_letters, slides[0] + joined, slides[1]), stop="met")
+    budget = DEFAULT_BUDGET if budget is None else budget
 
     tab = sys.search_tables
     start = tab.canon(tab.encode(start_letters))
@@ -639,10 +631,6 @@ def equal(
         path = build_path(start)
         if path is not None:
             return EqResult("equal", states=0, path=path, stop="met")
-    if moves is not None:
-        joined = join(start_letters, goal_letters, sys)
-        if joined is not None:
-            return EqResult("equal", path=RewritePath(goal_letters, slides[0] + joined, slides[1]), stop="met")
 
     successors = tab.successors
     while (queues[0] or queues[1]) and expanded < budget:

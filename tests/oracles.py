@@ -395,6 +395,26 @@ def pointwise_action(p, items) -> tuple:
 # -- the word oracle over commutation classes ----------------------------------
 
 
+def reference_pair_step(sys, word, pos, target):
+    """``rewrite.pair_step`` as it read the search tables before it read
+    ``sys.rewrites``: a commutation of independent letters from ``swaps``,
+    any other rewrite the first in relation order among the trie's
+    two-letter left sides."""
+    from actionoperads.rewrite import Step, _apply
+
+    tab = sys.search_tables
+    xy, b = tab.encode(word[pos : pos + 2]), tab.encode(target)
+    move = tab.swaps.get(xy) if b == xy[::-1] else None
+    if move is None:
+        node = tab.trie.get(xy[0])
+        entries = node[0].get(xy[1], (None, ()))[1] if node and node[0] else ()
+        move = next((m for rhs, m in entries if rhs == b), None)
+        if move is None:
+            return None
+    rel, orient = move >> 1, move & 1
+    return Step(rel, orient, pos, _apply(sys, word, rel, orient, pos))
+
+
 def reference_class_equal(w1, w2, sys, budget=None):
     """``rewrite.equal`` written plainly, on letter tuples.
 

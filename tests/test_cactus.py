@@ -420,7 +420,8 @@ class TestSlides:
 
 class TestOnePass:
     """``rewrite.equal`` runs each check once: the invariants before the
-    slides, and the class check before the pull and the search."""
+    slides, and the slides and the pull before the class check and the
+    search, which alone build the search tables."""
 
     def test_a_pair_pi_refutes_is_never_slid(self, monkeypatch):
         calls = []
@@ -445,6 +446,20 @@ class TestOnePass:
         assert res == EqResult("inconclusive", stop="budget")
         assert pis == [a.payload, b.payload]
         assert len(keys) == 2
+
+    def test_slides_and_the_pull_build_no_search_table(self):
+        # a fresh system (``replace`` bypasses the cache) has no tables
+        # until a pair reaches the class check
+        sys = replace(cactus_relations(5))
+        assert "search_tables" not in vars(sys)
+        slid = equal(C.parse("s(1,2) s(1,3) s(2,3)", 5).payload, C.parse("s(1,3)", 5).payload, sys, moves=MOVES)
+        pulled = equal(C.parse("s(1,3) s(1,2)", 5).payload, C.parse("s(2,3) s(1,3)", 5).payload, sys, moves=MOVES)
+        assert slid.is_equal and slid.path.forward and pulled.is_equal and pulled.path.forward
+        assert "search_tables" not in vars(sys)
+        a, b = C.parse("s(1,2) s(2,3) s(1,2)", 5).payload, C.parse("s(2,3) s(1,2) s(2,3)", 5).payload
+        assert cactus._pull(a.letters, b.letters, sys) is None
+        assert equal(a, b, sys, budget=0, moves=MOVES) == EqResult("inconclusive", stop="budget")
+        assert "search_tables" in vars(sys)
 
     def test_identical_inputs_that_slide_get_the_empty_path(self):
         a = C.parse("s(1,2) s(1,3) s(2,3)", 3)
@@ -496,14 +511,14 @@ class TestPull:
         assert cactus._slide(a + b[2:], 3) == [(2, ((1, 3), (1, 2)))]
         assert cactus._pull(a, b, cactus_relations(3)) is None
 
-    def test_a_pair_in_one_class_keeps_the_class_path(self):
-        # the class check runs before the pull: the search's backward step
-        # stays, where the pull would have written a forward one
+    def test_a_pair_in_one_class_takes_the_pull_path(self):
+        # the join runs before the class check: the pull's forward step is
+        # written, where the class search would have written a backward one
         sys = cactus_relations(4)
         a, b = C.parse("s(1,4) s(2,3)", 4), C.parse("s(2,3) s(1,4)", 4)
         res = C.equal(a, b)
-        assert res == equal(a.payload, b.payload, sys)
-        assert res.path.forward == () and [(s.rel, s.orient, s.pos) for s in res.path.backward] == [(11, 1, 0)]
-        assert [(s.rel, s.orient, s.pos) for s in cactus._pull(a.payload.letters, b.payload.letters, sys)] == [
-            (11, 0, 0)
-        ]
+        assert res.is_equal and res.states == 0 and res.stop == "met"
+        assert replay_path(sys, a.payload, b.payload, res.path)
+        assert res.path.backward == () and [(s.rel, s.orient, s.pos) for s in res.path.forward] == [(11, 0, 0)]
+        plain = equal(a.payload, b.payload, sys)
+        assert plain.path.forward == () and [(s.rel, s.orient, s.pos) for s in plain.path.backward] == [(11, 1, 0)]

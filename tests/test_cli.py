@@ -501,6 +501,13 @@ MALFORMED_DOCS = {
         "generators": [{"name": "s", "arity": 2, "pi": [2, 1]}], "relations": [{"lhs": 5, "rhs": "id(2)"}]
     },
     "boolean_pi": {"generators": [{"name": "s", "arity": 2, "pi": [2, True]}], "relations": []},
+    "boolean_arity": {"generators": [{"name": "s", "arity": True, "pi": [1]}], "relations": []},
+    "float_arity": {"generators": [{"name": "s", "arity": 2.0, "pi": [2, 1]}], "relations": []},
+    "numeric_name": {"generators": [{"name": 5, "arity": 2, "pi": [2, 1]}], "relations": []},
+    "empty_width": {
+        "generators": [{"name": "s", "arity": 2, "pi": [2, 1]}],
+        "relations": [{"lhs": "delta(gen(s); [1,,1])", "rhs": "delta(gen(s); [1,1])"}],
+    },
 }
 
 # a well-formed presentation: one involutive generator, no relations
@@ -578,6 +585,10 @@ MALFORMED_INPUTS = [
     (["present", "check", "--operad", "cactus", "--file", "{numeric_term}"], 3),
     (["present", "check", "--operad", "cactus", "--file", "{list}"], 3),
     (["present", "check", "--operad", "sym", "--file", "{boolean_pi}", "--interp", "s=[2,1]"], 3),
+    *(
+        (["present", "check", "--operad", "sym", "--file", f"{{{name}}}"], 3)
+        for name in ("boolean_arity", "float_arity", "numeric_name", "empty_width")
+    ),
     (["equal", "--operad", "braid", "--n", "3", "--budget", "-5", "b1 b2 b1", "b2 b1 b2"], 3),
     (["axioms", "--operad", "cactus", "--max-arity", "2", "--budget", "-5"], 3),
     (["cactus", "coboundary", "--max-total", "2", "--budget", "-5"], 3),

@@ -3,6 +3,8 @@ evaluation into instances, and presentation checking."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from actionoperads.braid import braid_operad
@@ -231,6 +233,31 @@ class TestErrorArms:
     def test_trailing_input(self):
         with pytest.raises(ValueError, match=r"trailing input after term: ' gen\(s\)'"):
             parse_term("id(2) gen(s)")
+
+    def test_an_empty_delta_width(self):
+        # an empty entry is named by its position; an empty list stays empty
+        with pytest.raises(ValueError, match=r"empty delta width at position 17 in 'delta\(gen\(s\); \[1,,1\]\)'"):
+            parse_term("delta(gen(s); [1,,1])")
+        with pytest.raises(ValueError, match=r"empty delta width at position 15 in"):
+            parse_term("delta(gen(s); [,1,1,])")
+        with pytest.raises(ValueError, match=r"empty delta width at position 19 in"):
+            parse_term("delta(gen(s); [1,1,])")
+        assert parse_term("delta(id(0); [])") == parse_term("delta(id(0); [ ])") == DeltaT(IdT(0), ())
+        assert parse_term("delta(gen(s); [ 1 , 1 ])") == DeltaT(Gen("s"), (1, 1))
+
+    @pytest.mark.parametrize(
+        "generator, message",
+        [
+            ({"name": "s", "arity": True, "pi": [1]}, "expected an arity >= 0, got True"),
+            ({"name": "s", "arity": 2.0, "pi": [2, 1]}, "expected an arity >= 0, got 2.0"),
+            ({"name": "s", "arity": -1, "pi": []}, "expected an arity >= 0, got -1"),
+            ({"name": 5, "arity": 2, "pi": [2, 1]}, "expected a name, got 5"),
+        ],
+    )
+    def test_a_malformed_generator_in_a_document(self, generator, message):
+        doc = {"generators": [generator], "relations": []}
+        with pytest.raises(ValueError, match=re.escape(f"malformed presentation document: {message}")):
+            presentation_from_dict(doc)
 
     def test_a_space_before_the_bracket(self):
         assert parse_term("gen (s)") == Gen("s")

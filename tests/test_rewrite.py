@@ -24,10 +24,11 @@ from actionoperads.rewrite import (
     equal,
     free_reduce,
     invert_letters,
+    pair_step,
     replay_path,
     validate_invariants,
 )
-from oracles import reference_class_equal
+from oracles import reference_class_equal, reference_pair_step
 
 
 def cactus_word(n, *intervals):
@@ -187,6 +188,18 @@ class TestEqual:
         left_letters = sum(len(lhs) + len(rhs) for lhs, rhs in sys.relations) - 4 * len(commutations)
         assert 0 < nodes <= left_letters
         assert len(tab.dep) == len(tab.bit) == len(tab.code_to_letter) == 2 * 23
+
+    def test_the_index_and_the_trie_keep_the_first_listing(self):
+        # the commutation of a and b, listed in + signs only (so it stays in
+        # the trie), twice, both times after a relation that also lists it
+        ab, ba = (("a", 1), ("b", 1)), (("b", 1), ("a", 1))
+        sys = RelationSystem("twice", 1, ("a", "b"), ((ab, (("a", 1),)), (ba, ab), (ab, ba), (ab, ba)))
+        assert sys.rewrites == {(ab, (("a", 1),)): 0, ((("a", 1),), ab): 1, (ba, ab): 2, (ab, ba): 3}
+        tab = sys.search_tables
+        assert tab.swaps == {}
+        entries = tab.trie[tab.encode(ab[:1])][0][tab.encode(ab[1:])][1]
+        assert entries == [(tab.encode((("a", 1),)), 0), (tab.encode(ba), 3)]
+        assert pair_step(sys, ab, 0, ba) == reference_pair_step(sys, ab, 0, ba) == Step(1, 1, 0, ba)
 
     def test_stop_met_and_invariant(self):
         sys = cactus_relations(3)
@@ -428,6 +441,20 @@ def _letters(sys):
 
 
 OTHERS = {sys.name: sys for sys in (TOY, EMPTY_RIGHT, WIDE, FOUR, SLIDE, TOY_FREE, FOUR_FREE)}
+
+
+@pytest.mark.parametrize(
+    "sys",
+    [braid_relations(n) for n in range(2, 6)] + [cactus_relations(n) for n in range(2, 7)] + [TOY, FOUR, FOUR_FREE],
+    ids=lambda sys: sys.name,
+)
+def test_pair_step_reads_the_rewrites_as_the_tables_did(sys):
+    # every two-letter window against every two-letter target: the index
+    # gives the step the swaps-then-trie lookup gave
+    pairs = [(x, y) for x in _letters(sys) for y in _letters(sys)]
+    for word in pairs:
+        for target in pairs:
+            assert pair_step(sys, word, 0, target) == reference_pair_step(sys, word, 0, target), (word, target)
 
 
 # the toy systems with independent letters, where the class reduction can
